@@ -42,20 +42,18 @@ from .group_math import (
     modinv,
     rand_scalar,
     rand_scalar_nonzero,
+    retry,
 )
-from .sdss import KeyPair, commitment_hash
-
-_RETRY_BUDGET = 1000
+from .sdss import KeyPair, commitment_hash, s_from_nonce
+from .sdss import recover_commitment as sdss_recover_commitment, verify as sdss_verify
 
 
 class SignerState(enum.Enum):
-    INIT = "init"
     COMMITTED = "committed"
     RESPONDED = "responded"
 
 
 class RequesterState(enum.Enum):
-    AWAIT_COMMIT = "await_commit"
     CHALLENGED = "challenged"
     DONE = "done"
 
@@ -102,10 +100,9 @@ class SignerSession:
 
 
 @dataclass
-class RequesterSession:
+class BlindingSession:
+    """The requester state both blind schemes keep between challenge and finalize."""
     params: GroupParams
-    m: bytes
-    signer_pub: GroupElement
     z: GroupElement
     u: Scalar
     alpha: Scalar
@@ -116,6 +113,12 @@ class RequesterSession:
     state: RequesterState
 
 
+@dataclass
+class RequesterSession(BlindingSession):
+    m: bytes
+    signer_pub: GroupElement
+
+
 def signer_commit(key: KeyPair, params: GroupParams, rng) -> tuple[SignerSession, CommitMsg]:
     """Draw the one-shot nonce and publish z = g^k_tilde mod p.
 
@@ -123,53 +126,62 @@ def signer_commit(key: KeyPair, params: GroupParams, rng) -> tuple[SignerSession
     retried internally (with prime q this means q | z).
     """
     p, q = params.p, params.q
-    for _ in range(_RETRY_BUDGET):
+
+    def draw_commitment():
         k_tilde = rand_scalar_nonzero(rng, q)
         z = modexp(params.g, k_tilde, p)
-        if z % q != 0:
-            session = SignerSession(params=params, k_tilde=k_tilde, z=z,
-                                    state=SignerState.COMMITTED)
-            return session, CommitMsg(z=z)
-    raise RngFailure("could not draw a commitment with gcd(z, q) = 1")
+        return (k_tilde, z) if z % q != 0 else None
+
+    k_tilde, z = retry(draw_commitment,
+                       RngFailure("could not draw a commitment with gcd(z, q) = 1"))
+    session = SignerSession(params=params, k_tilde=k_tilde, z=z,
+                            state=SignerState.COMMITTED)
+    return session, CommitMsg(z=z)
 
 
-def requester_challenge(m: bytes, z: GroupElement, signer_pub: GroupElement,
-                        params: GroupParams, suite: CryptoSuite,
-                        rng) -> tuple[RequesterSession, ChallengeMsg]:
-    """Blind the message hash and send the challenge r_bar.
-
-    Draw order is fixed (u, then beta, then alpha) so seeded runs are
-    reproducible: u is retried until r != 0, beta until r_bar != 0.
-    """
+def blind_challenge(session_cls: type, z: GroupElement, derive_r,
+                    params: GroupParams, rng, **fields):
+    """The requester core both blind schemes share: validate z, draw u until
+    derive_r(u) gives r != 0, beta until r_bar = r + beta != 0, then alpha,
+    and form T = z^r_bar * g^alpha mod p. The draw order is fixed so seeded
+    runs are reproducible. derive_r(u) returns r and the session fields it
+    derived; `fields` holds the rest."""
     p, q = params.p, params.q
     if not 0 < z < p:
         raise BadCommit(f"commitment z = {z} is outside [1, p-1]")
     if z % q == 0:
         raise BadCommit(f"commitment z = {z} is divisible by q")
 
-    for _ in range(_RETRY_BUDGET):
+    def draw_u():
         u = rand_scalar_nonzero(rng, q)
-        r = commitment_hash(modexp(params.g, u, p), m, params, suite)
-        if r != 0:
-            break
-    else:
-        raise RngFailure("could not reach a nonzero blinded hash")
+        r, derived = derive_r(u)
+        return (u, r, derived) if r != 0 else None
 
-    for _ in range(_RETRY_BUDGET):
+    def draw_beta():
         beta = rand_scalar(rng, q)
-        r_bar = (r + beta) % q
-        if r_bar != 0:
-            break
-    else:
-        raise RngFailure("could not reach a nonzero challenge")
+        return beta if (r + beta) % q != 0 else None
 
+    u, r, derived = retry(draw_u, RngFailure("could not reach a nonzero r"))
+    beta = retry(draw_beta, RngFailure("could not reach a nonzero challenge"))
+    r_bar = (r + beta) % q
     alpha = rand_scalar(rng, q)
     T = modexp(z, r_bar, p) * modexp(params.g, alpha, p) % p
 
-    session = RequesterSession(params=params, m=m, signer_pub=signer_pub, z=z,
-                               u=u, alpha=alpha, beta=beta, r=r, r_bar=r_bar,
-                               T=T, state=RequesterState.CHALLENGED)
+    session = session_cls(params=params, z=z, u=u, alpha=alpha, beta=beta, r=r,
+                          r_bar=r_bar, T=T, state=RequesterState.CHALLENGED,
+                          **fields, **derived)
     return session, ChallengeMsg(r_bar=r_bar)
+
+
+def requester_challenge(m: bytes, z: GroupElement, signer_pub: GroupElement,
+                        params: GroupParams, suite: CryptoSuite,
+                        rng) -> tuple[RequesterSession, ChallengeMsg]:
+    """Blind the message hash r = h(g^u mod p || m) and send the challenge r_bar."""
+    def derive_r(u):
+        return commitment_hash(modexp(params.g, u, params.p), m, params, suite), {}
+
+    return blind_challenge(RequesterSession, z, derive_r, params, rng,
+                           m=m, signer_pub=signer_pub)
 
 
 def signer_respond(session: SignerSession, r_bar: Scalar, key: KeyPair) -> ResponseMsg:
@@ -183,39 +195,39 @@ def signer_respond(session: SignerSession, r_bar: Scalar, key: KeyPair) -> Respo
     return ResponseMsg(s_bar=s_bar)
 
 
-def requester_finalize(session: RequesterSession, s_bar: Scalar,
-                       params: GroupParams) -> BlindSignature:
-    """Unblind the response into the final signature (r, s, T).
+def unblind(session: BlindingSession, s_bar: Scalar, q: int) -> Scalar:
+    """s = u / (r + s_bar + alpha) mod q, the SDSS s with nonce u and key
+    s_bar + alpha. Consumes the session.
 
     A zero denominator r + s_bar + alpha aborts the whole session: alpha is
     already baked into T, so redrawing it here would desynchronize the pair.
     """
     if session.state is not RequesterState.CHALLENGED:
         raise InvalidState(f"cannot finalize in state {session.state.value}")
-    q = params.q
-    denom = (session.r + s_bar + session.alpha) % q
-    if denom == 0:
-        session.state = RequesterState.DONE
-        raise DegenerateDenominator("r + s_bar + alpha = 0 mod q; restart the session")
-    s = session.u * modinv(denom, q) % q
     session.state = RequesterState.DONE
-    return BlindSignature(r=session.r, s=s, T=session.T)
+    s = s_from_nonce(session.u, session.r, s_bar + session.alpha, q)
+    if s is None:
+        raise DegenerateDenominator("r + s_bar + alpha = 0 mod q; restart the session")
+    return s
+
+
+def requester_finalize(session: RequesterSession, s_bar: Scalar,
+                       params: GroupParams) -> BlindSignature:
+    """Unblind the response into the final signature (r, s, T)."""
+    return BlindSignature(r=session.r, s=unblind(session, s_bar, params.q), T=session.T)
 
 
 def recover_commitment(sig: BlindSignature, signer_pub: GroupElement,
                        params: GroupParams) -> GroupElement:
     """K = (y * T * g^r)^s mod p; equals g^u mod p for an honest signature."""
-    p = params.p
-    base = signer_pub * sig.T % p * modexp(params.g, sig.r, p) % p
-    return modexp(base, sig.s, p)
+    return sdss_recover_commitment(sig, signer_pub * sig.T % params.p, params)
 
 
 def verify(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
            params: GroupParams, suite: CryptoSuite) -> bool:
-    if not (0 < sig.r < params.q and 0 < sig.s < params.q and 0 < sig.T < params.p):
-        return False
-    k_element = recover_commitment(sig, signer_pub, params)
-    return commitment_hash(k_element, m, params, suite) == sig.r
+    """(r, s, T) is valid iff (r, s) is an SDSS signature under the key y * T."""
+    return 0 < sig.T < params.p and sdss_verify(m, sig, signer_pub * sig.T % params.p,
+                                                params, suite)
 
 
 def recover_blinding_factors(view: View, sig: BlindSignature, u: Scalar,
@@ -241,8 +253,7 @@ def recover_blinding_factors(view: View, sig: BlindSignature, u: Scalar,
         if t_check != sig.T:
             raise InconsistentPair("T does not match z^r * z^beta * g^alpha")
 
-        denom = (sig.r + view.s_bar + alpha) % q
-        if u * modinv(denom, q) % q != sig.s:
+        if s_from_nonce(u, sig.r, view.s_bar + alpha, q) != sig.s:
             raise InconsistentPair("s does not match u / (r + s_bar + alpha)")
     except ZeroInverse as exc:
         raise InconsistentPair(f"required inverse does not exist: {exc}") from exc

@@ -10,37 +10,29 @@ Recipient C rebuilds the shared element as (y_A * T * g^r)^(s * x_C) mod p
 (the signature check and the key agreement are the same exponentiation),
 decrypts, and accepts only if the keyed hash reduces back to r.
 
-The signer half of the session is byte-for-byte the blind-SDSS one, so it is
-shared: `bsc_signer_commit` / `bsc_signer_respond` are aliases.
+Both halves of the session are the blind-SDSS ones: the signer half is
+shared outright (`bsc_signer_commit` / `bsc_signer_respond` are aliases), and
+the requester runs the same core (`blind_sdss.blind_challenge` and
+`blind_sdss.unblind`) with the keyed hash in place of the plain one. The
+recipient's open path is Zheng's, with y_A * T in place of y_A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import zheng
 from .blind_sdss import (
+    BlindingSession,
     ChallengeMsg,
-    RequesterState,
+    blind_challenge,
     signer_commit as bsc_signer_commit,
     signer_respond as bsc_signer_respond,
+    unblind,
 )
 from .crypto_suite import CryptoSuite, SplitKeys, derive_keys, keyed_hash_to_scalar
-from .errors import (
-    BadCommit,
-    DegenerateDenominator,
-    InvalidState,
-    RngFailure,
-    TagMismatch,
-)
-from .group_math import (
-    GroupElement,
-    GroupParams,
-    Scalar,
-    modexp,
-    modinv,
-    rand_scalar,
-    rand_scalar_nonzero,
-)
+from .errors import TagMismatch
+from .group_math import GroupElement, GroupParams, Scalar, modexp
 from .sdss import KeyPair
 
 __all__ = [
@@ -53,8 +45,6 @@ __all__ = [
     "unsigncrypt",
 ]
 
-_RETRY_BUDGET = 1000
-
 
 @dataclass(frozen=True)
 class BlindSigncryptedText:
@@ -65,19 +55,10 @@ class BlindSigncryptedText:
 
 
 @dataclass
-class BscRequesterSession:
-    params: GroupParams
-    suite: CryptoSuite
+class BscRequesterSession(BlindingSession):
     bind_info: bytes
-    u: Scalar
-    alpha: Scalar
-    beta: Scalar
-    r: Scalar
-    r_bar: Scalar
-    T: GroupElement
     keys: SplitKeys
     c: bytes
-    state: RequesterState
 
 
 def bsc_requester_challenge(m: bytes, z: GroupElement,
@@ -86,77 +67,37 @@ def bsc_requester_challenge(m: bytes, z: GroupElement,
                             rng) -> tuple[BscRequesterSession, ChallengeMsg]:
     """Encrypt m to the recipient and send the blinded challenge.
 
-    Execution order: u -> shared -> key split -> c -> r -> beta, r_bar ->
+    Execution order: u -> shared -> key split -> r, c -> beta, r_bar ->
     alpha, T. A zero r forces a fresh u (fresh u means fresh keys and hence a
     fresh r); a zero r_bar forces a fresh beta.
     """
-    p, q = params.p, params.q
-    if not 0 < z < p:
-        raise BadCommit(f"commitment z = {z} is outside [1, p-1]")
-    if z % q == 0:
-        raise BadCommit(f"commitment z = {z} is divisible by q")
+    def derive_r(u):
+        keys = derive_keys(modexp(recipient_pub, u, params.p), suite)
+        r = keyed_hash_to_scalar(keys.k2, m, bind_info, params.q, suite)
+        return r, {"keys": keys, "c": suite.cipher_encrypt(keys.k1, m)}
 
-    for _ in range(_RETRY_BUDGET):
-        u = rand_scalar_nonzero(rng, q)
-        shared = modexp(recipient_pub, u, p)
-        keys = derive_keys(shared, suite)
-        r = keyed_hash_to_scalar(keys.k2, m, bind_info, q, suite)
-        if r != 0:
-            break
-    else:
-        raise RngFailure("could not reach a nonzero keyed hash")
-    c = suite.cipher_encrypt(keys.k1, m)
-
-    for _ in range(_RETRY_BUDGET):
-        beta = rand_scalar(rng, q)
-        r_bar = (r + beta) % q
-        if r_bar != 0:
-            break
-    else:
-        raise RngFailure("could not reach a nonzero challenge")
-
-    alpha = rand_scalar(rng, q)
-    T = modexp(z, r_bar, p) * modexp(params.g, alpha, p) % p
-
-    session = BscRequesterSession(params=params, suite=suite, bind_info=bind_info,
-                                  u=u, alpha=alpha, beta=beta, r=r, r_bar=r_bar,
-                                  T=T, keys=keys, c=c,
-                                  state=RequesterState.CHALLENGED)
-    return session, ChallengeMsg(r_bar=r_bar)
+    return blind_challenge(BscRequesterSession, z, derive_r, params, rng,
+                           bind_info=bind_info)
 
 
 def bsc_requester_finalize(session: BscRequesterSession, s_bar: Scalar,
                            params: GroupParams) -> BlindSigncryptedText:
     """Unblind the response and emit the signcrypted text (c, r, s, T)."""
-    if session.state is not RequesterState.CHALLENGED:
-        raise InvalidState(f"cannot finalize in state {session.state.value}")
-    q = params.q
-    denom = (session.r + s_bar + session.alpha) % q
-    if denom == 0:
-        session.state = RequesterState.DONE
-        raise DegenerateDenominator("r + s_bar + alpha = 0 mod q; restart the session")
-    s = session.u * modinv(denom, q) % q
-    session.state = RequesterState.DONE
+    s = unblind(session, s_bar, params.q)
     return BlindSigncryptedText(c=session.c, r=session.r, s=s, T=session.T)
 
 
 def shared_element(ct: BlindSigncryptedText, recipient: KeyPair,
                    signer_pub: GroupElement, params: GroupParams) -> GroupElement:
     """(y_A * T * g^r)^(s * x_C) mod p; equals y_C^u mod p for honest texts."""
-    p, q = params.p, params.q
-    base = signer_pub * ct.T % p * modexp(params.g, ct.r, p) % p
-    return modexp(base, ct.s * recipient.x % q, p)
+    return zheng.shared_element(ct, recipient, signer_pub * ct.T % params.p, params)
 
 
 def unsigncrypt(ct: BlindSigncryptedText, recipient: KeyPair,
                 signer_pub: GroupElement, bind_info: bytes,
                 params: GroupParams, suite: CryptoSuite) -> bytes:
     """Decrypt-and-verify; returns the message or raises TagMismatch."""
-    if not (0 < ct.r < params.q and 0 < ct.s < params.q and 0 < ct.T < params.p):
-        raise TagMismatch("value out of range")  # rejects s+q style re-encodings
-    shared = shared_element(ct, recipient, signer_pub, params)
-    keys = derive_keys(shared, suite)
-    m = suite.cipher_decrypt(keys.k1, ct.c)
-    if keyed_hash_to_scalar(keys.k2, m, bind_info, params.q, suite) != ct.r:
-        raise TagMismatch("keyed-hash check failed")
-    return m
+    if not 0 < ct.T < params.p:
+        raise TagMismatch("T out of range")  # rejects T+p style re-encodings
+    return zheng.open_sealed(ct, recipient, signer_pub * ct.T % params.p, bind_info,
+                             params, suite)

@@ -14,18 +14,21 @@ subcommands refuse to write state.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
+import functools
 import hashlib
 import hmac
 import json
 import random
 import secrets
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import blind_sdss, blind_signcrypt, harness, sdss, wire_codec, zheng
-from .blind_sdss import RequesterState, SignerState
-from .crypto_suite import SplitKeys, get_suite, std_suite
+from .crypto_suite import get_suite, std_suite
 from .errors import (
     BadGenerator,
     NotPrime,
@@ -37,7 +40,13 @@ from .group_math import GroupParams, generate_params, int_to_bytes, named_params
 
 _STATE_LABEL = b"blindsigncrypt-state-v1:"
 
+# The suite of every message the CLI produces. The only other suite, toy-v1,
+# exists for pinning hash outputs in library tests, which a CLI run cannot do.
+SUITE_ID = "std-v1"
+
 _SCHEME_NAMES = {"blind": "blind_sdss", "bsc": "blind_signcrypt"}
+
+_field_types = functools.cache(typing.get_type_hints)  # resolving string annotations is slow
 
 
 class VerifyFailure(Exception):
@@ -52,7 +61,6 @@ class UsageFailure(Exception):
 class CliConfig:
     test_mode: bool
     seed: int | None
-    suite_id: str
     rng: object
 
 
@@ -61,22 +69,24 @@ class CliConfig:
 def _read_params(value: str) -> GroupParams:
     if value in ("toy23", "desk512"):
         return named_params(value)
-    obj, _ = wire_codec.decode(wire_codec.dearmor(Path(value).read_text()))
-    if not isinstance(obj, GroupParams):
-        raise UsageFailure(f"{value} does not contain group parameters")
-    return obj
+    return _read_wire(value, GroupParams)[0]
 
 
-def _read_key(path: str) -> sdss.KeyPair:
+def _read_key(path: str, params: GroupParams) -> sdss.KeyPair:
+    """Load a key file, accepting only integers with 1 <= x < q and y = g^x mod p."""
     data = json.loads(Path(path).read_text())
-    return sdss.KeyPair(x=data["x"], y=data["y"])
+    x, y = (data.get("x"), data.get("y")) if isinstance(data, dict) else (None, None)
+    if type(x) is not int or type(y) is not int:  # type(), so that JSON true is refused
+        raise UsageFailure(f"{path} is not a key file: x and y must be integers")
+    if not 0 < x < params.q:
+        raise UsageFailure(f"{path}: secret x is outside [1, q-1]")
+    if sdss.public_key(x, params) != y:
+        raise UsageFailure(f"{path}: public y is not g^x mod p for these parameters")
+    return sdss.KeyPair(x=x, y=y)
 
 
 def _read_pub(path: str) -> int:
-    obj, _ = wire_codec.decode(wire_codec.dearmor(Path(path).read_text()))
-    if not isinstance(obj, wire_codec.PubKeyMsg):
-        raise UsageFailure(f"{path} does not contain a public key")
-    return obj.y
+    return _read_wire(path, wire_codec.PubKeyMsg)[0].y
 
 
 def _read_wire(path: str, expect: type):
@@ -86,8 +96,8 @@ def _read_wire(path: str, expect: type):
     return obj, suite_id
 
 
-def _write_wire(path: str, obj, suite_id: str) -> None:
-    Path(path).write_text(wire_codec.armor(wire_codec.encode(obj, suite_id)))
+def _write_wire(path: str, obj) -> None:
+    Path(path).write_text(wire_codec.armor(wire_codec.encode(obj, SUITE_ID)))
 
 
 # -- encrypted session state (test mode only) -------------------------------------
@@ -96,19 +106,40 @@ def _state_key(seed: int) -> bytes:
     return hashlib.sha256(_STATE_LABEL + str(seed).encode()).digest()
 
 
-def _save_state(path: str, state: dict, cfg: CliConfig) -> None:
+def _jsonable(value):
+    """JSON form of the session field types json cannot write: bytes and enums."""
+    return value.hex() if isinstance(value, bytes) else value.value
+
+
+def _from_json(cls, raw):
+    """Rebuild cls from the JSON form of dataclasses.asdict(cls instance),
+    driven by the field annotations of cls."""
+    if dataclasses.is_dataclass(cls):
+        hints = _field_types(cls)
+        return cls(**{f.name: _from_json(hints[f.name], raw[f.name])
+                      for f in dataclasses.fields(cls)})
+    if cls is bytes:
+        return bytes.fromhex(raw)
+    if isinstance(cls, type) and issubclass(cls, enum.Enum):
+        return cls(raw)
+    return raw
+
+
+def _save_state(path: str, session, cfg: CliConfig) -> None:
     if not cfg.test_mode:
         raise UsageFailure(
             "session state files exist only under --test-mode; in normal mode "
             "run the whole session in one process")
+    state = {"session": type(session).__name__, "fields": dataclasses.asdict(session)}
     key = _state_key(cfg.seed or 0)
     suite = std_suite()
-    ct = suite.cipher_encrypt(key, json.dumps(state, sort_keys=True).encode())
+    ct = suite.cipher_encrypt(key, json.dumps(state, sort_keys=True, default=_jsonable).encode())
     tag = suite.keyed_hash(key, ct)
     Path(path).write_text(wire_codec.armor(tag + ct))
 
 
-def _load_state(path: str, cfg: CliConfig) -> dict:
+def _load_state(path: str, cfg: CliConfig, session_cls: type, params: GroupParams):
+    """Open a state file and rebuild the session_cls it must hold."""
     if not cfg.test_mode:
         raise UsageFailure("session state files exist only under --test-mode")
     blob = wire_codec.dearmor(Path(path).read_text())
@@ -117,7 +148,15 @@ def _load_state(path: str, cfg: CliConfig) -> dict:
     tag, ct = blob[:32], blob[32:]
     if not hmac.compare_digest(tag, suite.keyed_hash(key, ct)):
         raise UsageFailure(f"cannot open {path}: wrong seed or corrupted state")
-    return json.loads(suite.cipher_decrypt(key, ct))
+    state = json.loads(suite.cipher_encrypt(key, ct))
+    held = state.get("session") if isinstance(state, dict) else None
+    if held != session_cls.__name__:
+        raise UsageFailure(f"{path} holds {held or 'an unrecognised state format'}, "
+                           f"expected {session_cls.__name__}")
+    session = _from_json(session_cls, state["fields"])
+    if session.params != params:
+        raise UsageFailure(f"{path} was made under other group parameters")
+    return session
 
 
 def _bind_info(args, recipient_pub: int) -> bytes:
@@ -130,7 +169,7 @@ def _bind_info(args, recipient_pub: int) -> bytes:
 
 def cmd_params_gen(args, cfg: CliConfig) -> int:
     params = generate_params(args.bits_p, args.bits_q, cfg.rng)
-    _write_wire(args.out, params, cfg.suite_id)
+    _write_wire(args.out, params)
     print(f"wrote {args.bits_p}/{args.bits_q}-bit parameters to {args.out}")
     return 0
 
@@ -151,17 +190,17 @@ def cmd_keygen(args, cfg: CliConfig) -> int:
     key = sdss.keygen(params, cfg.rng)
     Path(args.out).write_text(json.dumps({"x": key.x, "y": key.y}) + "\n")
     if args.pub_out:
-        _write_wire(args.pub_out, wire_codec.PubKeyMsg(y=key.y), cfg.suite_id)
+        _write_wire(args.pub_out, wire_codec.PubKeyMsg(y=key.y))
     print(f"wrote key pair to {args.out}")
     return 0
 
 
 def cmd_sdss_sign(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
-    key = _read_key(args.key)
+    key = _read_key(args.key, params)
     m = Path(args.infile).read_bytes()
-    sig = sdss.sign(m, key, params, get_suite(cfg.suite_id), cfg.rng)
-    _write_wire(args.out, sig, cfg.suite_id)
+    sig = sdss.sign(m, key, params, get_suite(SUITE_ID), cfg.rng)
+    _write_wire(args.out, sig)
     return 0
 
 
@@ -177,18 +216,18 @@ def cmd_sdss_verify(args, cfg: CliConfig) -> int:
 
 def cmd_zheng_seal(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
-    key = _read_key(args.key)
+    key = _read_key(args.key, params)
     recipient_pub = _read_pub(args.recipient_pub)
     m = Path(args.infile).read_bytes()
     ct = zheng.signcrypt(m, key, recipient_pub, _bind_info(args, recipient_pub),
-                         params, get_suite(cfg.suite_id), cfg.rng)
-    _write_wire(args.out, ct, cfg.suite_id)
+                         params, get_suite(SUITE_ID), cfg.rng)
+    _write_wire(args.out, ct)
     return 0
 
 
 def cmd_zheng_open(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
-    key = _read_key(args.key)
+    key = _read_key(args.key, params)
     ct, suite_id = _read_wire(args.infile, zheng.SigncryptedText)
     m = zheng.unsigncrypt(ct, key, _read_pub(args.sender_pub),
                           _bind_info(args, key.y), params, get_suite(suite_id))
@@ -199,64 +238,45 @@ def cmd_zheng_open(args, cfg: CliConfig) -> int:
 
 def cmd_session_commit(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
-    key = _read_key(args.key)
+    key = _read_key(args.key, params)
     session, commit = blind_sdss.signer_commit(key, params, cfg.rng)
-    _save_state(args.state_out, {
-        "role": "signer", "k_tilde": session.k_tilde, "z": session.z,
-        "state": session.state.value,
-    }, cfg)
-    _write_wire(args.out, commit, cfg.suite_id)
+    _save_state(args.state_out, session, cfg)
+    _write_wire(args.out, commit)
     return 0
 
 
 def cmd_blind_challenge(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
     commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
-    signer_pub = _read_pub(args.signer_pub)
     m = Path(args.infile).read_bytes()
     session, challenge = blind_sdss.requester_challenge(
-        m, commit.z, signer_pub, params, get_suite(cfg.suite_id), cfg.rng)
-    _save_state(args.state_out, {
-        "role": "requester", "scheme": "blind", "suite_id": cfg.suite_id,
-        "m": m.hex(), "signer_pub": signer_pub, "z": session.z, "u": session.u,
-        "alpha": session.alpha, "beta": session.beta, "r": session.r,
-        "r_bar": session.r_bar, "T": session.T, "state": session.state.value,
-    }, cfg)
-    _write_wire(args.out, challenge, cfg.suite_id)
+        m, commit.z, _read_pub(args.signer_pub), params, get_suite(SUITE_ID), cfg.rng)
+    _save_state(args.state_out, session, cfg)
+    _write_wire(args.out, challenge)
     return 0
 
 
 def cmd_session_respond(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
-    key = _read_key(args.key)
-    st = _load_state(args.state, cfg)
-    if st.get("role") != "signer":
-        raise UsageFailure("state file is not a signer session")
-    session = blind_sdss.SignerSession(params=params, k_tilde=st["k_tilde"],
-                                       z=st["z"], state=SignerState(st["state"]))
+    key = _read_key(args.key, params)
+    session = _load_state(args.state, cfg, blind_sdss.SignerSession, params)
     challenge, _ = _read_wire(args.challenge, blind_sdss.ChallengeMsg)
     response = blind_sdss.signer_respond(session, challenge.r_bar, key)
-    _save_state(args.state, {**st, "state": session.state.value}, cfg)
-    _write_wire(args.out, response, cfg.suite_id)
+    _save_state(args.state, session, cfg)
+    _write_wire(args.out, response)
     return 0
 
 
 def cmd_blind_finalize(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
-    st = _load_state(args.state, cfg)
-    if st.get("role") != "requester" or st.get("scheme") != "blind":
-        raise UsageFailure("state file is not a blind-signature requester session")
-    session = blind_sdss.RequesterSession(
-        params=params, m=bytes.fromhex(st["m"]), signer_pub=st["signer_pub"],
-        z=st["z"], u=st["u"], alpha=st["alpha"], beta=st["beta"], r=st["r"],
-        r_bar=st["r_bar"], T=st["T"], state=RequesterState(st["state"]))
+    session = _load_state(args.state, cfg, blind_sdss.RequesterSession, params)
     response, _ = _read_wire(args.response, blind_sdss.ResponseMsg)
     sig = blind_sdss.requester_finalize(session, response.s_bar, params)
-    _save_state(args.state, {**st, "state": session.state.value}, cfg)
-    suite = get_suite(st["suite_id"])
-    if not blind_sdss.verify(session.m, sig, session.signer_pub, params, suite):
+    _save_state(args.state, session, cfg)
+    if not blind_sdss.verify(session.m, sig, session.signer_pub, params,
+                             get_suite(SUITE_ID)):
         raise VerifyFailure("unblinded signature failed verification")
-    _write_wire(args.out, sig, st["suite_id"])
+    _write_wire(args.out, sig)
     return 0
 
 
@@ -275,43 +295,28 @@ def cmd_bsc_challenge(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
     commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
     recipient_pub = _read_pub(args.recipient_pub)
-    bind_info = _bind_info(args, recipient_pub)
     m = Path(args.infile).read_bytes()
     session, challenge = blind_signcrypt.bsc_requester_challenge(
-        m, commit.z, recipient_pub, bind_info, params,
-        get_suite(cfg.suite_id), cfg.rng)
-    _save_state(args.state_out, {
-        "role": "requester", "scheme": "bsc", "suite_id": cfg.suite_id,
-        "bind_info": bind_info.hex(), "u": session.u, "alpha": session.alpha,
-        "beta": session.beta, "r": session.r, "r_bar": session.r_bar,
-        "T": session.T, "k1": session.keys.k1.hex(), "k2": session.keys.k2.hex(),
-        "c": session.c.hex(), "state": session.state.value,
-    }, cfg)
-    _write_wire(args.out, challenge, cfg.suite_id)
+        m, commit.z, recipient_pub, _bind_info(args, recipient_pub), params,
+        get_suite(SUITE_ID), cfg.rng)
+    _save_state(args.state_out, session, cfg)
+    _write_wire(args.out, challenge)
     return 0
 
 
 def cmd_bsc_finalize(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
-    st = _load_state(args.state, cfg)
-    if st.get("role") != "requester" or st.get("scheme") != "bsc":
-        raise UsageFailure("state file is not a blind-signcryption requester session")
-    session = blind_signcrypt.BscRequesterSession(
-        params=params, suite=get_suite(st["suite_id"]),
-        bind_info=bytes.fromhex(st["bind_info"]), u=st["u"], alpha=st["alpha"],
-        beta=st["beta"], r=st["r"], r_bar=st["r_bar"], T=st["T"],
-        keys=SplitKeys(k1=bytes.fromhex(st["k1"]), k2=bytes.fromhex(st["k2"])),
-        c=bytes.fromhex(st["c"]), state=RequesterState(st["state"]))
+    session = _load_state(args.state, cfg, blind_signcrypt.BscRequesterSession, params)
     response, _ = _read_wire(args.response, blind_sdss.ResponseMsg)
     ct = blind_signcrypt.bsc_requester_finalize(session, response.s_bar, params)
-    _save_state(args.state, {**st, "state": session.state.value}, cfg)
-    _write_wire(args.out, ct, st["suite_id"])
+    _save_state(args.state, session, cfg)
+    _write_wire(args.out, ct)
     return 0
 
 
 def cmd_bsc_open(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
-    key = _read_key(args.key)
+    key = _read_key(args.key, params)
     ct, suite_id = _read_wire(args.infile, blind_signcrypt.BlindSigncryptedText)
     m = blind_signcrypt.unsigncrypt(ct, key, _read_pub(args.signer_pub),
                                     _bind_info(args, key.y), params,
@@ -324,7 +329,7 @@ def cmd_bsc_open(args, cfg: CliConfig) -> int:
 def cmd_bench(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
     report = harness.measure_exponentiation_counts(
-        _SCHEME_NAMES[args.scheme], params, get_suite(cfg.suite_id), cfg.rng)
+        _SCHEME_NAMES[args.scheme], params, get_suite(SUITE_ID), cfg.rng)
     for line in report.lines():
         if args.party and line.startswith("party ") and not line.startswith(f"party {args.party}:"):
             continue
@@ -342,101 +347,71 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deterministic seeded RNG and persistable session state")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (requires --test-mode)")
-    parser.add_argument("--suite", default="std-v1", choices=["std-v1", "toy-v1"],
-                        help="primitive suite for produced messages")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    params = sub.add_parser("params", help="group parameter handling")
-    psub = params.add_subparsers(dest="subcommand", required=True)
-    gen = psub.add_parser("gen")
+    psub = _group(sub, "params", "group parameter handling")
+    gen = _command(psub, "gen", cmd_params_gen)
     gen.add_argument("--bits-p", type=int, default=512)
     gen.add_argument("--bits-q", type=int, default=160)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_params_gen)
-    val = psub.add_parser("validate")
-    val.add_argument("--params", required=True)
-    val.set_defaults(func=cmd_params_validate)
+    _command(psub, "validate", cmd_params_validate, "--params")
 
-    keygen_p = sub.add_parser("keygen", help="generate a key pair")
-    keygen_p.add_argument("--params", required=True)
-    keygen_p.add_argument("--out", required=True)
-    keygen_p.add_argument("--pub-out")
-    keygen_p.set_defaults(func=cmd_keygen)
+    _command(sub, "keygen", cmd_keygen, "--params", "--out", optional=("--pub-out",),
+             help="generate a key pair")
 
-    sdss_p = sub.add_parser("sdss", help="shortened DSS signatures")
-    ssub = sdss_p.add_subparsers(dest="subcommand", required=True)
-    s_sign = ssub.add_parser("sign")
-    _add(s_sign, "--params", "--key", "--in", "--out")
-    s_sign.set_defaults(func=cmd_sdss_sign)
-    s_ver = ssub.add_parser("verify")
-    _add(s_ver, "--params", "--pub", "--in", "--sig")
-    s_ver.set_defaults(func=cmd_sdss_verify)
+    ssub = _group(sub, "sdss", "shortened DSS signatures")
+    _command(ssub, "sign", cmd_sdss_sign, "--params", "--key", "--in", "--out")
+    _command(ssub, "verify", cmd_sdss_verify, "--params", "--pub", "--in", "--sig")
 
-    zheng_p = sub.add_parser("zheng", help="signcryption")
-    zsub = zheng_p.add_subparsers(dest="subcommand", required=True)
-    z_seal = zsub.add_parser("seal")
-    _add(z_seal, "--params", "--key", "--recipient-pub", "--in", "--out")
-    z_seal.add_argument("--bind-info")
-    z_seal.set_defaults(func=cmd_zheng_seal)
-    z_open = zsub.add_parser("open")
-    _add(z_open, "--params", "--key", "--sender-pub", "--in", "--out")
-    z_open.add_argument("--bind-info")
-    z_open.set_defaults(func=cmd_zheng_open)
+    zsub = _group(sub, "zheng", "signcryption")
+    _command(zsub, "seal", cmd_zheng_seal, "--params", "--key", "--recipient-pub", "--in",
+             "--out", optional=("--bind-info",))
+    _command(zsub, "open", cmd_zheng_open, "--params", "--key", "--sender-pub", "--in",
+             "--out", optional=("--bind-info",))
 
-    blind = sub.add_parser("blind", help="blind signature session")
-    bsub = blind.add_subparsers(dest="subcommand", required=True)
-    b_commit = bsub.add_parser("commit")
-    _add(b_commit, "--params", "--key", "--state-out", "--out")
-    b_commit.set_defaults(func=cmd_session_commit)
-    b_chal = bsub.add_parser("challenge")
-    _add(b_chal, "--params", "--signer-pub", "--in", "--commit", "--state-out", "--out")
-    b_chal.set_defaults(func=cmd_blind_challenge)
-    b_resp = bsub.add_parser("respond")
-    _add(b_resp, "--params", "--key", "--state", "--challenge", "--out")
-    b_resp.set_defaults(func=cmd_session_respond)
-    b_fin = bsub.add_parser("finalize")
-    _add(b_fin, "--params", "--state", "--response", "--out")
-    b_fin.set_defaults(func=cmd_blind_finalize)
-    b_ver = bsub.add_parser("verify")
-    _add(b_ver, "--params", "--signer-pub", "--in", "--sig")
-    b_ver.set_defaults(func=cmd_blind_verify)
+    bsub = _group(sub, "blind", "blind signature session")
+    _command(bsub, "commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
+    _command(bsub, "challenge", cmd_blind_challenge, "--params", "--signer-pub", "--in",
+             "--commit", "--state-out", "--out")
+    _command(bsub, "respond", cmd_session_respond, "--params", "--key", "--state",
+             "--challenge", "--out")
+    _command(bsub, "finalize", cmd_blind_finalize, "--params", "--state", "--response", "--out")
+    _command(bsub, "verify", cmd_blind_verify, "--params", "--signer-pub", "--in", "--sig")
 
-    bsc = sub.add_parser("bsc", help="blind signcryption session")
-    csub = bsc.add_subparsers(dest="subcommand", required=True)
-    c_commit = csub.add_parser("commit")
-    _add(c_commit, "--params", "--key", "--state-out", "--out")
-    c_commit.set_defaults(func=cmd_session_commit)
-    c_chal = csub.add_parser("challenge")
-    _add(c_chal, "--params", "--recipient-pub", "--in", "--commit", "--state-out", "--out")
-    c_chal.add_argument("--bind-info")
-    c_chal.set_defaults(func=cmd_bsc_challenge)
-    c_resp = csub.add_parser("respond")
-    _add(c_resp, "--params", "--key", "--state", "--challenge", "--out")
-    c_resp.set_defaults(func=cmd_session_respond)
-    c_fin = csub.add_parser("finalize")
-    _add(c_fin, "--params", "--state", "--response", "--out")
-    c_fin.set_defaults(func=cmd_bsc_finalize)
-    c_open = csub.add_parser("open")
-    _add(c_open, "--params", "--key", "--signer-pub", "--in", "--out")
-    c_open.add_argument("--bind-info")
-    c_open.set_defaults(func=cmd_bsc_open)
+    csub = _group(sub, "bsc", "blind signcryption session")
+    _command(csub, "commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
+    _command(csub, "challenge", cmd_bsc_challenge, "--params", "--recipient-pub", "--in",
+             "--commit", "--state-out", "--out", optional=("--bind-info",))
+    _command(csub, "respond", cmd_session_respond, "--params", "--key", "--state",
+             "--challenge", "--out")
+    _command(csub, "finalize", cmd_bsc_finalize, "--params", "--state", "--response", "--out")
+    _command(csub, "open", cmd_bsc_open, "--params", "--key", "--signer-pub", "--in", "--out",
+             optional=("--bind-info",))
 
-    bench = sub.add_parser("bench", help="per-party modular-exponentiation counts")
+    bench = _command(sub, "bench", cmd_bench, help="per-party modular-exponentiation counts")
     bench.add_argument("--scheme", required=True, choices=sorted(_SCHEME_NAMES))
     bench.add_argument("--params", required=True)
     bench.add_argument("--party", choices=["A", "B", "C", "verify"])
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 
 
-def _add(subparser, *flags) -> None:
+def _group(sub, name: str, title: str):
+    return sub.add_parser(name, help=title).add_subparsers(dest="subcommand", required=True)
+
+
+def _command(sub, name: str, func, *flags: str, optional: tuple[str, ...] = (), **kwargs):
+    """Add subcommand `name` running func, with required flags, then optional ones."""
+    cmd = sub.add_parser(name, **kwargs)
     for flag in flags:
-        dest = {"--in": "infile"}.get(flag)
-        if dest:
-            subparser.add_argument(flag, dest=dest, required=True)
+        if flag == "--in":
+            cmd.add_argument(flag, dest="infile", required=True)
         else:
-            subparser.add_argument(flag, required=True)
+            cmd.add_argument(flag, required=True)
+    for flag in optional:
+        cmd.add_argument(flag)
+    cmd.set_defaults(func=func)
+    return cmd
 
 
 def main(argv=None) -> int:
@@ -450,18 +425,14 @@ def main(argv=None) -> int:
         print("error: --seed requires --test-mode", file=sys.stderr)
         return 2
     rng = random.Random(args.seed) if args.test_mode else secrets.SystemRandom()
-    cfg = CliConfig(test_mode=args.test_mode, seed=args.seed,
-                    suite_id=args.suite, rng=rng)
+    cfg = CliConfig(test_mode=args.test_mode, seed=args.seed, rng=rng)
 
     try:
         return args.func(args, cfg)
     except (TagMismatch, VerifyFailure) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
-    except UsageFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ProtocolError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (UsageFailure, ProtocolError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .group_math import Scalar, int_to_bytes
 
 DIGEST_LEN = 32
-KEY_LEN = 32
 
 
 def _sha256(data: bytes) -> bytes:
@@ -47,8 +46,8 @@ class CryptoSuite:
     suite_id: str
     hash: Callable[[bytes], bytes] = _sha256
     keyed_hash: Callable[[bytes, bytes], bytes] = _hmac_sha256
+    # the XOR stream is its own inverse, so this one field also decrypts
     cipher_encrypt: Callable[[bytes, bytes], bytes] = _keystream_xor
-    cipher_decrypt: Callable[[bytes, bytes], bytes] = _keystream_xor
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,10 @@ class InconsistentPair(ProtocolError):
     """No blinding factors reconcile the given view with the signature."""
 
 
+class HarnessCheckFailed(ProtocolError):
+    """An honest transcript failed one of the harness's consistency checks."""
+
+
 # -- wire format errors -------------------------------------------------------
 
 class WireError(ProtocolError):

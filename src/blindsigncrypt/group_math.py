@@ -11,13 +11,14 @@ import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     BadGenerator,
     GenerationTimeout,
     NotPrime,
     OrderMismatch,
+    ProtocolError,
     RngFailure,
     ZeroInverse,
 )
@@ -93,7 +94,18 @@ def modinv(a: Scalar, q: int) -> Scalar:
     return pow(a, -1, q)
 
 
-_RETRY_BUDGET = 1000
+RETRY_BUDGET = 1000
+
+
+def retry(attempt: Callable[[], object], error: ProtocolError):
+    """The first result of attempt() that is not None, within RETRY_BUDGET
+    tries; else raise error. Every retried step in the package fails with
+    probability about 1/q, so running out means a broken rng or hash stub."""
+    for _ in range(RETRY_BUDGET):
+        result = attempt()
+        if result is not None:
+            return result
+    raise error
 
 
 def rand_scalar(rng, q: int) -> Scalar:
@@ -106,11 +118,8 @@ def rand_scalar(rng, q: int) -> Scalar:
 
 def rand_scalar_nonzero(rng, q: int) -> Scalar:
     """Uniform scalar in [1, q-1]; zero draws are resampled."""
-    for _ in range(_RETRY_BUDGET):
-        v = rand_scalar(rng, q)
-        if v != 0:
-            return v
-    raise RngFailure("random source kept returning 0 mod q")
+    return retry(lambda: rand_scalar(rng, q) or None,
+                 RngFailure("random source kept returning 0 mod q"))
 
 
 # -- primality -----------------------------------------------------------------
@@ -196,14 +205,12 @@ def generate_params(bits_p: int, bits_q: int, rng=None, max_tries: int = 0) -> G
         raise GenerationTimeout(f"no prime p found in {max_tries} tries")
 
     cofactor = (p - 1) // q
-    for _ in range(_RETRY_BUDGET):
-        h0 = rng.randrange(2, p - 1)
-        g = pow(h0, cofactor, p)
-        if g != 1:
-            break
-    else:
-        raise GenerationTimeout("no generator found")
 
+    def draw_generator():
+        g = pow(rng.randrange(2, p - 1), cofactor, p)
+        return g if g != 1 else None
+
+    g = retry(draw_generator, GenerationTimeout("no generator found"))
     return validate_params((p, q, g))
 
 

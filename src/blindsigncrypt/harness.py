@@ -7,21 +7,22 @@ exponentiation-count benchmark.
 
 The blindness check is structural, not statistical: every (view, output)
 pairing across independent sessions must admit consistent blinding factors,
-which makes any view compatible with any signature. A chi-square smoke test
-on the challenge/response marginals is available separately.
+which makes any view compatible with any signature. The consistency checks
+raise HarnessCheckFailed, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import blind_sdss, blind_signcrypt
 from .blind_sdss import BlindSignature, View
 from .blind_signcrypt import BlindSigncryptedText
 from .crypto_suite import CryptoSuite
-from .errors import DegenerateDenominator, InconsistentPair, TagMismatch
+from .errors import DegenerateDenominator, HarnessCheckFailed, InconsistentPair, TagMismatch
 from .group_math import GroupParams, count_exponentiations, modexp
 from .sdss import KeyPair, keygen
 
@@ -57,12 +58,11 @@ class FullTranscript:
     output: BlindSignature | BlindSigncryptedText
     message: bytes
     context: HarnessContext
+    modexp_counts: dict[str, int]  # per party (A, B) in the session that completed
 
     def signature(self) -> BlindSignature:
         """The (r, s, T) triple, whatever the scheme produced."""
         out = self.output
-        if isinstance(out, BlindSignature):
-            return out
         return BlindSignature(r=out.r, s=out.s, T=out.T)
 
 
@@ -79,7 +79,7 @@ def run_honest_sessions(n: int, scheme: str, params: GroupParams,
                         recipient: KeyPair | None = None) -> list[FullTranscript]:
     """Run n independent honest sessions against one signer (and recipient).
 
-    Every transcript is asserted internally consistent before it is returned;
+    Every transcript is checked internally consistent before it is returned;
     degenerate-denominator restarts are counted on the context.
     """
     if n < 1:
@@ -98,65 +98,96 @@ def run_honest_sessions(n: int, scheme: str, params: GroupParams,
     transcripts = []
     for i in range(n):
         m = messages[i] if messages is not None else _random_message(rng)
-        while True:
-            try:
-                transcripts.append(_run_one(ctx, m, rng))
-                break
-            except DegenerateDenominator:
-                ctx.degenerate_retries += 1
+        transcripts.append(_session(ctx, m, rng))
     return transcripts
 
 
-def _run_one(ctx: HarnessContext, m: bytes, rng) -> FullTranscript:
+@contextmanager
+def _counted(counts: dict[str, int], party: str) -> Iterator[None]:
+    """Add the modexp calls made inside the block to counts[party]."""
+    with count_exponentiations() as c:
+        yield
+    counts[party] = counts.get(party, 0) + c.count
+
+
+def _session(ctx: HarnessContext, m: bytes, rng) -> FullTranscript:
+    """One honest session, checked consistent before it is returned.
+
+    A degenerate denominator restarts the whole session from the commitment,
+    as a real caller would; restarts are counted on the context.
+    """
     params, suite = ctx.params, ctx.suite
-    signer_session, commit = blind_sdss.signer_commit(ctx.signer, params, rng)
+    while True:
+        counts: dict[str, int] = {}
+        with _counted(counts, "A"):
+            signer_session, commit = blind_sdss.signer_commit(ctx.signer, params, rng)
+        with _counted(counts, "B"):
+            if ctx.scheme == "blind_sdss":
+                req, challenge = blind_sdss.requester_challenge(
+                    m, commit.z, ctx.signer.y, params, suite, rng)
+            else:
+                req, challenge = blind_signcrypt.bsc_requester_challenge(
+                    m, commit.z, ctx.recipient.y, ctx.bind_info, params, suite, rng)
+        with _counted(counts, "A"):
+            response = blind_sdss.signer_respond(signer_session, challenge.r_bar, ctx.signer)
+        try:
+            with _counted(counts, "B"):
+                if ctx.scheme == "blind_sdss":
+                    output = blind_sdss.requester_finalize(req, response.s_bar, params)
+                else:
+                    output = blind_signcrypt.bsc_requester_finalize(req, response.s_bar, params)
+        except DegenerateDenominator:
+            ctx.degenerate_retries += 1
+            continue
+        transcript = FullTranscript(
+            view=View(z=commit.z, r_bar=challenge.r_bar, s_bar=response.s_bar,
+                      k_tilde=signer_session.k_tilde),
+            requester_secrets=RequesterSecrets(u=req.u, alpha=req.alpha,
+                                               beta=req.beta, r=req.r),
+            output=output,
+            message=m,
+            context=ctx,
+            modexp_counts=counts,
+        )
+        _check_consistent(transcript)
+        return transcript
 
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise HarnessCheckFailed(f"harness check failed: {what}")
+
+
+def _open(t: FullTranscript) -> None:
+    """The receiving party's move: verify the signature or unsigncrypt the text."""
+    ctx = t.context
     if ctx.scheme == "blind_sdss":
-        req, challenge = blind_sdss.requester_challenge(
-            m, commit.z, ctx.signer.y, params, suite, rng)
-        response = blind_sdss.signer_respond(signer_session, challenge.r_bar, ctx.signer)
-        output = blind_sdss.requester_finalize(req, response.s_bar, params)
+        _check(blind_sdss.verify(t.message, t.signature(), ctx.signer.y, ctx.params,
+                                 ctx.suite), "blind signature verifies")
     else:
-        req, challenge = blind_signcrypt.bsc_requester_challenge(
-            m, commit.z, ctx.recipient.y, ctx.bind_info, params, suite, rng)
-        response = blind_sdss.signer_respond(signer_session, challenge.r_bar, ctx.signer)
-        output = blind_signcrypt.bsc_requester_finalize(req, response.s_bar, params)
-
-    transcript = FullTranscript(
-        view=View(z=commit.z, r_bar=challenge.r_bar, s_bar=response.s_bar,
-                  k_tilde=signer_session.k_tilde),
-        requester_secrets=RequesterSecrets(u=req.u, alpha=req.alpha,
-                                           beta=req.beta, r=req.r),
-        output=output,
-        message=m,
-        context=ctx,
-    )
-    _assert_consistent(transcript)
-    return transcript
+        recovered = blind_signcrypt.unsigncrypt(
+            t.output, ctx.recipient, ctx.signer.y, ctx.bind_info,
+            ctx.params, ctx.suite)
+        _check(recovered == t.message, "unsigncrypt recovers the message")
 
 
-def _assert_consistent(t: FullTranscript) -> None:
+def _check_consistent(t: FullTranscript) -> None:
     ctx = t.context
     p, q, g = ctx.params.p, ctx.params.q, ctx.params.g
     sec = t.requester_secrets
     sig = t.signature()
 
-    assert t.view.s_bar == (ctx.signer.x + t.view.r_bar * t.view.k_tilde) % q
-    assert t.view.r_bar == (sec.r + sec.beta) % q
-    # signature compatibility: the recovered commitment is g^u
+    _check(t.view.s_bar == (ctx.signer.x + t.view.r_bar * t.view.k_tilde) % q,
+           "s_bar = x + r_bar * k_tilde")
+    _check(t.view.r_bar == (sec.r + sec.beta) % q, "r_bar = r + beta")
     g_u = modexp(g, sec.u, p)
-    assert blind_sdss.recover_commitment(sig, ctx.signer.y, ctx.params) == g_u
-
-    if ctx.scheme == "blind_sdss":
-        assert blind_sdss.verify(t.message, sig, ctx.signer.y, ctx.params, ctx.suite)
-    else:
-        # key-agreement identity: y_C^u = (y_A * T * g^r)^(s * x_C) mod p
-        assert modexp(ctx.recipient.y, sec.u, p) == blind_signcrypt.shared_element(
-            t.output, ctx.recipient, ctx.signer.y, ctx.params)
-        recovered = blind_signcrypt.unsigncrypt(
-            t.output, ctx.recipient, ctx.signer.y, ctx.bind_info,
-            ctx.params, ctx.suite)
-        assert recovered == t.message
+    _check(blind_sdss.recover_commitment(sig, ctx.signer.y, ctx.params) == g_u,
+           "the signature recovers the commitment g^u")
+    if ctx.scheme == "blind_signcrypt":
+        _check(modexp(ctx.recipient.y, sec.u, p) == blind_signcrypt.shared_element(
+            t.output, ctx.recipient, ctx.signer.y, ctx.params),
+            "key agreement y_C^u = (y_A * T * g^r)^(s * x_C)")
+    _open(t)
 
 
 # -- cross-pairing blindness check ----------------------------------------------
@@ -266,16 +297,8 @@ def tamper_suite(transcript: FullTranscript, trials: int, rng,
     by_field: dict[str, int] = {}
     for _ in range(trials):
         which = eligible[rng.randrange(len(eligible))]
-        if which == "c":
-            tampered = BlindSigncryptedText(c=_flip_bit_bytes(ct.c, rng),
-                                            r=ct.r, s=ct.s, T=ct.T)
-        else:
-            tampered = BlindSigncryptedText(
-                c=ct.c,
-                r=_flip_bit_int(ct.r, rng) if which == "r" else ct.r,
-                s=_flip_bit_int(ct.s, rng) if which == "s" else ct.s,
-                T=_flip_bit_int(ct.T, rng) if which == "T" else ct.T,
-            )
+        flip = _flip_bit_bytes if which == "c" else _flip_bit_int
+        tampered = dataclasses.replace(ct, **{which: flip(getattr(ct, which), rng)})
         try:
             open_text(tampered)
         except TagMismatch:
@@ -313,89 +336,9 @@ def measure_exponentiation_counts(scheme: str, params: GroupParams,
     C: 2 (g^r, then the shared-element power). Key generation is excluded.
     For blind_sdss the verifier replaces C and also costs 2.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    while True:
-        try:
-            return _measure_once(scheme, params, suite, rng, bind_info)
-        except DegenerateDenominator:
-            continue  # restart the whole session, as a real caller would
-
-
-def _measure_once(scheme: str, params: GroupParams, suite: CryptoSuite, rng,
-                  bind_info: bytes) -> BenchReport:
-    signer = keygen(params, rng)
-    counts: dict[str, int] = {}
-    m = b"bench message"
-
-    with count_exponentiations() as c:
-        signer_session, commit = blind_sdss.signer_commit(signer, params, rng)
-    counts["A"] = c.count
-
-    if scheme == "blind_sdss":
-        with count_exponentiations() as c:
-            req, challenge = blind_sdss.requester_challenge(
-                m, commit.z, signer.y, params, suite, rng)
-        counts["B"] = c.count
-        with count_exponentiations() as c:
-            response = blind_sdss.signer_respond(signer_session, challenge.r_bar, signer)
-        counts["A"] += c.count
-        with count_exponentiations() as c:
-            sig = blind_sdss.requester_finalize(req, response.s_bar, params)
-        counts["B"] += c.count
-        with count_exponentiations() as c:
-            assert blind_sdss.verify(m, sig, signer.y, params, suite)
-        counts["verify"] = c.count
-    else:
-        recipient = keygen(params, rng)
-        with count_exponentiations() as c:
-            req, challenge = blind_signcrypt.bsc_requester_challenge(
-                m, commit.z, recipient.y, bind_info, params, suite, rng)
-        counts["B"] = c.count
-        with count_exponentiations() as c:
-            response = blind_sdss.signer_respond(signer_session, challenge.r_bar, signer)
-        counts["A"] += c.count
-        with count_exponentiations() as c:
-            ct = blind_signcrypt.bsc_requester_finalize(req, response.s_bar, params)
-        counts["B"] += c.count
-        with count_exponentiations() as c:
-            recovered = blind_signcrypt.unsigncrypt(
-                ct, recipient, signer.y, bind_info, params, suite)
-        assert recovered == m
-        counts["C"] = c.count
+    transcript = run_honest_sessions(1, scheme, params, suite, rng,
+                                     messages=[b"bench message"], bind_info=bind_info)[0]
+    counts = dict(transcript.modexp_counts)
+    with _counted(counts, "verify" if scheme == "blind_sdss" else "C"):
+        _open(transcript)
     return BenchReport(scheme=scheme, counts=counts)
-
-
-# -- distribution smoke test -------------------------------------------------------
-
-def chi_square_stat(observed: Sequence[int], expected: float) -> float:
-    return sum((o - expected) ** 2 / expected for o in observed)
-
-
-def chi_square_critical(df: int, alpha: float = 0.01) -> float:
-    """Wilson-Hilferty approximation to the chi-square quantile."""
-    z = {0.01: 2.3263478740408408, 0.05: 1.6448536269514722}[alpha]
-    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
-
-
-def marginals_smoke_test(transcripts: Sequence[FullTranscript],
-                         alpha: float = 0.01) -> bool:
-    """Chi-square uniformity of the r_bar and s_bar marginals (smoke only;
-    blindness itself is the structural cross-pairing check).
-
-    In honest runs r_bar is uniform on [1, q-1]. s_bar = x + r_bar * k_tilde
-    mod q can never equal x (both factors are nonzero mod prime q), so
-    s_bar - x is uniform on [1, q-1] as well.
-    """
-    ctx = transcripts[0].context
-    q = ctx.params.q
-    r_bars = [t.view.r_bar for t in transcripts]
-    s_shifted = [(t.view.s_bar - ctx.signer.x) % q for t in transcripts]
-    ok = True
-    for values in (r_bars, s_shifted):
-        counts = [0] * (q - 1)
-        for v in values:
-            counts[v - 1] += 1
-        stat = chi_square_stat(counts, len(values) / (q - 1))
-        ok = ok and stat <= chi_square_critical(q - 2, alpha)
-    return ok

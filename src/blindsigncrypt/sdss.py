@@ -18,9 +18,8 @@ from .group_math import (
     modexp,
     modinv,
     rand_scalar_nonzero,
+    retry,
 )
-
-_RETRY_BUDGET = 1000
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,12 @@ class SdssSignature:
 
 def keygen(params: GroupParams, rng) -> KeyPair:
     x = rand_scalar_nonzero(rng, params.q)
-    return KeyPair(x=x, y=modexp(params.g, x, params.p))
+    return KeyPair(x=x, y=public_key(x, params))
+
+
+def public_key(x: Scalar, params: GroupParams) -> GroupElement:
+    """y = g^x mod p."""
+    return modexp(params.g, x, params.p)
 
 
 def commitment_hash(element: GroupElement, m: bytes, params: GroupParams,
@@ -54,26 +58,30 @@ def sign_with_nonce(m: bytes, key: KeyPair, k: Scalar, params: GroupParams,
     retry with a fresh nonce. Split out so tests can drive known nonces.
     """
     r = commitment_hash(modexp(params.g, k, params.p), m, params, suite)
-    denom = (r + key.x) % params.q
+    s = s_from_nonce(k, r, key.x, params.q)
+    return None if s is None else SdssSignature(r=r, s=s)
+
+
+def s_from_nonce(k: Scalar, r: Scalar, x: Scalar, q: int) -> Scalar | None:
+    """s = k / (r + x) mod q, or None when r = 0 or r + x = 0 mod q. Zheng
+    signcryption shares it; blind unblinding uses it with x = s_bar + alpha."""
+    denom = (r + x) % q
     if r == 0 or denom == 0:
         return None
-    s = k * modinv(denom, params.q) % params.q
-    return SdssSignature(r=r, s=s)
+    return k * modinv(denom, q) % q
 
 
 def sign(m: bytes, key: KeyPair, params: GroupParams, suite: CryptoSuite,
          rng) -> SdssSignature:
-    for _ in range(_RETRY_BUDGET):
-        k = rand_scalar_nonzero(rng, params.q)
-        sig = sign_with_nonce(m, key, k, params, suite)
-        if sig is not None:
-            return sig
-    raise RngFailure("signing kept hitting degenerate r; suspect rng or hash stub")
+    return retry(
+        lambda: sign_with_nonce(m, key, rand_scalar_nonzero(rng, params.q), params, suite),
+        RngFailure("signing kept hitting degenerate r; suspect rng or hash stub"))
 
 
 def recover_commitment(sig: SdssSignature, signer_pub: GroupElement,
                        params: GroupParams) -> GroupElement:
-    """K = (y * g^r)^s mod p; equals g^k mod p for an honest signature."""
+    """K = (y * g^r)^s mod p; equals g^k mod p for an honest signature.
+    Blind SDSS recovers and verifies through here with y * T as the key."""
     base = signer_pub * modexp(params.g, sig.r, params.p) % params.p
     return modexp(base, sig.s, params.p)
 

@@ -72,8 +72,6 @@ _TYPES: dict[int, tuple[type, tuple[tuple[str, str], ...]]] = {
 
 _CLASS_TO_TYPE = {cls: code for code, (cls, _) in _TYPES.items()}
 
-WIRE_CLASSES = tuple(_CLASS_TO_TYPE)
-
 
 def encode(value, suite_id: str = "std-v1") -> bytes:
     """Canonical bytes for any wire type; same value, same bytes."""

@@ -17,12 +17,10 @@ from .group_math import (
     GroupParams,
     Scalar,
     modexp,
-    modinv,
     rand_scalar_nonzero,
+    retry,
 )
-from .sdss import KeyPair
-
-_RETRY_BUDGET = 1000
+from .sdss import KeyPair, s_from_nonce
 
 
 @dataclass(frozen=True)
@@ -43,22 +41,43 @@ def signcrypt_with_nonce(m: bytes, sender: KeyPair, recipient_pub: GroupElement,
     shared = modexp(recipient_pub, k, p)
     keys = derive_keys(shared, suite)
     r = keyed_hash_to_scalar(keys.k2, m, bind_info, q, suite)
-    denom = (r + sender.x) % q
-    if r == 0 or denom == 0:
+    s = s_from_nonce(k, r, sender.x, q)
+    if s is None:
         return None
-    s = k * modinv(denom, q) % q
     return SigncryptedText(c=suite.cipher_encrypt(keys.k1, m), r=r, s=s)
 
 
 def signcrypt(m: bytes, sender: KeyPair, recipient_pub: GroupElement,
               bind_info: bytes, params: GroupParams, suite: CryptoSuite,
               rng) -> SigncryptedText:
-    for _ in range(_RETRY_BUDGET):
-        k = rand_scalar_nonzero(rng, params.q)
-        ct = signcrypt_with_nonce(m, sender, recipient_pub, bind_info, k, params, suite)
-        if ct is not None:  # degenerate r: fresh k gives fresh keys, hence fresh r
-            return ct
-    raise RngFailure("signcrypt kept hitting degenerate r; suspect rng or hash stub")
+    # degenerate r: a fresh k gives fresh keys, hence a fresh r
+    return retry(
+        lambda: signcrypt_with_nonce(m, sender, recipient_pub, bind_info,
+                                     rand_scalar_nonzero(rng, params.q), params, suite),
+        RngFailure("signcrypt kept hitting degenerate r; suspect rng or hash stub"))
+
+
+def shared_element(ct, recipient: KeyPair, signer_part: GroupElement,
+                   params: GroupParams) -> GroupElement:
+    """(signer_part * g^r)^(s * x_B) mod p for a text carrying r and s;
+    signer_part is y_A here and y_A * T in blind signcryption."""
+    p, q = params.p, params.q
+    base = signer_part * modexp(params.g, ct.r, p) % p
+    return modexp(base, ct.s * recipient.x % q, p)
+
+
+def open_sealed(ct, recipient: KeyPair, signer_part: GroupElement,
+                bind_info: bytes, params: GroupParams, suite: CryptoSuite) -> bytes:
+    """The recipient path both signcryption schemes share: range-check r and
+    s, rebuild the shared element, decrypt (the stream cipher is its own
+    inverse), and accept only if the keyed hash reduces back to r."""
+    if not (0 < ct.r < params.q and 0 < ct.s < params.q):
+        raise TagMismatch("scalar out of range")  # rejects s+q style re-encodings
+    keys = derive_keys(shared_element(ct, recipient, signer_part, params), suite)
+    m = suite.cipher_encrypt(keys.k1, ct.c)
+    if keyed_hash_to_scalar(keys.k2, m, bind_info, params.q, suite) != ct.r:
+        raise TagMismatch("keyed-hash check failed")
+    return m
 
 
 def unsigncrypt(ct: SigncryptedText, recipient: KeyPair,
@@ -66,13 +85,4 @@ def unsigncrypt(ct: SigncryptedText, recipient: KeyPair,
                 params: GroupParams, suite: CryptoSuite) -> bytes:
     """Decrypt-and-verify. Returns the message or raises TagMismatch;
     nothing of the plaintext is exposed on failure."""
-    p, q = params.p, params.q
-    if not (0 < ct.r < q and 0 < ct.s < q):
-        raise TagMismatch("scalar out of range")  # rejects s+q style re-encodings
-    base = sender_pub * modexp(params.g, ct.r, p) % p
-    shared = modexp(base, ct.s * recipient.x % q, p)
-    keys = derive_keys(shared, suite)
-    m = suite.cipher_decrypt(keys.k1, ct.c)
-    if keyed_hash_to_scalar(keys.k2, m, bind_info, q, suite) != ct.r:
-        raise TagMismatch("keyed-hash check failed")
-    return m
+    return open_sealed(ct, recipient, sender_pub, bind_info, params, suite)

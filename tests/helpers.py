@@ -1,5 +1,6 @@
-"""Shared test utilities: scripted RNG and brute-force oracles."""
+"""Shared test utilities: scripted RNG, brute-force oracles, chi-square checks."""
 
+import math
 import random
 
 
@@ -72,3 +73,35 @@ def flip_bit(data: bytes, bit_index: int) -> bytes:
     out = bytearray(data)
     out[bit_index // 8] ^= 1 << (bit_index % 8)
     return bytes(out)
+
+
+def chi_square_stat(observed, expected):
+    return sum((o - expected) ** 2 / expected for o in observed)
+
+
+def chi_square_critical(df, alpha=0.01):
+    """Wilson-Hilferty approximation to the chi-square quantile."""
+    z = {0.01: 2.3263478740408408, 0.05: 1.6448536269514722}[alpha]
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+def marginals_smoke_test(transcripts, alpha=0.01):
+    """Chi-square uniformity of the r_bar and s_bar marginals (smoke only;
+    blindness itself is the structural cross-pairing check).
+
+    In honest runs r_bar is uniform on [1, q-1]. s_bar = x + r_bar * k_tilde
+    mod q can never equal x (both factors are nonzero mod prime q), so
+    s_bar - x is uniform on [1, q-1] as well.
+    """
+    ctx = transcripts[0].context
+    q = ctx.params.q
+    r_bars = [t.view.r_bar for t in transcripts]
+    s_shifted = [(t.view.s_bar - ctx.signer.x) % q for t in transcripts]
+    ok = True
+    for values in (r_bars, s_shifted):
+        counts = [0] * (q - 1)
+        for v in values:
+            counts[v - 1] += 1
+        stat = chi_square_stat(counts, len(values) / (q - 1))
+        ok = ok and stat <= chi_square_critical(q - 2, alpha)
+    return ok

@@ -1,10 +1,12 @@
+import json
 import subprocess
 import sys
 
 import pytest
 
-from blindsigncrypt.cli import main
-from blindsigncrypt.wire_codec import dearmor
+from blindsigncrypt.cli import _state_key, main
+from blindsigncrypt.crypto_suite import std_suite
+from blindsigncrypt.wire_codec import armor, dearmor
 
 
 def run(*argv):
@@ -252,6 +254,80 @@ class TestBench:
         out = capsys.readouterr().out
         assert "party A: 1 modexp" in out
         assert "party verify: 2 modexp" in out
+
+
+class TestKeyFiles:
+    @pytest.mark.parametrize("content, reason", [
+        ('{"x": "5", "y": 8}', "must be integers"),
+        ("[1, 2]", "must be integers"),
+        ('{"x": 0, "y": 1}', "outside [1, q-1]"),
+    ])
+    def test_malformed_key_is_usage_error(self, setup, capsys, content, reason):
+        key, msg = setup["dir"] / "bad.key", setup["dir"] / "m"
+        key.write_text(content)
+        msg.write_bytes(b"x")
+        assert run("--test-mode", "--seed", 4, "sdss", "sign", "--params", setup["params"],
+                   "--key", key, "--in", msg, "--out", setup["dir"] / "m.sig") == 2
+        assert reason in capsys.readouterr().err
+        assert not (setup["dir"] / "m.sig").exists()
+
+    def test_public_half_must_match(self, setup, capsys):
+        key = json.loads(setup["key_a"].read_text())
+        bad = setup["dir"] / "bad.key"
+        bad.write_text(json.dumps({"x": key["x"], "y": key["y"] + 1}))
+        msg = setup["dir"] / "m"
+        msg.write_bytes(b"x")
+        assert run("--test-mode", "--seed", 4, "sdss", "sign", "--params", setup["params"],
+                   "--key", bad, "--in", msg, "--out", setup["dir"] / "m.sig") == 2
+        assert "not g^x mod p" in capsys.readouterr().err
+
+
+class TestStateFiles:
+    def commit_and_challenge(self, setup):
+        d = setup["dir"]
+        (d / "m").write_bytes(b"x")
+        assert run("--test-mode", "--seed", 21, "bsc", "commit", "--params", setup["params"],
+                   "--key", setup["key_a"], "--state-out", d / "a.state",
+                   "--out", d / "c1.wire") == 0
+        assert run("--test-mode", "--seed", 22, "bsc", "challenge", "--params", setup["params"],
+                   "--recipient-pub", setup["pub_c"], "--in", d / "m",
+                   "--commit", d / "c1.wire", "--state-out", d / "b.state",
+                   "--out", d / "c2.wire") == 0
+        return d
+
+    def finalize(self, setup, state, seed):
+        d = setup["dir"]
+        return run("--test-mode", "--seed", seed, "bsc", "finalize", "--params", setup["params"],
+                   "--state", state, "--response", d / "c2.wire", "--out", d / "out.wire")
+
+    def test_signer_state_refused_by_finalize(self, setup, capsys):
+        d = self.commit_and_challenge(setup)
+        assert self.finalize(setup, d / "a.state", 21) == 2
+        assert "holds SignerSession, expected BscRequesterSession" in capsys.readouterr().err
+
+    def test_requester_state_refused_by_respond(self, setup, capsys):
+        d = self.commit_and_challenge(setup)
+        assert run("--test-mode", "--seed", 22, "bsc", "respond", "--params", setup["params"],
+                   "--key", setup["key_a"], "--state", d / "b.state",
+                   "--challenge", d / "c2.wire", "--out", d / "c3.wire") == 2
+        assert "holds BscRequesterSession, expected SignerSession" in capsys.readouterr().err
+
+    def test_old_dict_format_refused(self, setup, capsys):
+        # the per-command dict layout that state files had before the codec
+        d = self.commit_and_challenge(setup)
+        old = {"role": "requester", "scheme": "bsc", "suite_id": "std-v1", "u": 3,
+               "alpha": 1, "beta": 2, "r": 4, "r_bar": 6, "T": 5, "state": "challenged"}
+        key, suite = _state_key(22), std_suite()
+        ct = suite.cipher_encrypt(key, json.dumps(old).encode())
+        (d / "old.state").write_text(armor(suite.keyed_hash(key, ct) + ct))
+        assert self.finalize(setup, d / "old.state", 22) == 2
+        assert "unrecognised state format" in capsys.readouterr().err
+
+    def test_state_from_other_params_refused(self, setup, capsys):
+        d = self.commit_and_challenge(setup)
+        assert run("--test-mode", "--seed", 21, "bsc", "respond", "--params", "toy23",
+                   "--key", setup["key_a"], "--state", d / "a.state",
+                   "--challenge", d / "c2.wire", "--out", d / "c3.wire") == 2
 
 
 class TestErrorPaths:

@@ -1,15 +1,16 @@
 import dataclasses
 import random
+import subprocess
+import sys
 
 import pytest
 
-from helpers import ScriptRng
+from helpers import ScriptRng, marginals_smoke_test
 from blindsigncrypt.blind_sdss import verify
 from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
 from blindsigncrypt.crypto_suite import derive_keys, kh_preimage
 from blindsigncrypt.harness import (
     cross_pairing_check,
-    marginals_smoke_test,
     measure_exponentiation_counts,
     run_honest_sessions,
     tamper_suite,
@@ -171,3 +172,28 @@ class TestMarginalsSmoke:
         transcripts = run_honest_sessions(1650, "blind_sdss", toy, suite,
                                           random.Random(16))
         assert marginals_smoke_test(transcripts)
+
+
+class TestOptimizedMode:
+    def test_forged_transcript_raises_under_python_O(self):
+        # the consistency checks are explicit raises, not asserts, so
+        # python -O must not let a forged signature through
+        probe = """
+import dataclasses, random, sys
+from blindsigncrypt import blind_sdss, harness
+from blindsigncrypt.crypto_suite import std_suite
+from blindsigncrypt.group_math import desk512
+assert sys.flags.optimize
+real = blind_sdss.requester_finalize
+blind_sdss.requester_finalize = lambda *a: dataclasses.replace(real(*a), s=1)
+try:
+    harness.run_honest_sessions(2, "blind_sdss", desk512(), std_suite(), random.Random(1))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+        proc = subprocess.run([sys.executable, "-O", "-c", probe],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("HarnessCheckFailed harness check failed: "), proc.stdout
