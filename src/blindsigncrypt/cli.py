@@ -339,7 +339,10 @@ def cmd_bench(args, cfg: CliConfig) -> int:
 
 # -- parser -------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="blindsigncrypt",
         description="Blind signcryption toolkit: SDSS / Zheng / blind sessions")

@@ -2,15 +2,16 @@
 
 Scalars are plain ints kept reduced mod q; group elements are plain ints in
 [1, p-1]. Everything here is a pure function, so concurrent use is safe; the
-only shared state is the optional exponentiation counter used by `bench`.
+only shared state is the optional exponentiation counter used by `bench` and
+the fixed-base tables `modexp` keeps for each parameter set's generator.
 """
 
 from __future__ import annotations
 
 import secrets
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import (
@@ -34,11 +35,19 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Public triple (p, q, g): prime modulus, prime subgroup order, generator."""
+    """Public triple (p, q, g): prime modulus, prime subgroup order, generator.
+
+    Making one registers g with `modexp`, which then computes g^e mod p from a
+    fixed-base table (built on first use) for every e >= 0 no longer than q in
+    whole bytes.
+    """
 
     p: int
     q: int
     g: int
+
+    def __post_init__(self):
+        _register_generator(self.g, self.p, self.q.bit_length())
 
 
 # -- byte encoding -------------------------------------------------------------
@@ -79,10 +88,74 @@ def count_exponentiations() -> Iterator[ExpCounter]:
 
 # -- core operations -----------------------------------------------------------
 
+class FixedBase:
+    """g^e mod p for 0 <= e < limit from the radix-2^8 table
+    row[i][d] = g^(d * 2^(8i)) mod p: one multiplication per nonzero byte of e.
+
+    Lim and Lee's fixed-base method in the form of the Handbook of Applied
+    Cryptography, 14.6.3. With a 160-bit q that is 20 rows of 256 entries,
+    about 0.5 MB at a 512-bit p. The table is built on first use into a local
+    and then published, so threads that race to build it each get a full one.
+    """
+
+    def __init__(self, g: GroupElement, p: int, bits: int):
+        self.g, self.p = g, p
+        self.width = (bits + 7) // 8  # exponent bytes, one row each
+        self.limit = 1 << (8 * self.width)
+        self._rows: list[list[int]] | None = None
+
+    def _build(self) -> list[list[int]]:
+        p, base = self.p, self.g % self.p
+        rows = []
+        for _ in range(self.width):
+            row = [1]
+            for _ in range(255):
+                row.append(row[-1] * base % p)
+            rows.append(row)
+            base = row[-1] * base % p  # base^256: the next row's g^(2^(8(i+1)))
+        return rows
+
+    def power(self, e: Scalar) -> GroupElement:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._build()
+        p, result = self.p, 1
+        for row, digit in zip(rows, e.to_bytes(self.width, "little")):
+            if digit:
+                result = result * row[digit] % p
+        return result
+
+
+# (g, p) -> table, one per parameter set made in this process. Parameter sets
+# can come from untrusted files, so only the first GENERATORS_KEPT sets get a
+# table, and only when it fits in TABLE_BYTES_MAX; the others use pow.
+GENERATORS_KEPT = 16
+TABLE_BYTES_MAX = 4 << 20  # 2048-bit p with 256-bit q needs 2 MB
+_generators: dict[tuple[int, int], FixedBase] = {}
+_generators_lock = threading.Lock()  # for registering; modexp reads without it
+
+
+def _register_generator(g: GroupElement, p: int, bits: int) -> None:
+    table_bytes = 256 * ((bits + 7) // 8) * ((p.bit_length() + 7) // 8)
+    if p < 2 or table_bytes > TABLE_BYTES_MAX:
+        return
+    with _generators_lock:
+        if (g, p) not in _generators and len(_generators) < GENERATORS_KEPT:
+            _generators[(g, p)] = FixedBase(g, p, bits)
+
+
 def modexp(base: GroupElement, exp: Scalar, p: int) -> GroupElement:
-    """base^exp mod p. The single exponentiation primitive all schemes share."""
+    """base^exp mod p. The single exponentiation primitive all schemes share.
+
+    A registered generator (see GroupParams) with 0 <= exp < its table's limit
+    goes through the table; everything else through pow. Both give the same
+    element and count as one exponentiation.
+    """
     for counter in _active_counters:
         counter.count += 1
+    table = _generators.get((base, p))
+    if table is not None and 0 <= exp < table.limit:
+        return table.power(exp)
     return pow(base, exp, p)
 
 
@@ -226,19 +299,24 @@ def _random_prime(bits: int, rng, max_tries: int) -> int:
 
 TOY23 = GroupParams(p=23, q=11, g=2)
 
-_DESK512_SEED = "desk512-v1"
+# generate_params(512, 160, random.Random("desk512-v1")), committed so that no
+# process has to regenerate it; tests/test_group_math.py regenerates and checks it.
+DESK512 = GroupParams(
+    p=int("ad34586a4574c63f6e763e875b1a8ce57e150bc35285a2689a818ddf23553a5b"
+          "f9559fef7306cda6763da20353a3e9d88c20a265a19d6bd76729d25e0f3fa9ef", 16),
+    q=int("b26b8fe706c2902945059c7ae6554a9d06729837", 16),
+    g=int("0b48eb3919664359dcecf1fe2f640a731ee925eb41846eefc6e95d7e3706a83e"
+          "a34b081abc8d6a03424d8e57cbede86e9e6b3b0e7b39c95f7ba12375106b07dc", 16),
+)
 
 
-@lru_cache(maxsize=1)
 def desk512() -> GroupParams:
-    """512-bit p / 160-bit q set, generated deterministically and cached.
+    """512-bit p / 160-bit q set.
 
     Desk scale only: well below modern security margins, but large enough that
     hash collisions mod q are not observable in tests.
     """
-    import random
-
-    return generate_params(512, 160, rng=random.Random(_DESK512_SEED))
+    return DESK512
 
 
 def named_params(name: str) -> GroupParams:

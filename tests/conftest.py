@@ -14,7 +14,7 @@ def toy():
 
 @pytest.fixture(scope="session")
 def desk():
-    # deterministic, generated once per test run
+    # the committed 512-bit / 160-bit set
     return desk512()
 
 

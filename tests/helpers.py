@@ -105,3 +105,10 @@ def marginals_smoke_test(transcripts, alpha=0.01):
         stat = chi_square_stat(counts, len(values) / (q - 1))
         ok = ok and stat <= chi_square_critical(q - 2, alpha)
     return ok
+
+
+def three_power_t_check(view, sig, beta, alpha, params):
+    """T as recover_blinding_factors once recomputed it: z^r * z^beta * g^alpha
+    mod p, three separate powers (oracle for the two-power form)."""
+    p = params.p
+    return pow(view.z, sig.r, p) * pow(view.z, beta, p) * pow(params.g, alpha, p) % p

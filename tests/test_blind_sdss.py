@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from helpers import ScriptRng
+from helpers import ScriptRng, three_power_t_check
 from blindsigncrypt.blind_sdss import (
     BlindSignature,
     RequesterState,
@@ -23,7 +24,7 @@ from blindsigncrypt.errors import (
     InconsistentPair,
     InvalidState,
 )
-from blindsigncrypt.group_math import GroupParams, int_to_bytes, modexp
+from blindsigncrypt.group_math import GroupParams, count_exponentiations, int_to_bytes, modexp
 from blindsigncrypt.sdss import KeyPair, keygen
 
 MSG = b"unlinkable payment order"
@@ -219,6 +220,32 @@ class TestBlindness:
         for view, requester, sig in self.sessions(6, toy, suite, seed=32):
             alpha, beta = recover_blinding_factors(view, sig, requester.u, toy)
             assert (alpha, beta) == (requester.alpha, requester.beta)
+
+    def test_two_powers_match_three_power_formula(self, desk, suite):
+        # z^(r + beta) with the unreduced exponent equals z^r * z^beta for every
+        # z in Z_p*, including z * (p - 1), which is outside the order-q subgroup
+        sessions = self.sessions(4, desk, suite, seed=35)
+        views = [view for view, _, _ in sessions]
+        views += [dataclasses.replace(view, z=view.z * (desk.p - 1) % desk.p)
+                  for view in views]
+        outcomes = set()
+        for view in views:
+            for _, requester, sig in sessions:
+                beta = (view.r_bar - sig.r) % desk.q
+                alpha = ((pow(sig.s, -1, desk.q) * requester.u - (sig.r + view.s_bar))
+                         % desk.q)
+                expected = three_power_t_check(view, sig, beta, alpha, desk) == sig.T
+                try:
+                    with count_exponentiations() as counter:
+                        got = recover_blinding_factors(view, sig, requester.u, desk)
+                    accepted = True
+                    assert got == (alpha, beta)
+                except InconsistentPair:
+                    accepted = False
+                assert accepted == expected
+                assert counter.count == 2
+                outcomes.add(accepted)
+        assert outcomes == {True, False}
 
     def test_forged_signature_detected(self, desk, suite):
         sessions = self.sessions(2, desk, suite, seed=33)

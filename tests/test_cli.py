@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from blindsigncrypt.cli import _state_key, main
+from blindsigncrypt.cli import _state_key, build_parser, main
 from blindsigncrypt.crypto_suite import std_suite
 from blindsigncrypt.wire_codec import armor, dearmor
 
@@ -351,6 +351,32 @@ class TestErrorPaths:
         bad = tmp_path / "bad.params"
         bad.write_text(armor(encode(GroupParams(p=24, q=11, g=2), "std-v1")))
         assert run("params", "validate", "--params", bad) == 1
+
+
+class TestParserCache:
+    ARGVS = [
+        ["params", "validate", "--params", "toy23"],
+        ["--test-mode", "--seed", "5", "keygen", "--params", "toy23", "--out", "k"],
+        ["bsc", "open", "--params", "toy23", "--key", "k", "--signer-pub", "a",
+         "--in", "i", "--out", "o", "--bind-info", "b"],
+        ["bench", "--scheme", "bsc", "--params", "toy23"],
+        ["zheng", "seal", "--params", "toy23", "--key", "k", "--recipient-pub", "c",
+         "--in", "i", "--out", "o"],
+        ["params", "validate", "--params", "toy23"],
+    ]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_shared_parser_parses_like_a_fresh_one(self):
+        # the same namespaces, with nothing carried over between commands
+        for argv in self.ARGVS:
+            assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
+
+    def test_usage_error_leaves_parser_usable(self):
+        assert run("params") == 2
+        assert run("keygen", "--params", "toy23") == 2
+        assert run("params", "validate", "--params", "toy23") == 0
 
 
 def test_module_entry_point():

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,14 @@ from blindsigncrypt.errors import (
     RngFailure,
     ZeroInverse,
 )
+from blindsigncrypt import group_math
 from blindsigncrypt.group_math import (
+    DESK512,
     TOY23,
+    FixedBase,
+    GroupParams,
     count_exponentiations,
+    desk512,
     generate_params,
     int_from_bytes,
     int_to_bytes,
@@ -74,6 +81,129 @@ class TestModexp:
             with count_exponentiations() as inner:
                 modexp(2, 3, 23)
         assert (outer.count, inner.count) == (2, 1)
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Count the modexp calls that take the fixed-base table path."""
+    calls = []
+    power = FixedBase.power
+
+    def spy(self, e):
+        calls.append(e)
+        return power(self, e)
+
+    monkeypatch.setattr(FixedBase, "power", spy)
+    return calls
+
+
+def run_threads(work, args):
+    """work(arg) in one thread per arg, released together, switching often."""
+    start = threading.Barrier(len(args))
+    threads = [threading.Thread(target=lambda a=a: (start.wait(), work(a))) for a in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestFixedBase:
+    @given(st.integers(min_value=0, max_value=DESK512.q - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pow_below_q(self, e):
+        assert modexp(DESK512.g, e, DESK512.p) == pow(DESK512.g, e, DESK512.p)
+
+    def test_edge_exponents(self, desk, table_calls):
+        g, p, q = desk.g, desk.p, desk.q
+        in_range = [0, 1, q - 1, q, 2**160 - 1]
+        fallback = [2**160, 2**170 - 3, -1, -(q + 5)]
+        for e in in_range + fallback:
+            assert modexp(g, e, p) == pow(g, e, p)
+        assert table_calls == in_range
+
+    def test_toy23_every_exponent_in_range(self, toy, table_calls):
+        # one row of 256 entries covers every exponent below 2^8
+        for e in range(2**8 + 3):
+            assert modexp(toy.g, e, toy.p) == pow(toy.g, e, toy.p)
+        assert table_calls == list(range(2**8))
+
+    def test_params_built_directly(self, monkeypatch, table_calls):
+        # a 64-bit p / 40-bit q set in no named set, registered in an empty
+        # registry so that sets made by earlier tests cannot have filled it
+        monkeypatch.setattr(group_math, "_generators", {})
+        params = generate_params(64, 40, random.Random(11))
+        direct = GroupParams(p=params.p, q=params.q, g=params.g)
+        rng = random.Random(12)
+        in_range = [0, 1, direct.q - 1, 2**40 - 1] + [rng.randrange(2**40) for _ in range(200)]
+        for e in in_range + [2**40]:
+            assert modexp(direct.g, e, direct.p) == pow(direct.g, e, direct.p)
+        assert table_calls == in_range
+
+    def test_table_class_directly(self):
+        # the table itself, independent of which parameter sets are registered
+        table = FixedBase(5, 1_000_003, 20)
+        assert table.limit == 2**24
+        rng = random.Random(13)
+        for e in [0, 1, 255, 256, 2**24 - 1] + [rng.randrange(2**24) for _ in range(500)]:
+            assert table.power(e) == pow(5, e, 1_000_003)
+
+    def test_non_generator_base_uses_pow(self, desk, table_calls):
+        for base in (desk.g + 1, desk.p - desk.g, 2):
+            for e in (0, 1, desk.q - 1):
+                assert modexp(base, e, desk.p) == pow(base, e, desk.p)
+        # g under another modulus is not the registered pair either
+        assert modexp(desk.g, 12345, desk.p + 2) == pow(desk.g, 12345, desk.p + 2)
+        assert table_calls == []
+
+    def test_one_count_per_call_on_both_paths(self, desk, table_calls):
+        with count_exponentiations() as c:
+            modexp(desk.g, desk.q - 1, desk.p)
+        assert (c.count, len(table_calls)) == (1, 1)
+        with count_exponentiations() as c:
+            modexp(desk.g, 2**170, desk.p)
+            modexp(desk.g + 1, 7, desk.p)
+        assert (c.count, len(table_calls)) == (2, 1)
+
+    def test_concurrent_first_use(self):
+        # racing threads may each build the table; every one of them must
+        # compute with a complete table and get pow's result
+        table = FixedBase(DESK512.g, DESK512.p, DESK512.q.bit_length())
+        exps = [random.Random(i).randrange(DESK512.q) for i in range(8)]
+        results = {}
+        run_threads(lambda e: results.__setitem__(e, table.power(e)), exps)
+        assert results == {e: pow(DESK512.g, e, DESK512.p) for e in exps}
+        assert len(table._rows) == 20 and all(len(row) == 256 for row in table._rows)
+
+    def test_registry_stays_bounded_under_concurrent_registration(self, monkeypatch,
+                                                                  table_calls):
+        # the race is only open while the registry fills, so fill it often
+        kept = group_math.GENERATORS_KEPT
+        for _ in range(40):
+            monkeypatch.setattr(group_math, "_generators", {})
+            run_threads(lambda k: [GroupParams(p=1_000_003, q=500_001, g=10 * k + j)
+                                   for j in range(4)], range(8))
+            assert len(group_math._generators) == kept
+        # a generator left out still computes correctly, through pow
+        unregistered = next(g for g in range(2, 100)
+                            if (g, 1_000_003) not in group_math._generators)
+        assert modexp(unregistered, 77, 1_000_003) == pow(unregistered, 77, 1_000_003)
+        assert table_calls == []
+
+    def test_no_table_beyond_size_bound(self, monkeypatch, table_calls):
+        # 256 * 64 bytes of q * 1024 bytes of p = 16 MB: over the bound, so pow
+        monkeypatch.setattr(group_math, "_generators", {})
+        big = GroupParams(p=2**8192 - 1, q=2**512 - 1, g=3)
+        assert group_math._generators == {}
+        assert modexp(big.g, 2**500, big.p) == pow(3, 2**500, 2**8192 - 1)
+        assert table_calls == []
+        fits = GroupParams(p=2**2048 - 1, q=2**256 - 1, g=3)
+        assert list(group_math._generators) == [(fits.g, fits.p)]
 
 
 class TestModinv:
@@ -198,6 +328,12 @@ class TestGenerateParams:
         params = generate_params(512, 160, random.Random(2))
         assert time.monotonic() - start < 10.0
         validate_params((params.p, params.q, params.g))
+
+    def test_desk512_constant_matches_its_seed(self):
+        regenerated = generate_params(512, 160, random.Random("desk512-v1"))
+        assert desk512() is DESK512
+        assert DESK512 == regenerated
+        assert validate_params((DESK512.p, DESK512.q, DESK512.g)) == DESK512
 
     def test_named_sets(self, desk):
         assert named_params("toy23") == TOY23
