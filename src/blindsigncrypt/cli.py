@@ -20,6 +20,7 @@ import functools
 import hashlib
 import hmac
 import json
+import os
 import random
 import secrets
 import sys
@@ -46,6 +47,20 @@ SUITE_ID = "std-v1"
 
 _SCHEME_NAMES = {"blind": "blind_sdss", "bsc": "blind_signcrypt"}
 
+# Built-in parameter sets: constants that the tests validate, so reading one
+# skips validate_params.
+_PRESETS = ("toy23", "desk512")
+
+# The largest message file a command reads. The schemes hold a whole message,
+# its keystream and its ciphertext in memory at once, so a larger or hostile
+# file is refused before it is read rather than left to exhaust memory.
+MAX_MESSAGE_BYTES = 8 << 20
+# Every other file (armor, state, keys) may hold one such message: armor is hex
+# in 72-character lines, and a requester state file hex-encodes the message once
+# more inside its armor, so just over 4 bytes per message byte, plus the fixed
+# fields and a command-line bind_info.
+_MAX_FILE_BYTES = 5 * MAX_MESSAGE_BYTES
+
 _field_types = functools.cache(typing.get_type_hints)  # resolving string annotations is slow
 
 
@@ -66,15 +81,31 @@ class CliConfig:
 
 # -- file helpers ----------------------------------------------------------------
 
+def _read_input(path: str, limit: int = _MAX_FILE_BYTES) -> bytes:
+    """The bytes of a file of at most `limit` bytes; a larger one is refused
+    with a UsageFailure before it is read."""
+    too_large = UsageFailure(f"{path} is larger than the limit of {limit} bytes")
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size > limit:
+            raise too_large
+        data = f.read(limit + 1)  # a pipe has no size to check up front
+    if len(data) > limit:
+        raise too_large
+    return data
+
+
 def _read_params(value: str) -> GroupParams:
-    if value in ("toy23", "desk512"):
+    """A preset, or a parameter file that passes validate_params (its named
+    errors exit 2)."""
+    if value in _PRESETS:
         return named_params(value)
-    return _read_wire(value, GroupParams)[0]
+    params = _read_wire(value, GroupParams)[0]
+    return validate_params((params.p, params.q, params.g))
 
 
 def _read_key(path: str, params: GroupParams) -> sdss.KeyPair:
     """Load a key file, accepting only integers with 1 <= x < q and y = g^x mod p."""
-    data = json.loads(Path(path).read_text())
+    data = json.loads(_read_input(path))
     x, y = (data.get("x"), data.get("y")) if isinstance(data, dict) else (None, None)
     if type(x) is not int or type(y) is not int:  # type(), so that JSON true is refused
         raise UsageFailure(f"{path} is not a key file: x and y must be integers")
@@ -90,7 +121,7 @@ def _read_pub(path: str) -> int:
 
 
 def _read_wire(path: str, expect: type):
-    obj, suite_id = wire_codec.decode(wire_codec.dearmor(Path(path).read_text()))
+    obj, suite_id = wire_codec.decode(wire_codec.dearmor(_read_input(path).decode()))
     if not isinstance(obj, expect):
         raise UsageFailure(f"{path} holds {type(obj).__name__}, expected {expect.__name__}")
     return obj, suite_id
@@ -142,7 +173,7 @@ def _load_state(path: str, cfg: CliConfig, session_cls: type, params: GroupParam
     """Open a state file and rebuild the session_cls it must hold."""
     if not cfg.test_mode:
         raise UsageFailure("session state files exist only under --test-mode")
-    blob = wire_codec.dearmor(Path(path).read_text())
+    blob = wire_codec.dearmor(_read_input(path).decode())
     key = _state_key(cfg.seed or 0)
     suite = std_suite()
     tag, ct = blob[:32], blob[32:]
@@ -175,9 +206,10 @@ def cmd_params_gen(args, cfg: CliConfig) -> int:
 
 
 def cmd_params_validate(args, cfg: CliConfig) -> int:
-    params = _read_params(args.params)
     try:
-        validate_params((params.p, params.q, params.g))
+        params = _read_params(args.params)
+        if args.params in _PRESETS:  # a file was validated as it was read
+            validate_params((params.p, params.q, params.g))
     except (NotPrime, OrderMismatch, BadGenerator) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
@@ -198,7 +230,7 @@ def cmd_keygen(args, cfg: CliConfig) -> int:
 def cmd_sdss_sign(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
-    m = Path(args.infile).read_bytes()
+    m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     sig = sdss.sign(m, key, params, get_suite(SUITE_ID), cfg.rng)
     _write_wire(args.out, sig)
     return 0
@@ -207,7 +239,7 @@ def cmd_sdss_sign(args, cfg: CliConfig) -> int:
 def cmd_sdss_verify(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
     sig, suite_id = _read_wire(args.sig, sdss.SdssSignature)
-    m = Path(args.infile).read_bytes()
+    m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     if not sdss.verify(m, sig, _read_pub(args.pub), params, get_suite(suite_id)):
         raise VerifyFailure("signature rejected")
     print("signature ok")
@@ -218,7 +250,7 @@ def cmd_zheng_seal(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
     recipient_pub = _read_pub(args.recipient_pub)
-    m = Path(args.infile).read_bytes()
+    m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     ct = zheng.signcrypt(m, key, recipient_pub, _bind_info(args, recipient_pub),
                          params, get_suite(SUITE_ID), cfg.rng)
     _write_wire(args.out, ct)
@@ -248,7 +280,7 @@ def cmd_session_commit(args, cfg: CliConfig) -> int:
 def cmd_blind_challenge(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
     commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
-    m = Path(args.infile).read_bytes()
+    m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_sdss.requester_challenge(
         m, commit.z, _read_pub(args.signer_pub), params, get_suite(SUITE_ID), cfg.rng)
     _save_state(args.state_out, session, cfg)
@@ -283,7 +315,7 @@ def cmd_blind_finalize(args, cfg: CliConfig) -> int:
 def cmd_blind_verify(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
     sig, suite_id = _read_wire(args.sig, blind_sdss.BlindSignature)
-    m = Path(args.infile).read_bytes()
+    m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     if not blind_sdss.verify(m, sig, _read_pub(args.signer_pub), params,
                              get_suite(suite_id)):
         raise VerifyFailure("signature rejected")
@@ -295,7 +327,7 @@ def cmd_bsc_challenge(args, cfg: CliConfig) -> int:
     params = _read_params(args.params)
     commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
     recipient_pub = _read_pub(args.recipient_pub)
-    m = Path(args.infile).read_bytes()
+    m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_signcrypt.bsc_requester_challenge(
         m, commit.z, recipient_pub, _bind_info(args, recipient_pub), params,
         get_suite(SUITE_ID), cfg.rng)

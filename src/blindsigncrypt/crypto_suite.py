@@ -31,14 +31,23 @@ def _hmac_sha256(key: bytes, message: bytes) -> bytes:
 
 
 def _keystream_xor(key: bytes, data: bytes) -> bytes:
-    """XOR with keystream blocks SHA-256(key || counter). Confidentiality only;
-    integrity comes from the schemes' own keyed-hash check."""
-    out = bytearray()
-    counter = 0
-    while len(out) < len(data):
-        out += _sha256(key + counter.to_bytes(8, "big"))
-        counter += 1
-    return bytes(a ^ b for a, b in zip(data, out))
+    """XOR with keystream blocks SHA-256(key || counter), counter an 8-byte
+    big-endian block index. Confidentiality only; integrity comes from the
+    schemes' own keyed-hash check.
+
+    No Python code runs per byte: key is hashed once and each block copies that
+    state, and the buffer is XORed with the keystream as one big integer.
+    """
+    n = len(data)
+    keyed = hashlib.sha256(key)
+    blocks = []
+    for counter in range(-(-n // DIGEST_LEN)):
+        block = keyed.copy()
+        block.update(counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
+    stream = b"".join(blocks)[:n]
+    # to_bytes(n) keeps leading zero bytes of the result and gives b"" for n = 0
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
 
 
 @dataclass

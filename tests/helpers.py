@@ -1,5 +1,6 @@
 """Shared test utilities: scripted RNG, brute-force oracles, chi-square checks."""
 
+import hashlib
 import math
 import random
 
@@ -112,3 +113,15 @@ def three_power_t_check(view, sig, beta, alpha, params):
     mod p, three separate powers (oracle for the two-power form)."""
     p = params.p
     return pow(view.z, sig.r, p) * pow(view.z, beta, p) * pow(params.g, alpha, p) % p
+
+
+def bytewise_keystream_xor(key, data):
+    """The std-v1 cipher as first written, one byte at a time: XOR with
+    keystream blocks SHA-256(key || 8-byte BE counter) (oracle for the
+    whole-buffer form in crypto_suite)."""
+    out = bytearray()
+    counter = 0
+    while len(out) < len(data):
+        out += hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
+        counter += 1
+    return bytes(a ^ b for a, b in zip(data, out))

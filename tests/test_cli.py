@@ -1,12 +1,16 @@
 import json
+import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from blindsigncrypt import cli
 from blindsigncrypt.cli import _state_key, build_parser, main
 from blindsigncrypt.crypto_suite import std_suite
-from blindsigncrypt.wire_codec import armor, dearmor
+from blindsigncrypt.group_math import GroupParams
+from blindsigncrypt.wire_codec import armor, dearmor, encode
 
 
 def run(*argv):
@@ -230,6 +234,26 @@ class TestBscSession:
                 return
         pytest.fail("every attempt hit a degenerate denominator")
 
+    def test_files_fit_the_limit_for_the_largest_message(self, setup):
+        # armor doubles the message and a requester state file doubles it
+        # again: no file may take more bytes per message byte than the limits
+        # allow, or a session at MAX_MESSAGE_BYTES would write a file that
+        # the next command refuses
+        message = random.Random(5).randbytes(64 << 10)
+        for attempt in range(6):
+            codes, recovered = self.full_round(setup, message, seed_a=41 + attempt * 100,
+                                               seed_b=42 + attempt * 100)
+            if codes[3] == 0:
+                assert codes == [0, 0, 0, 0, 0]
+                assert recovered.read_bytes() == message
+                written = [f for f in setup["dir"].iterdir() if f.suffix in (".state", ".wire")]
+                assert len(written) == 6
+                ratio = cli._MAX_FILE_BYTES / cli.MAX_MESSAGE_BYTES
+                for f in written:
+                    assert f.stat().st_size <= ratio * len(message), f.name
+                return
+        pytest.fail("every attempt hit a degenerate denominator")
+
 
 class TestBench:
     def test_bsc_counts(self, capsys):
@@ -330,6 +354,93 @@ class TestStateFiles:
                    "--challenge", d / "c2.wire", "--out", d / "c3.wire") == 2
 
 
+class TestParamFiles:
+    """A parameter file is validated whenever a command reads it."""
+
+    BAD = [
+        (GroupParams(p=24, q=11, g=2), "p = 24 failed the primality test"),
+        (GroupParams(p=23, q=11, g=5), "g = 5 does not have order dividing q"),
+    ]
+
+    def write(self, tmp_path, params):
+        path = tmp_path / "bad.params"
+        path.write_text(armor(encode(params, "std-v1")))
+        return path
+
+    @pytest.mark.parametrize("params, reason", BAD)
+    def test_keygen_refuses(self, tmp_path, capsys, params, reason):
+        bad = self.write(tmp_path, params)
+        assert run("--test-mode", "--seed", 1, "keygen", "--params", bad,
+                   "--out", tmp_path / "a.key") == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "a.key").exists()
+
+    @pytest.mark.parametrize("params, reason", BAD)
+    def test_session_command_refuses(self, setup, capsys, params, reason):
+        d = setup["dir"]
+        bad = self.write(d, params)
+        assert run("--test-mode", "--seed", 21, "bsc", "commit", "--params", bad,
+                   "--key", setup["key_a"], "--state-out", d / "a.state",
+                   "--out", d / "c1.wire") == 2
+        assert reason in capsys.readouterr().err
+        assert not (d / "a.state").exists()
+
+    @pytest.mark.parametrize("params, reason", BAD)
+    def test_validate_still_exits_1(self, tmp_path, capsys, params, reason):
+        assert run("params", "validate", "--params", self.write(tmp_path, params)) == 1
+        assert f"invalid: {reason}" in capsys.readouterr().err
+
+
+class TestInputLimit:
+    """Files over the input limits are refused before they are read."""
+
+    def sparse(self, path, size):
+        with open(path, "wb") as f:
+            f.truncate(size)  # a hole: nothing of that size is written
+        return path
+
+    def test_message_over_limit(self, setup, capsys):
+        d = setup["dir"]
+        big = self.sparse(d / "big.msg", cli.MAX_MESSAGE_BYTES + 1)
+        assert run("--test-mode", "--seed", 5, "zheng", "seal", "--params", setup["params"],
+                   "--key", setup["key_a"], "--recipient-pub", setup["pub_c"],
+                   "--in", big, "--out", d / "z.ct") == 2
+        err = capsys.readouterr().err
+        assert str(big) in err and f"limit of {cli.MAX_MESSAGE_BYTES} bytes" in err
+        assert not (d / "z.ct").exists()
+
+    def test_size_checked_before_reading(self, tmp_path, monkeypatch):
+        # the reported size alone refuses the file: its one byte is never read
+        path = tmp_path / "m"
+        path.write_bytes(b"x")
+        real_fstat = os.fstat
+        monkeypatch.setattr(cli.os, "fstat", lambda fd: os.stat_result(
+            real_fstat(fd)[:6] + (cli.MAX_MESSAGE_BYTES + 1,) + real_fstat(fd)[7:10]))
+        with pytest.raises(cli.UsageFailure, match="larger than the limit"):
+            cli._read_input(path, cli.MAX_MESSAGE_BYTES)
+
+    def test_message_at_limit_is_read(self, tmp_path):
+        path = self.sparse(tmp_path / "m", cli.MAX_MESSAGE_BYTES)
+        assert len(cli._read_input(path, cli.MAX_MESSAGE_BYTES)) == cli.MAX_MESSAGE_BYTES
+
+    def test_armored_file_over_limit(self, setup, capsys):
+        d = setup["dir"]
+        big = self.sparse(d / "big.wire", cli._MAX_FILE_BYTES + 1)
+        assert run("zheng", "open", "--params", setup["params"], "--key", setup["key_c"],
+                   "--sender-pub", setup["pub_a"], "--in", big, "--out", d / "z.out") == 2
+        err = capsys.readouterr().err
+        assert str(big) in err and f"limit of {cli._MAX_FILE_BYTES} bytes" in err
+        assert not (d / "z.out").exists()
+
+    def test_unsized_input_is_read_only_to_the_limit(self, setup, capsys, monkeypatch):
+        # a character device reports size 0 and never ends
+        monkeypatch.setattr(cli, "MAX_MESSAGE_BYTES", 1024)
+        d = setup["dir"]
+        assert run("--test-mode", "--seed", 4, "sdss", "sign", "--params", setup["params"],
+                   "--key", setup["key_a"], "--in", "/dev/zero", "--out", d / "m.sig") == 2
+        assert "limit of 1024 bytes" in capsys.readouterr().err
+
+
 class TestErrorPaths:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("sdss", "verify", "--params", "toy23",
@@ -345,9 +456,6 @@ class TestErrorPaths:
                    "--sig", setup["pub_a"]) == 2
 
     def test_invalid_params_validate_exits_1(self, tmp_path):
-        from blindsigncrypt.group_math import GroupParams
-        from blindsigncrypt.wire_codec import armor, encode
-
         bad = tmp_path / "bad.params"
         bad.write_text(armor(encode(GroupParams(p=24, q=11, g=2), "std-v1")))
         assert run("params", "validate", "--params", bad) == 1

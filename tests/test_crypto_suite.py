@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chi_square_critical, chi_square_stat
+from helpers import bytewise_keystream_xor, chi_square_critical, chi_square_stat
 from blindsigncrypt.crypto_suite import (
     derive_keys,
     get_suite,
@@ -111,6 +112,48 @@ class TestCipher:
 
     def test_keyed_hash_deterministic(self, suite):
         assert suite.keyed_hash(b"k", b"m") == suite.keyed_hash(b"k", b"m")
+
+
+# lengths at and around the 32-byte block edges, then anything up to a few KiB
+_LENGTHS = st.one_of(st.sampled_from([0, 1, 31, 32, 33, 63, 64, 65]),
+                     st.integers(min_value=0, max_value=4096))
+
+
+class TestCipherMatchesBytewise:
+    """The whole-buffer cipher against the byte-wise oracle: the keystream is
+    normative, so every output byte must match."""
+
+    KEY = bytes(range(32))
+
+    @given(st.binary(min_size=1, max_size=64),
+           _LENGTHS.flatmap(lambda n: st.binary(min_size=n, max_size=n)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, key, m):
+        assert std_suite().cipher_encrypt(key, m) == bytewise_keystream_xor(key, m)
+
+    def test_zero_data_gives_keystream_prefix(self, suite):
+        for n in (1, 31, 32, 33, 100):
+            stream = suite.cipher_encrypt(self.KEY, bytes(n))
+            assert stream == bytewise_keystream_xor(self.KEY, bytes(n))
+            assert stream[:32] == hashlib.sha256(self.KEY + bytes(8)).digest()[:n]
+
+    def test_data_equal_to_keystream_gives_zero_bytes(self, suite):
+        for n in (1, 32, 65, 1000):
+            stream = bytewise_keystream_xor(self.KEY, bytes(n))
+            assert suite.cipher_encrypt(self.KEY, stream) == bytes(n)
+
+    def test_leading_zero_bytes_kept(self, suite):
+        stream = bytewise_keystream_xor(self.KEY, bytes(40))
+        for m in (bytes(5) + b"abc", stream[:3] + b"tail", bytes(40)[:3] + stream[3:]):
+            out = suite.cipher_encrypt(self.KEY, m)
+            assert out == bytewise_keystream_xor(self.KEY, m)
+            assert len(out) == len(m)
+
+    def test_seeded_mebibyte(self, suite):
+        m = random.Random(404).randbytes(1 << 20)
+        ct = suite.cipher_encrypt(self.KEY, m)
+        assert ct == bytewise_keystream_xor(self.KEY, m)
+        assert suite.cipher_encrypt(self.KEY, ct) == m
 
 
 class TestRegistry:
