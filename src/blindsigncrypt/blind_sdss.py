@@ -17,6 +17,8 @@ h(K || m) = r; for honest runs K = g^u mod p.
 Blindness is mechanically checkable: for ANY signer view (z, r_bar, s_bar)
 and ANY valid signature, `recover_blinding_factors` finds the unique
 (alpha, beta) that reconcile them, so the view pins down nothing.
+`view_check` does the same for one view against many signatures, computing
+each power of z once.
 """
 
 from __future__ import annotations
@@ -230,9 +232,10 @@ def verify(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
                                                 params, suite)
 
 
-def recover_blinding_factors(view: View, sig: BlindSignature, u: Scalar,
-                             params: GroupParams) -> tuple[Scalar, Scalar]:
-    """Find the unique (alpha, beta) reconciling a signer view with a signature.
+def view_check(view: View, params: GroupParams):
+    """The blinding-factor recovery of one signer view, for checking it
+    against many signatures: returns recover(sig, u) -> (alpha, beta), which
+    finds the unique (alpha, beta) reconciling the view with a signature.
 
       beta  = r_bar - r mod q
       alpha = s^-1 * u - (r + s_bar) mod q
@@ -240,23 +243,44 @@ def recover_blinding_factors(view: View, sig: BlindSignature, u: Scalar,
     Both defining equations are re-asserted on the result:
     T = z^r * z^beta * g^alpha mod p and s = u / (r + s_bar + alpha) mod q.
     z^r * z^beta is computed as one power z^(r + beta) with the unreduced
-    integer exponent, which is the same element for every z in Z_p*, so two
-    powers per call.
-    Raises InconsistentPair when they fail, which signals a dishonest view or
-    an invalid signature. Success for every cross-pairing of honest sessions
-    is exactly the unlinkability property the harness checks.
+    integer exponent, which is the same element for every z in Z_p*. For
+    0 <= r < q that exponent is r_bar mod q or r_bar mod q + q, so the closure
+    keeps each z-power it computes, keyed by the exponent, for its own
+    lifetime: over n signatures one view costs at most two z-powers plus one
+    g-power per signature.
+    recover raises InconsistentPair when the equations fail, which signals a
+    dishonest view or an invalid signature. Success for every cross-pairing
+    of honest sessions is exactly the unlinkability property the harness
+    checks.
     """
     p, q = params.p, params.q
-    try:
-        beta = (view.r_bar - sig.r) % q
-        alpha = (modinv(sig.s, q) * u - (sig.r + view.s_bar)) % q
+    z_powers: dict[int, GroupElement] = {}
 
-        t_check = modexp(view.z, sig.r + beta, p) * modexp(params.g, alpha, p) % p
-        if t_check != sig.T:
-            raise InconsistentPair("T does not match z^r * z^beta * g^alpha")
+    def recover(sig: BlindSignature, u: Scalar) -> tuple[Scalar, Scalar]:
+        try:
+            beta = (view.r_bar - sig.r) % q
+            alpha = (modinv(sig.s, q) * u - (sig.r + view.s_bar)) % q
 
-        if s_from_nonce(u, sig.r, view.s_bar + alpha, q) != sig.s:
-            raise InconsistentPair("s does not match u / (r + s_bar + alpha)")
-    except ZeroInverse as exc:
-        raise InconsistentPair(f"required inverse does not exist: {exc}") from exc
-    return alpha, beta
+            exponent = sig.r + beta
+            z_power = z_powers.get(exponent)
+            if z_power is None:
+                z_power = z_powers[exponent] = modexp(view.z, exponent, p)
+            if z_power * modexp(params.g, alpha, p) % p != sig.T:
+                raise InconsistentPair("T does not match z^r * z^beta * g^alpha")
+
+            if s_from_nonce(u, sig.r, view.s_bar + alpha, q) != sig.s:
+                raise InconsistentPair("s does not match u / (r + s_bar + alpha)")
+        except ZeroInverse as exc:
+            raise InconsistentPair(f"required inverse does not exist: {exc}") from exc
+        return alpha, beta
+
+    return recover
+
+
+def recover_blinding_factors(view: View, sig: BlindSignature, u: Scalar,
+                             params: GroupParams) -> tuple[Scalar, Scalar]:
+    """Find the unique (alpha, beta) reconciling a signer view with a
+    signature; `view_check` for a single pairing, so two powers per call.
+    Raises InconsistentPair for a dishonest view or an invalid signature.
+    """
+    return view_check(view, params)(sig, u)

@@ -142,18 +142,38 @@ def _jsonable(value):
     return value.hex() if isinstance(value, bytes) else value.value
 
 
-def _from_json(cls, raw):
+def _from_json(cls, raw, name: str):
     """Rebuild cls from the JSON form of dataclasses.asdict(cls instance),
-    driven by the field annotations of cls."""
+    driven by the field annotations of cls. A value that does not fit its
+    annotation (the state key is public in test mode, so anyone can write a
+    state file) raises a UsageFailure naming the field."""
+    def bad(expected: str):
+        return UsageFailure(f"state field {name} must be {expected}, not {type(raw).__name__}")
+
     if dataclasses.is_dataclass(cls):
+        if not isinstance(raw, dict):
+            raise bad("an object")
         hints = _field_types(cls)
-        return cls(**{f.name: _from_json(hints[f.name], raw[f.name])
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in raw]
+        if missing:
+            raise UsageFailure(f"state field {name} lacks {', '.join(missing)}")
+        return cls(**{f.name: _from_json(hints[f.name], raw[f.name], f"{name}.{f.name}")
                       for f in dataclasses.fields(cls)})
+    if cls is int:
+        if type(raw) is not int:  # type(), so that JSON true is refused
+            raise bad("an integer")
+        return raw
     if cls is bytes:
-        return bytes.fromhex(raw)
+        try:
+            return bytes.fromhex(raw)
+        except (TypeError, ValueError):
+            raise bad("a hex string") from None
     if isinstance(cls, type) and issubclass(cls, enum.Enum):
+        values = [member.value for member in cls]
+        if raw not in values:
+            raise bad(f"one of {values}")
         return cls(raw)
-    return raw
+    raise TypeError(f"session field type {cls} has no JSON form")
 
 
 def _save_state(path: str, session, cfg: CliConfig) -> None:
@@ -184,7 +204,7 @@ def _load_state(path: str, cfg: CliConfig, session_cls: type, params: GroupParam
     if held != session_cls.__name__:
         raise UsageFailure(f"{path} holds {held or 'an unrecognised state format'}, "
                            f"expected {session_cls.__name__}")
-    session = _from_json(session_cls, state["fields"])
+    session = _from_json(session_cls, state.get("fields"), "fields")
     if session.params != params:
         raise UsageFailure(f"{path} was made under other group parameters")
     return session

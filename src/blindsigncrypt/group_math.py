@@ -2,12 +2,13 @@
 
 Scalars are plain ints kept reduced mod q; group elements are plain ints in
 [1, p-1]. Everything here is a pure function, so concurrent use is safe; the
-only shared state is the optional exponentiation counter used by `bench` and
-the fixed-base tables `modexp` keeps for each parameter set's generator.
+only shared state is the fixed-base tables `modexp` keeps for each parameter
+set's generator. The optional exponentiation counters are per thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import secrets
 import threading
 from contextlib import contextmanager
@@ -72,18 +73,21 @@ class ExpCounter:
         self.count = 0
 
 
-_active_counters: list[ExpCounter] = []
+# The counters open in the current context: each thread starts with none, so a
+# counter counts only the powers of the thread (or task) that opened it.
+_active_counters: contextvars.ContextVar[tuple[ExpCounter, ...]] = \
+    contextvars.ContextVar("active_counters", default=())
 
 
 @contextmanager
 def count_exponentiations() -> Iterator[ExpCounter]:
-    """Count every modexp executed inside the block."""
+    """Count every modexp executed inside the block, in this thread."""
     counter = ExpCounter()
-    _active_counters.append(counter)
+    _active_counters.set(_active_counters.get() + (counter,))
     try:
         yield counter
     finally:
-        _active_counters.remove(counter)
+        _active_counters.set(tuple(c for c in _active_counters.get() if c is not counter))
 
 
 # -- core operations -----------------------------------------------------------
@@ -151,7 +155,7 @@ def modexp(base: GroupElement, exp: Scalar, p: int) -> GroupElement:
     goes through the table; everything else through pow. Both give the same
     element and count as one exponentiation.
     """
-    for counter in _active_counters:
+    for counter in _active_counters.get():
         counter.count += 1
     table = _generators.get((base, p))
     if table is not None and 0 <= exp < table.limit:

@@ -354,6 +354,78 @@ class TestStateFiles:
                    "--challenge", d / "c2.wire", "--out", d / "c3.wire") == 2
 
 
+class TestMalformedStateFields:
+    """The state key derives from the public --seed, so a state file with a
+    valid tag can hold anything; each value is checked against its field's
+    annotation and a misfit exits 2 naming the field, not with a traceback."""
+
+    MISSING = object()
+
+    def rewrite(self, path, seed, where, value):
+        """Set state[where[0]][where[1]]... = value (MISSING deletes it) and
+        write the file back under the seed's state key."""
+        key, suite = _state_key(seed), std_suite()
+        blob = dearmor(path.read_text())
+        state = json.loads(suite.cipher_encrypt(key, blob[32:]))
+        holder = state
+        for name in where[:-1]:
+            holder = holder[name]
+        if value is self.MISSING:
+            del holder[where[-1]]
+        else:
+            holder[where[-1]] = value
+        ct = suite.cipher_encrypt(key, json.dumps(state).encode())
+        path.write_text(armor(suite.keyed_hash(key, ct) + ct))
+
+    def respond(self, setup, d):
+        return run("--test-mode", "--seed", 21, "bsc", "respond", "--params", setup["params"],
+                   "--key", setup["key_a"], "--state", d / "a.state",
+                   "--challenge", d / "c2.wire", "--out", d / "c3.wire")
+
+    @pytest.mark.parametrize("where, value, named", [
+        (("fields",), [], "state field fields must be an object"),  # was TypeError, exit 1
+        (("fields",), None, "state field fields must be an object"),
+        (("fields", "k_tilde"), "abc", "fields.k_tilde must be an integer"),  # was OverflowError
+        (("fields", "k_tilde"), True, "fields.k_tilde must be an integer"),
+        (("fields", "z"), 1.5, "fields.z must be an integer"),
+        (("fields", "params", "q"), "11", "fields.params.q must be an integer"),
+        (("fields", "state"), "signed", "fields.state must be one of"),
+        (("fields", "state"), [], "fields.state must be one of"),
+        (("fields", "k_tilde"), MISSING, "fields lacks k_tilde"),
+    ])
+    def test_signer_state_refused(self, setup, capsys, where, value, named):
+        d = TestStateFiles().commit_and_challenge(setup)
+        self.rewrite(d / "a.state", 21, where, value)
+        capsys.readouterr()
+        assert self.respond(setup, d) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert not (d / "c3.wire").exists()
+
+    @pytest.mark.parametrize("where, value, named", [
+        (("fields", "c"), "zz", "fields.c must be a hex string"),
+        (("fields", "c"), 12, "fields.c must be a hex string"),
+        (("fields", "keys", "k1"), None, "fields.keys.k1 must be a hex string"),
+        (("fields", "keys"), "00", "fields.keys must be an object"),
+    ])
+    def test_requester_state_refused(self, setup, capsys, where, value, named):
+        d = TestStateFiles().commit_and_challenge(setup)
+        assert self.respond(setup, d) == 0
+        self.rewrite(d / "b.state", 22, where, value)
+        capsys.readouterr()
+        assert TestStateFiles().finalize(setup, d / "b.state", 22) == 2
+        assert named in capsys.readouterr().err
+        assert not (d / "out.wire").exists()
+
+    def test_rewrite_with_the_same_value_still_loads(self, setup):
+        d = TestStateFiles().commit_and_challenge(setup)
+        state = json.loads(std_suite().cipher_encrypt(
+            _state_key(21), dearmor((d / "a.state").read_text())[32:]))
+        self.rewrite(d / "a.state", 21, ("fields", "k_tilde"), state["fields"]["k_tilde"])
+        assert self.respond(setup, d) == 0
+
+
 class TestParamFiles:
     """A parameter file is validated whenever a command reads it."""
 

@@ -82,6 +82,47 @@ class TestModexp:
                 modexp(2, 3, 23)
         assert (outer.count, inner.count) == (2, 1)
 
+    def test_counters_closed_out_of_order(self):
+        first, second = count_exponentiations(), count_exponentiations()
+        a, b = first.__enter__(), second.__enter__()
+        first.__exit__(None, None, None)
+        modexp(2, 3, 23)
+        second.__exit__(None, None, None)
+        modexp(2, 3, 23)
+        assert (a.count, b.count) == (0, 1)
+
+    def test_counter_ignores_other_threads(self):
+        # each counter sees only the powers of the thread that opened it
+        seen = {}
+
+        def other():
+            with count_exponentiations() as c:
+                for _ in range(50):
+                    modexp(3, 5, 23)
+            seen["other"] = c.count
+
+        with count_exponentiations() as mine:
+            modexp(2, 3, 23)
+            t = threading.Thread(target=other)
+            t.start()
+            t.join(timeout=60)
+            modexp(2, 3, 23)
+        assert not t.is_alive()
+        assert (mine.count, seen["other"]) == (2, 50)
+
+    def test_counters_in_racing_threads(self):
+        counts = {}
+
+        def work(n):
+            with count_exponentiations() as c:
+                for _ in range(n):
+                    modexp(2, 3, 23)
+            counts[n] = c.count
+
+        sizes = [100, 200, 300, 400]  # more threads than cores
+        run_threads(work, sizes)
+        assert counts == {n: n for n in sizes}
+
 
 @pytest.fixture
 def table_calls(monkeypatch):

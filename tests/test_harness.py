@@ -5,8 +5,16 @@ import sys
 
 import pytest
 
-from helpers import ScriptRng, marginals_smoke_test
-from blindsigncrypt.blind_sdss import verify
+from helpers import ScriptRng, marginals_smoke_test, three_power_t_check
+from blindsigncrypt import blind_sdss
+from blindsigncrypt.blind_sdss import (
+    BlindSignature,
+    recover_blinding_factors,
+    verify,
+    view_check,
+)
+from blindsigncrypt.errors import InconsistentPair
+from blindsigncrypt.group_math import count_exponentiations
 from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
 from blindsigncrypt.crypto_suite import derive_keys, kh_preimage
 from blindsigncrypt.harness import (
@@ -120,6 +128,95 @@ class TestCrossPairing:
         assert lines[0] == "pair_i,pair_j,pass"
         assert len(lines) == 5
         assert all(line.endswith(",1") for line in lines[1:])
+
+
+def outcome(recover, *args):
+    """(alpha, beta) from a recovery, or None when it raises InconsistentPair."""
+    try:
+        return recover(*args)
+    except InconsistentPair:
+        return None
+
+
+def three_power_outcome(view, sig, u, params):
+    """The cell's outcome from the defining equations, with T recomputed as
+    three separate powers: None when s or r + s_bar + alpha has no inverse, r
+    is 0, or either equation fails."""
+    q = params.q
+    if sig.s % q == 0:
+        return None
+    beta = (view.r_bar - sig.r) % q
+    alpha = (pow(sig.s, -1, q) * u - (sig.r + view.s_bar)) % q
+    denom = (sig.r + view.s_bar + alpha) % q
+    if sig.r == 0 or denom == 0 or u * pow(denom, -1, q) % q != sig.s:
+        return None
+    if three_power_t_check(view, sig, beta, alpha, params) != sig.T:
+        return None
+    return alpha, beta
+
+
+class TestCrossPairingGrid:
+    """Each row of the grid shares one view's z-powers; every cell must still
+    equal a fresh per-cell recovery and the three-power formula, for views
+    outside the order-q subgroup and for malformed signatures too."""
+
+    def grid(self, desk, suite):
+        q, p, g = desk.q, desk.p, desk.g
+        honest = run_honest_sessions(6, "blind_sdss", desk, suite, random.Random(41))
+        twins = [dataclasses.replace(t, view=dataclasses.replace(t.view, z=t.view.z * (p - 1) % p))
+                 for t in honest]
+        sig = honest[0].signature()
+        bad = [BlindSignature(r=sig.r, s=sig.s % (q - 1) + 1, T=sig.T),  # forged s
+               BlindSignature(r=sig.r, s=sig.s, T=sig.T * g % p),  # forged T
+               BlindSignature(r=0, s=sig.s, T=sig.T),
+               BlindSignature(r=sig.r + q, s=sig.s, T=sig.T),  # same residue, r >= q
+               BlindSignature(r=sig.r, s=0, T=sig.T)]
+        forged = [dataclasses.replace(honest[i + 1], output=out) for i, out in enumerate(bad)]
+        return honest, honest + twins + forged
+
+    def test_every_cell_matches_per_cell_recovery(self, desk, suite):
+        honest, transcripts = self.grid(desk, suite)
+        report = cross_pairing_check(transcripts)
+        columns = [(t.signature(), t.requester_secrets.u) for t in transcripts]
+        outcomes, branches = set(), set()
+        for i, t in enumerate(transcripts):
+            recover = view_check(t.view, desk)
+            for j, (sig, u) in enumerate(columns):
+                expected = outcome(recover_blinding_factors, t.view, sig, u, desk)
+                assert outcome(recover, sig, u) == expected
+                assert expected == three_power_outcome(t.view, sig, u, desk)
+                assert report.cells[i][j] is (expected is not None)
+                outcomes.add(expected is not None)
+                if 0 <= sig.r < desk.q:
+                    branches.add(sig.r + (t.view.r_bar - sig.r) % desk.q - t.view.r_bar)
+        assert outcomes == {True, False}
+        assert branches == {0, desk.q}
+        n = len(honest)
+        assert all(report.cells[i][j] for i in range(n) for j in range(n))
+        # the twin z * (p - 1) of a view passes exactly where r + beta is even
+        for i in range(n):
+            view = transcripts[n + i].view
+            for j, (sig, _) in enumerate(columns[:n]):
+                even = (sig.r + (view.r_bar - sig.r) % desk.q) % 2 == 0
+                assert report.cells[n + i][j] is even
+
+    def test_honest_grid_cost(self, desk, suite, monkeypatch):
+        transcripts = run_honest_sessions(6, "blind_sdss", desk, suite, random.Random(42))
+        bases = []
+        modexp = blind_sdss.modexp
+
+        def spy(base, exp, p):
+            bases.append(base)
+            return modexp(base, exp, p)
+
+        monkeypatch.setattr(blind_sdss, "modexp", spy)
+        with count_exponentiations() as counter:
+            assert cross_pairing_check(transcripts).all_pass
+        n = len(transcripts)
+        assert counter.count == len(bases)
+        assert bases.count(desk.g) == n * n
+        z_powers = len(bases) - n * n
+        assert n <= z_powers <= 2 * n
 
 
 class TestTamperSuite:
