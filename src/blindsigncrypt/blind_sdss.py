@@ -17,24 +17,27 @@ h(K || m) = r; for honest runs K = g^u mod p.
 Blindness is mechanically checkable: for ANY signer view (z, r_bar, s_bar)
 and ANY valid signature, `recover_blinding_factors` finds the unique
 (alpha, beta) that reconcile them, so the view pins down nothing.
-`view_check` does the same for one view against many signatures, computing
-each power of z once.
+`pairing_grid` decides the same for every view against every signature. It
+splits g^alpha into a power per signature and a power per view, and keeps
+each view's powers of z for its row, so n views against n signatures cost
+O(n) powers, not O(n^2).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from .crypto_suite import CryptoSuite
 from .errors import (
     BadChallenge,
     BadCommit,
+    BadGenerator,
     DegenerateDenominator,
     InconsistentPair,
     InvalidState,
     RngFailure,
-    ZeroInverse,
 )
 from .group_math import (
     GroupElement,
@@ -232,55 +235,79 @@ def verify(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
                                                 params, suite)
 
 
-def view_check(view: View, params: GroupParams):
-    """The blinding-factor recovery of one signer view, for checking it
-    against many signatures: returns recover(sig, u) -> (alpha, beta), which
-    finds the unique (alpha, beta) reconciling the view with a signature.
+def _column_exponent(sig: BlindSignature, u: Scalar, q: int) -> Scalar | None:
+    """a = s^-1 * u - r mod q, the part of alpha = a - s_bar that depends on
+    the signature alone, or None when the s-equation fails for every view.
 
-      beta  = r_bar - r mod q
-      alpha = s^-1 * u - (r + s_bar) mod q
-
-    Both defining equations are re-asserted on the result:
-    T = z^r * z^beta * g^alpha mod p and s = u / (r + s_bar + alpha) mod q.
-    z^r * z^beta is computed as one power z^(r + beta) with the unreduced
-    integer exponent, which is the same element for every z in Z_p*. For
-    0 <= r < q that exponent is r_bar mod q or r_bar mod q + q, so the closure
-    keeps each z-power it computes, keyed by the exponent, for its own
-    lifetime: over n signatures one view costs at most two z-powers plus one
-    g-power per signature.
-    recover raises InconsistentPair when the equations fail, which signals a
-    dishonest view or an invalid signature. Success for every cross-pairing
-    of honest sessions is exactly the unlinkability property the harness
-    checks.
+    alpha is defined so that r + s_bar + alpha = s^-1 * u (mod q), so
+    s_from_nonce(u, r, s_bar + alpha, q) returns s exactly when r != 0,
+    u != 0 (mod q) and 0 < s < q; s = 0 (mod q) has no inverse at all.
     """
-    p, q = params.p, params.q
-    z_powers: dict[int, GroupElement] = {}
-
-    def recover(sig: BlindSignature, u: Scalar) -> tuple[Scalar, Scalar]:
-        try:
-            beta = (view.r_bar - sig.r) % q
-            alpha = (modinv(sig.s, q) * u - (sig.r + view.s_bar)) % q
-
-            exponent = sig.r + beta
-            z_power = z_powers.get(exponent)
-            if z_power is None:
-                z_power = z_powers[exponent] = modexp(view.z, exponent, p)
-            if z_power * modexp(params.g, alpha, p) % p != sig.T:
-                raise InconsistentPair("T does not match z^r * z^beta * g^alpha")
-
-            if s_from_nonce(u, sig.r, view.s_bar + alpha, q) != sig.s:
-                raise InconsistentPair("s does not match u / (r + s_bar + alpha)")
-        except ZeroInverse as exc:
-            raise InconsistentPair(f"required inverse does not exist: {exc}") from exc
-        return alpha, beta
-
-    return recover
+    if sig.r == 0 or u % q == 0 or not 0 < sig.s < q:
+        return None
+    return (modinv(sig.s, q) * u - sig.r) % q
 
 
 def recover_blinding_factors(view: View, sig: BlindSignature, u: Scalar,
                              params: GroupParams) -> tuple[Scalar, Scalar]:
-    """Find the unique (alpha, beta) reconciling a signer view with a
-    signature; `view_check` for a single pairing, so two powers per call.
+    """Find the unique (alpha, beta) reconciling a signer view with a signature:
+
+      beta  = r_bar - r mod q
+      alpha = s^-1 * u - (r + s_bar) mod q
+
+    and re-assert both defining equations, s = u / (r + s_bar + alpha) mod q
+    (see `_column_exponent`) and T = z^r * z^beta * g^alpha mod p. The T check
+    takes two powers: z^(r + beta) with the unreduced integer exponent, which
+    equals z^r * z^beta for every z in Z_p*, and g^alpha.
     Raises InconsistentPair for a dishonest view or an invalid signature.
     """
-    return view_check(view, params)(sig, u)
+    p, q = params.p, params.q
+    a = _column_exponent(sig, u, q)
+    if a is None:
+        raise InconsistentPair("s does not match u / (r + s_bar + alpha)")
+    beta = (view.r_bar - sig.r) % q
+    alpha = (a - view.s_bar) % q
+    if modexp(view.z, sig.r + beta, p) * modexp(params.g, alpha, p) % p != sig.T:
+        raise InconsistentPair("T does not match z^r * z^beta * g^alpha")
+    return alpha, beta
+
+
+def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, Scalar]],
+                 params: GroupParams) -> list[list[bool]]:
+    """cells[i][j]: whether `recover_blinding_factors(views[i], sig, u, params)`
+    succeeds for columns[j] = (sig, u), from O(n) powers instead of two per cell.
+
+    With g of order q, g^alpha = C_j * R_i mod p for C_j = g^a_j per column
+    (a_j from `_column_exponent`) and R_i = g^(-s_bar_i) per row. A column
+    whose s-equation fails is False in every row and costs no power. Each
+    row keeps z^(r + beta) * R_i keyed by the unreduced exponent r + beta,
+    which for 0 <= r < q is r_bar mod q or r_bar mod q + q, so a cell is one
+    multiplication: an n x n grid costs 2n + 1 table powers of g (one checks
+    g^q = 1) and, for 0 <= r < q, at most 2n powers of the views' z.
+    Raises BadGenerator when g^q != 1 mod p, where the split would be wrong.
+    """
+    p, q, g = params.p, params.q, params.g
+    if modexp(g, q, p) != 1:
+        raise BadGenerator(f"g = {g} does not have order dividing q")
+    cols = []
+    for sig, u in columns:
+        a = _column_exponent(sig, u, q)
+        cols.append(None if a is None else (sig.r, modexp(g, a, p), sig.T))
+
+    cells = []
+    for view in views:
+        row_power = modexp(g, -view.s_bar % q, p)
+        z_powers: dict[int, GroupElement] = {}
+        row = []
+        for col in cols:
+            if col is None:
+                row.append(False)
+                continue
+            r, col_power, T = col
+            exponent = r + (view.r_bar - r) % q
+            z_power = z_powers.get(exponent)
+            if z_power is None:
+                z_power = z_powers[exponent] = modexp(view.z, exponent, p) * row_power % p
+            row.append(z_power * col_power % p == T)
+        cells.append(row)
+    return cells

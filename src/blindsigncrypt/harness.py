@@ -22,7 +22,7 @@ from . import blind_sdss, blind_signcrypt
 from .blind_sdss import BlindSignature, View
 from .blind_signcrypt import BlindSigncryptedText
 from .crypto_suite import CryptoSuite
-from .errors import DegenerateDenominator, HarnessCheckFailed, InconsistentPair, TagMismatch
+from .errors import DegenerateDenominator, HarnessCheckFailed, TagMismatch
 from .group_math import GroupParams, count_exponentiations, modexp
 from .sdss import KeyPair, keygen
 
@@ -226,25 +226,19 @@ def cross_pairing_check(transcripts: Sequence[FullTranscript]) -> CrossPairingRe
 
     For honest transcripts every cell must pass: each signer view is
     consistent with each published signature, so the view carries no link to
-    the message-signature pair. Each row runs one `blind_sdss.view_check`, so
-    an n x n grid of signatures with 0 <= r < q costs n^2 powers of g plus at
-    most 2n powers of the views' z.
+    the message-signature pair. The cells come from one
+    `blind_sdss.pairing_grid`, so an n x n grid of signatures with
+    0 <= r < q costs 2n + 1 powers of g plus at most 2n powers of the views'
+    z. The transcripts must share one parameter set.
     """
     if len(transcripts) < 2:
         raise ValueError("cross-pairing needs at least two transcripts")
     params = transcripts[0].context.params
-    columns = [(t.signature(), t.requester_secrets.u) for t in transcripts]
-    cells = []
-    for ti in transcripts:
-        recover = blind_sdss.view_check(ti.view, params)
-        row = []
-        for sig, u in columns:
-            try:
-                recover(sig, u)
-                row.append(True)
-            except InconsistentPair:
-                row.append(False)
-        cells.append(row)
+    if any(t.context.params != params for t in transcripts):
+        raise ValueError("cross-pairing needs transcripts from one parameter set")
+    cells = blind_sdss.pairing_grid(
+        [t.view for t in transcripts],
+        [(t.signature(), t.requester_secrets.u) for t in transcripts], params)
     return CrossPairingReport(n=len(transcripts), cells=cells)
 
 
@@ -277,17 +271,30 @@ def _flip_bit_bytes(value: bytes, rng) -> bytes:
     return bytes(out)
 
 
+TAMPER_FIELDS = ("c", "r", "s", "T")
+
+
 def tamper_suite(transcript: FullTranscript, trials: int, rng,
-                 fields: Sequence[str] = ("c", "r", "s", "T")) -> TamperReport:
+                 fields: Sequence[str] = TAMPER_FIELDS) -> TamperReport:
     """Flip random single bits of (c, r, s, T) and count unsigncrypt rejections.
 
     Every flip must be rejected with TagMismatch; acceptance of any tampered
     text is a failure. The untampered control is unsigncrypted first.
+    `fields` is checked before any draw: an unknown name, or no field that
+    can be flipped (c is skipped when empty), raises ValueError.
     """
     ctx = transcript.context
     if ctx.scheme != "blind_signcrypt":
         raise ValueError("tamper suite needs a blind_signcrypt transcript")
     ct = transcript.output
+    for name in fields:
+        if name not in TAMPER_FIELDS:
+            raise ValueError(f"unknown tamper field {name!r}; "
+                             f"choose from {', '.join(TAMPER_FIELDS)}")
+    eligible = [f for f in fields if f != "c" or len(ct.c) > 0]
+    if not eligible:
+        raise ValueError(f"no field can be flipped among {tuple(fields)!r}; "
+                         "c is skipped when the ciphertext is empty")
 
     def open_text(candidate: BlindSigncryptedText) -> bytes:
         return blind_signcrypt.unsigncrypt(candidate, ctx.recipient, ctx.signer.y,
@@ -295,7 +302,6 @@ def tamper_suite(transcript: FullTranscript, trials: int, rng,
 
     control_ok = open_text(ct) == transcript.message
 
-    eligible = [f for f in fields if f != "c" or len(ct.c) > 0]
     rejections = 0
     by_field: dict[str, int] = {}
     for _ in range(trials):

@@ -115,6 +115,23 @@ def three_power_t_check(view, sig, beta, alpha, params):
     return pow(view.z, sig.r, p) * pow(view.z, beta, p) * pow(params.g, alpha, p) % p
 
 
+def three_power_outcome(view, sig, u, params):
+    """The cell's outcome from the defining equations, with T recomputed as
+    three separate powers: None when s or r + s_bar + alpha has no inverse, r
+    is 0, or either equation fails."""
+    q = params.q
+    if sig.s % q == 0:
+        return None
+    beta = (view.r_bar - sig.r) % q
+    alpha = (pow(sig.s, -1, q) * u - (sig.r + view.s_bar)) % q
+    denom = (sig.r + view.s_bar + alpha) % q
+    if sig.r == 0 or denom == 0 or u * pow(denom, -1, q) % q != sig.s:
+        return None
+    if three_power_t_check(view, sig, beta, alpha, params) != sig.T:
+        return None
+    return alpha, beta
+
+
 def bytewise_keystream_xor(key, data):
     """The std-v1 cipher as first written, one byte at a time: XOR with
     keystream blocks SHA-256(key || 8-byte BE counter) (oracle for the

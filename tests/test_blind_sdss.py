@@ -2,13 +2,16 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ScriptRng, three_power_t_check
+from helpers import ScriptRng, three_power_outcome, three_power_t_check
 from blindsigncrypt.blind_sdss import (
     BlindSignature,
     RequesterState,
     SignerState,
     View,
+    pairing_grid,
     recover_blinding_factors,
     recover_commitment,
     requester_challenge,
@@ -260,6 +263,56 @@ class TestBlindness:
         with pytest.raises(InconsistentPair):
             recover_blinding_factors(view, BlindSignature(r=sig.r, s=0, T=sig.T),
                                      requester.u, toy)
+
+
+# toy groups with g of order q, for the grid's differential test
+GRID_PARAMS = (GroupParams(p=23, q=11, g=2), GroupParams(p=47, q=23, g=2),
+               GroupParams(p=59, q=29, g=4))
+
+
+@st.composite
+def toy_grids(draw):
+    """A parameter set, views and (signature, u) columns with values in and
+    out of range: r, s and u in [0, 2q + 1] (so 0, multiples of q and
+    residues past q), z in [0, p + 1] (mostly outside the order-q subgroup)
+    and T either in [0, 2p] or fitted to one view, so some cells pass."""
+    params = draw(st.sampled_from(GRID_PARAMS))
+    p, q, g = params.p, params.q, params.g
+    scalar = st.integers(0, 2 * q + 1)
+    views = draw(st.lists(st.builds(View, z=st.integers(0, p + 1), r_bar=scalar,
+                                    s_bar=scalar), min_size=1, max_size=5))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        r, s, u = draw(scalar), draw(scalar), draw(scalar)
+        fit = draw(st.none() | st.sampled_from(views))
+        if fit is None or s % q == 0:
+            T = draw(st.integers(0, 2 * p))
+        else:
+            beta = (fit.r_bar - r) % q
+            alpha = (pow(s, -1, q) * u - (r + fit.s_bar)) % q
+            T = pow(fit.z, r + beta, p) * pow(g, alpha, p) % p
+        columns.append((BlindSignature(r=r, s=s, T=T), u))
+    return params, views, columns
+
+
+def recovers(view, sig, u, params):
+    try:
+        recover_blinding_factors(view, sig, u, params)
+        return True
+    except InconsistentPair:
+        return False
+
+
+class TestPairingGrid:
+    @settings(max_examples=400, deadline=None)
+    @given(toy_grids())
+    def test_every_cell_equals_per_cell_recovery(self, grid):
+        params, views, columns = grid
+        cells = pairing_grid(views, columns, params)
+        assert cells == [[recovers(view, sig, u, params) for sig, u in columns]
+                         for view in views]
+        assert cells == [[three_power_outcome(view, sig, u, params) is not None
+                          for sig, u in columns] for view in views]
 
 
 class TestVerifyRejection:

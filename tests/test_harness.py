@@ -5,16 +5,16 @@ import sys
 
 import pytest
 
-from helpers import ScriptRng, marginals_smoke_test, three_power_t_check
+from helpers import ScriptRng, marginals_smoke_test, three_power_outcome
 from blindsigncrypt import blind_sdss
 from blindsigncrypt.blind_sdss import (
     BlindSignature,
+    pairing_grid,
     recover_blinding_factors,
     verify,
-    view_check,
 )
-from blindsigncrypt.errors import InconsistentPair
-from blindsigncrypt.group_math import count_exponentiations
+from blindsigncrypt.errors import BadGenerator, InconsistentPair
+from blindsigncrypt.group_math import GroupParams, count_exponentiations
 from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
 from blindsigncrypt.crypto_suite import derive_keys, kh_preimage
 from blindsigncrypt.harness import (
@@ -138,40 +138,31 @@ def outcome(recover, *args):
         return None
 
 
-def three_power_outcome(view, sig, u, params):
-    """The cell's outcome from the defining equations, with T recomputed as
-    three separate powers: None when s or r + s_bar + alpha has no inverse, r
-    is 0, or either equation fails."""
-    q = params.q
-    if sig.s % q == 0:
-        return None
-    beta = (view.r_bar - sig.r) % q
-    alpha = (pow(sig.s, -1, q) * u - (sig.r + view.s_bar)) % q
-    denom = (sig.r + view.s_bar + alpha) % q
-    if sig.r == 0 or denom == 0 or u * pow(denom, -1, q) % q != sig.s:
-        return None
-    if three_power_t_check(view, sig, beta, alpha, params) != sig.T:
-        return None
-    return alpha, beta
-
-
 class TestCrossPairingGrid:
-    """Each row of the grid shares one view's z-powers; every cell must still
-    equal a fresh per-cell recovery and the three-power formula, for views
-    outside the order-q subgroup and for malformed signatures too."""
+    """The grid splits g^alpha into a power per column and a power per row and
+    shares one view's z-powers along its row; every cell must still equal a
+    fresh per-cell recovery and the three-power formula, for views outside
+    the order-q subgroup and for malformed signatures too."""
 
     def grid(self, desk, suite):
         q, p, g = desk.q, desk.p, desk.g
         honest = run_honest_sessions(6, "blind_sdss", desk, suite, random.Random(41))
         twins = [dataclasses.replace(t, view=dataclasses.replace(t.view, z=t.view.z * (p - 1) % p))
                  for t in honest]
-        sig = honest[0].signature()
-        bad = [BlindSignature(r=sig.r, s=sig.s % (q - 1) + 1, T=sig.T),  # forged s
-               BlindSignature(r=sig.r, s=sig.s, T=sig.T * g % p),  # forged T
-               BlindSignature(r=0, s=sig.s, T=sig.T),
-               BlindSignature(r=sig.r + q, s=sig.s, T=sig.T),  # same residue, r >= q
-               BlindSignature(r=sig.r, s=0, T=sig.T)]
-        forged = [dataclasses.replace(honest[i + 1], output=out) for i, out in enumerate(bad)]
+        sig, u = honest[0].signature(), honest[0].requester_secrets.u
+        bad = [(BlindSignature(r=sig.r, s=sig.s % (q - 1) + 1, T=sig.T), u),  # forged s
+               (BlindSignature(r=sig.r, s=sig.s, T=sig.T * g % p), u),  # forged T
+               (BlindSignature(r=0, s=sig.s, T=sig.T), u),
+               (BlindSignature(r=sig.r + q, s=sig.s, T=sig.T), u),  # same residue, r >= q
+               (BlindSignature(r=sig.r, s=0, T=sig.T), u),
+               (sig, 0),
+               (sig, u + q),  # same residue, u >= q
+               (BlindSignature(r=sig.r, s=sig.s + q, T=sig.T), u),
+               (BlindSignature(r=sig.r, s=sig.s, T=sig.T + p), u)]
+        forged = [dataclasses.replace(
+                      honest[1 + i % 5], output=out,
+                      requester_secrets=dataclasses.replace(honest[0].requester_secrets, u=u))
+                  for i, (out, u) in enumerate(bad)]
         return honest, honest + twins + forged
 
     def test_every_cell_matches_per_cell_recovery(self, desk, suite):
@@ -180,10 +171,8 @@ class TestCrossPairingGrid:
         columns = [(t.signature(), t.requester_secrets.u) for t in transcripts]
         outcomes, branches = set(), set()
         for i, t in enumerate(transcripts):
-            recover = view_check(t.view, desk)
             for j, (sig, u) in enumerate(columns):
                 expected = outcome(recover_blinding_factors, t.view, sig, u, desk)
-                assert outcome(recover, sig, u) == expected
                 assert expected == three_power_outcome(t.view, sig, u, desk)
                 assert report.cells[i][j] is (expected is not None)
                 outcomes.add(expected is not None)
@@ -214,9 +203,24 @@ class TestCrossPairingGrid:
             assert cross_pairing_check(transcripts).all_pass
         n = len(transcripts)
         assert counter.count == len(bases)
-        assert bases.count(desk.g) == n * n
-        z_powers = len(bases) - n * n
+        assert bases.count(desk.g) == 2 * n + 1
+        z_powers = len(bases) - (2 * n + 1)
         assert n <= z_powers <= 2 * n
+
+    def test_generator_of_wrong_order_rejected(self, toy, suite):
+        # g = 5 has order 22 mod 23, so g^alpha does not split by columns and rows
+        bad = GroupParams(p=23, q=11, g=5)
+        assert pow(bad.g, bad.q, bad.p) != 1
+        transcripts = run_honest_sessions(2, "blind_sdss", toy, suite, random.Random(43))
+        with pytest.raises(BadGenerator):
+            pairing_grid([t.view for t in transcripts],
+                         [(t.signature(), t.requester_secrets.u) for t in transcripts], bad)
+
+    def test_mixed_parameter_sets_rejected(self, toy, desk, suite):
+        transcripts = (run_honest_sessions(2, "blind_sdss", desk, suite, random.Random(44))
+                       + run_honest_sessions(2, "blind_sdss", toy, suite, random.Random(45)))
+        with pytest.raises(ValueError, match="one parameter set"):
+            cross_pairing_check(transcripts)
 
 
 class TestTamperSuite:
@@ -246,6 +250,19 @@ class TestTamperSuite:
         transcripts = run_honest_sessions(1, "blind_sdss", toy, suite, rng)
         with pytest.raises(ValueError):
             tamper_suite(transcripts[0], 1, rng)
+
+    @pytest.mark.parametrize("fields, message", [
+        (("x",), "unknown tamper field 'x'"),
+        (("r", "x"), "unknown tamper field 'x'"),
+        (("c",), "no field can be flipped"),
+        ((), "no field can be flipped"),
+    ])
+    def test_bad_fields_rejected_before_any_draw(self, toy, suite, fields, message):
+        transcripts = run_honest_sessions(1, "blind_signcrypt", toy, suite, random.Random(16),
+                                          messages=[b""])
+        rng = ScriptRng([])  # any draw fails the test
+        with pytest.raises(ValueError, match=message):
+            tamper_suite(transcripts[0], 5, rng, fields=fields)
 
 
 class TestBench:
