@@ -1,9 +1,11 @@
 """Modular arithmetic over the order-q subgroup of Z_p*, plus parameter handling.
 
 Scalars are plain ints kept reduced mod q; group elements are plain ints in
-[1, p-1]. Everything here is a pure function, so concurrent use is safe; the
-only shared state is the fixed-base tables `modexp` keeps for each parameter
-set's generator. The optional exponentiation counters are per thread.
+[1, p-1]. Everything here is a pure function, so concurrent use is safe. The
+shared state is `modexp`'s two bounded registries of fixed-base tables: one
+for each parameter set's generator, and one for the bases it sees most often
+(public keys, in practice), with the use counts that pick them; a lock guards
+every update. The optional exponentiation counters are per thread.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import contextvars
 import secrets
 import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -93,38 +96,53 @@ def count_exponentiations() -> Iterator[ExpCounter]:
 # -- core operations -----------------------------------------------------------
 
 class FixedBase:
-    """g^e mod p for 0 <= e < limit from the radix-2^8 table
-    row[i][d] = g^(d * 2^(8i)) mod p: one multiplication per nonzero byte of e.
+    """base^e mod p for 0 <= e < limit from the radix-2^r table
+    row[t][d] = base^(d * 2^(r*t)) mod p: one multiplication per nonzero
+    r-bit digit of e.
 
     Lim and Lee's fixed-base method in the form of the Handbook of Applied
-    Cryptography, 14.6.3. With a 160-bit q that is 20 rows of 256 entries,
-    about 0.5 MB at a 512-bit p. The table is built on first use into a local
-    and then published, so threads that race to build it each get a full one.
+    Cryptography, 14.6.3. The limit is 2 to the bits rounded up to whole
+    bytes. With a 160-bit q and a 512-bit p, radix 2^8 (generators) is 20
+    rows of 256 entries, about 0.5 MB; radix 2^4 (hot keys) is 40 rows of
+    16, about 64 KiB. The table is built on first use into a local and then
+    published, so threads that race to build it each get a full one.
     """
 
-    def __init__(self, g: GroupElement, p: int, bits: int):
-        self.g, self.p = g, p
-        self.width = (bits + 7) // 8  # exponent bytes, one row each
+    def __init__(self, g: GroupElement, p: int, bits: int, radix_bits: int = 8):
+        if radix_bits not in (1, 2, 4, 8):
+            raise ValueError("radix_bits must divide 8")
+        self.g, self.p, self.bits, self.radix_bits = g, p, bits, radix_bits
+        self.width = (bits + 7) // 8  # exponent bytes
         self.limit = 1 << (8 * self.width)
+        # e's digits come from its little-endian bytes: translation j picks
+        # digit j of every byte, so the digits of e are the translations
+        # joined, and rows are kept in that order.
+        mask = (1 << radix_bits) - 1
+        self._digit_tables = [bytes(b >> (radix_bits * j) & mask for b in range(256))
+                              for j in range(8 // radix_bits)]
         self._rows: list[list[int]] | None = None
 
     def _build(self) -> list[list[int]]:
-        p, base = self.p, self.g % self.p
-        rows = []
-        for _ in range(self.width):
+        p, base, size = self.p, self.g % self.p, 1 << self.radix_bits
+        rows = []  # rows[t] for digit t of e, least significant first
+        for _ in range(self.width * len(self._digit_tables)):
             row = [1]
-            for _ in range(255):
+            for _ in range(size - 1):
                 row.append(row[-1] * base % p)
             rows.append(row)
-            base = row[-1] * base % p  # base^256: the next row's g^(2^(8(i+1)))
-        return rows
+            base = row[-1] * base % p  # the next digit's base^(2^(r(t+1)))
+        per_byte = len(self._digit_tables)
+        return [rows[i * per_byte + j] for j in range(per_byte) for i in range(self.width)]
 
     def power(self, e: Scalar) -> GroupElement:
         rows = self._rows
         if rows is None:
             rows = self._rows = self._build()
+        digits = e.to_bytes(self.width, "little")
+        if self.radix_bits != 8:  # at radix 2^8 the bytes are the digits
+            digits = b"".join([digits.translate(t) for t in self._digit_tables])
         p, result = self.p, 1
-        for row, digit in zip(rows, e.to_bytes(self.width, "little")):
+        for row, digit in zip(rows, digits):
             if digit:
                 result = result * row[digit] % p
         return result
@@ -136,28 +154,69 @@ class FixedBase:
 GENERATORS_KEPT = 16
 TABLE_BYTES_MAX = 4 << 20  # 2048-bit p with 256-bit q needs 2 MB
 _generators: dict[tuple[int, int], FixedBase] = {}
-_generators_lock = threading.Lock()  # for registering; modexp reads without it
+
+# (base, p) -> radix-2^4 table for the bases modexp sees most often: a base
+# gets one on its KEY_TABLE_AFTER-th use in a row of USES_KEPT counted bases,
+# under a p with a table for its generator (the width comes from that set's
+# q). A table costs about four pows to build, so a base that lives for one
+# session (z, y * T) never gets one. Both maps drop their least recently used
+# entry.
+KEY_TABLES_KEPT = 16
+KEY_TABLE_AFTER = 8
+KEY_RADIX_BITS = 4
+USES_KEPT = 256
+_key_tables: OrderedDict[tuple[int, int], FixedBase] = OrderedDict()
+_uses: OrderedDict[tuple[int, int], int] = OrderedDict()
+
+# Every registry update holds this lock; modexp reads _generators without it.
+_tables_lock = threading.Lock()
 
 
 def _register_generator(g: GroupElement, p: int, bits: int) -> None:
     table_bytes = 256 * ((bits + 7) // 8) * ((p.bit_length() + 7) // 8)
     if p < 2 or table_bytes > TABLE_BYTES_MAX:
         return
-    with _generators_lock:
+    with _tables_lock:
         if (g, p) not in _generators and len(_generators) < GENERATORS_KEPT:
             _generators[(g, p)] = FixedBase(g, p, bits)
+
+
+def _key_table(base: GroupElement, p: int) -> FixedBase | None:
+    """Count one use of base under p and return its table, if it has one now."""
+    key = (base, p)
+    with _tables_lock:
+        table = _key_tables.get(key)
+        if table is not None:
+            _key_tables.move_to_end(key)
+            return table
+        uses = _uses.pop(key, 0) + 1
+        if uses < KEY_TABLE_AFTER:
+            _uses[key] = uses
+            if len(_uses) > USES_KEPT:
+                _uses.popitem(last=False)
+            return None
+        bits = next((t.bits for (_, mod), t in _generators.items() if mod == p), None)
+        if bits is None:
+            return None
+        table = _key_tables[key] = FixedBase(base, p, bits, KEY_RADIX_BITS)
+        if len(_key_tables) > KEY_TABLES_KEPT:
+            _key_tables.popitem(last=False)
+        return table
 
 
 def modexp(base: GroupElement, exp: Scalar, p: int) -> GroupElement:
     """base^exp mod p. The single exponentiation primitive all schemes share.
 
-    A registered generator (see GroupParams) with 0 <= exp < its table's limit
-    goes through the table; everything else through pow. Both give the same
-    element and count as one exponentiation.
+    A registered generator (see GroupParams) or a hot base (see
+    KEY_TABLE_AFTER) with 0 <= exp < its table's limit goes through the
+    table; everything else through pow. Both give the same element and count
+    as one exponentiation.
     """
     for counter in _active_counters.get():
         counter.count += 1
     table = _generators.get((base, p))
+    if table is None:
+        table = _key_table(base, p)
     if table is not None and 0 <= exp < table.limit:
         return table.power(exp)
     return pow(base, exp, p)

@@ -280,12 +280,15 @@ def tamper_suite(transcript: FullTranscript, trials: int, rng,
 
     Every flip must be rejected with TagMismatch; acceptance of any tampered
     text is a failure. The untampered control is unsigncrypted first.
-    `fields` is checked before any draw: an unknown name, or no field that
-    can be flipped (c is skipped when empty), raises ValueError.
+    `trials` and `fields` are checked before any draw: a negative count, an
+    unknown name, or no field that can be flipped (c is skipped when empty)
+    raises ValueError. Zero trials runs the control alone.
     """
     ctx = transcript.context
     if ctx.scheme != "blind_signcrypt":
         raise ValueError("tamper suite needs a blind_signcrypt transcript")
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     ct = transcript.output
     for name in fields:
         if name not in TAMPER_FIELDS:
@@ -342,7 +345,7 @@ def measure_exponentiation_counts(scheme: str, params: GroupParams,
 
     Expected with the naive strategy, for blind signcryption:
     A: 1 (z = g^k_tilde), B: 3 (y_C^u, z^r_bar, g^alpha),
-    C: 2 (g^r, then the shared-element power). Key generation is excluded.
+    C: 2 ((y_A * T)^e and g^(r*e) for e = s * x_C). Key generation is excluded.
     For blind_sdss the verifier replaces C and also costs 2.
     """
     transcript = run_honest_sessions(1, scheme, params, suite, rng,

@@ -1,7 +1,8 @@
 """Shortened DSS signatures: r = h(g^k mod p || m), s = k / (r + x) mod q.
 
-Verification recomputes K = (y * g^r)^s mod p, which equals g^k mod p for an
-honest signature, and checks that hashing K with the message reproduces r.
+Verification recomputes K = (y * g^r)^s mod p as y^s * g^(r*s mod q), which
+equals g^k mod p for an honest signature, and checks that hashing K with the
+message reproduces r.
 """
 
 from __future__ import annotations
@@ -81,9 +82,14 @@ def sign(m: bytes, key: KeyPair, params: GroupParams, suite: CryptoSuite,
 def recover_commitment(sig: SdssSignature, signer_pub: GroupElement,
                        params: GroupParams) -> GroupElement:
     """K = (y * g^r)^s mod p; equals g^k mod p for an honest signature.
-    Blind SDSS recovers and verifies through here with y * T as the key."""
-    base = signer_pub * modexp(params.g, sig.r, params.p) % params.p
-    return modexp(base, sig.s, params.p)
+    Blind SDSS recovers and verifies through here with y * T as the key.
+
+    Computed as y^s * g^(r*s mod q), still two powers, so that the key is a
+    base of its own and a hot key gets a table in `modexp`. The split is
+    exact for any y in Z_p* when g has order q, which `validate_params` and
+    the named sets guarantee."""
+    p, q = params.p, params.q
+    return modexp(signer_pub, sig.s, p) * modexp(params.g, sig.r * sig.s % q, p) % p
 
 
 def verify(m: bytes, sig: SdssSignature, signer_pub: GroupElement,

@@ -132,6 +132,19 @@ def three_power_outcome(view, sig, u, params):
     return alpha, beta
 
 
+def two_step_commitment(r, s, key, params):
+    """K = (key * g^r)^s mod p as first written, one product and then one
+    power (oracle for sdss.recover_commitment's y^s * g^(r*s mod q))."""
+    p = params.p
+    return pow(key * pow(params.g, r, p) % p, s, p)
+
+
+def two_step_shared_element(r, s, x, signer_part, params):
+    """(signer_part * g^r)^(s * x mod q) mod p as first written (oracle for
+    zheng.shared_element's signer_part^e * g^(r*e mod q))."""
+    return two_step_commitment(r, s * x % params.q, signer_part, params)
+
+
 def bytewise_keystream_xor(key, data):
     """The std-v1 cipher as first written, one byte at a time: XOR with
     keystream blocks SHA-256(key || 8-byte BE counter) (oracle for the

@@ -1,6 +1,8 @@
+import builtins
 import random
 import sys
 import threading
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,13 @@ from blindsigncrypt.errors import (
     ZeroInverse,
 )
 from blindsigncrypt import group_math
+from blindsigncrypt.crypto_suite import std_suite
 from blindsigncrypt.group_math import (
     DESK512,
+    KEY_TABLE_AFTER,
+    KEY_TABLES_KEPT,
     TOY23,
+    USES_KEPT,
     FixedBase,
     GroupParams,
     count_exponentiations,
@@ -41,6 +47,8 @@ from blindsigncrypt.group_math import (
     rand_scalar_nonzero,
     validate_params,
 )
+from blindsigncrypt.harness import run_honest_sessions
+from blindsigncrypt.sdss import keygen, sign, verify
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -125,8 +133,17 @@ class TestModexp:
 
 
 @pytest.fixture
-def table_calls(monkeypatch):
-    """Count the modexp calls that take the fixed-base table path."""
+def key_tables(monkeypatch):
+    """Empty hot-base registries, so that bases heated by earlier tests
+    cannot take the table path; returns the table registry."""
+    monkeypatch.setattr(group_math, "_key_tables", OrderedDict())
+    monkeypatch.setattr(group_math, "_uses", OrderedDict())
+    return group_math._key_tables
+
+
+@pytest.fixture
+def table_calls(monkeypatch, key_tables):
+    """Count the modexp calls that take a fixed-base table path."""
     calls = []
     power = FixedBase.power
 
@@ -245,6 +262,133 @@ class TestFixedBase:
         assert table_calls == []
         fits = GroupParams(p=2**2048 - 1, q=2**256 - 1, g=3)
         assert list(group_math._generators) == [(fits.g, fits.p)]
+
+
+def heat(base, p, uses=KEY_TABLE_AFTER):
+    for _ in range(uses):
+        modexp(base, 1, p)
+
+
+class TestKeyTables:
+    def test_matches_pow_at_exponent_edges(self, desk, table_calls, key_tables):
+        y, p = pow(desk.g, 12345, desk.p), desk.p
+        heat(y, p)
+        table = key_tables[(y, p)]
+        assert (table.radix_bits, table.limit) == (4, 2**160)
+        table_calls.clear()
+        rng = random.Random(14)
+        in_range = [0, 1, 15, 16, 255, desk.q - 1, desk.q, table.limit - 1] + \
+            [rng.randrange(desk.q) for _ in range(100)]
+        fallback = [table.limit, 2**170 - 3, -1, -(desk.q + 5)]
+        for e in in_range + fallback:
+            assert modexp(y, e, p) == pow(y, e, p)
+        assert table_calls == in_range
+
+    def test_radix_4_table_directly(self):
+        # toy23's 4-bit q: one exponent byte, so two rows of 16 and a limit of 2^8
+        table = FixedBase(8, 23, TOY23.q.bit_length(), radix_bits=4)
+        assert [table.power(e) for e in range(2**8)] == [pow(8, e, 23) for e in range(2**8)]
+        assert len(table._rows) == 2 and all(len(row) == 16 for row in table._rows)
+        with pytest.raises(ValueError):
+            FixedBase(8, 23, 4, radix_bits=3)
+
+    def test_seventh_use_gets_no_table(self, desk, key_tables):
+        y, p = pow(desk.g, 777, desk.p), desk.p
+        heat(y, p, KEY_TABLE_AFTER - 1)
+        assert (y, p) not in key_tables
+        assert group_math._uses[(y, p)] == KEY_TABLE_AFTER - 1
+        modexp(y, 5, p)
+        assert list(key_tables) == [(y, p)]
+        assert (y, p) not in group_math._uses
+
+    def test_one_harness_session_builds_no_table(self, desk, key_tables):
+        # its fresh bases z and y * T see fewer than KEY_TABLE_AFTER uses
+        t = run_honest_sessions(1, "blind_signcrypt", desk, std_suite(), random.Random(21))[0]
+        blinded = t.context.signer.y * t.output.T % desk.p
+        assert not key_tables
+        assert group_math._uses[(blinded, desk.p)] < KEY_TABLE_AFTER
+        assert group_math._uses[(t.view.z, desk.p)] < KEY_TABLE_AFTER
+
+    def test_forty_hot_bases_leave_sixteen_tables(self, desk, key_tables):
+        bases = [pow(desk.g, i + 2, desk.p) for i in range(40)]
+        for y in bases:
+            heat(y, desk.p)
+        assert KEY_TABLES_KEPT == 16
+        assert list(key_tables) == [(y, desk.p) for y in bases[-16:]]
+
+    def test_least_recently_used_table_goes_first(self, desk, key_tables):
+        bases = [pow(desk.g, i + 2, desk.p) for i in range(KEY_TABLES_KEPT + 1)]
+        for y in bases[:-1]:
+            heat(y, desk.p)
+        modexp(bases[0], 3, desk.p)  # the oldest table is used again
+        heat(bases[-1], desk.p)
+        assert (bases[0], desk.p) in key_tables
+        assert (bases[1], desk.p) not in key_tables
+
+    def test_no_table_without_a_registered_set(self, key_tables):
+        p = 2**61 - 1  # prime; no parameter set in the package or the tests uses it
+        heat(3, p, 3 * KEY_TABLE_AFTER)
+        assert not key_tables
+        assert modexp(3, 2**40 + 1, p) == pow(3, 2**40 + 1, p)
+
+    def test_use_counts_stay_bounded(self, key_tables):
+        for base in range(USES_KEPT + 50):
+            modexp(base, 3, 10**9 + 7)
+        assert len(group_math._uses) == USES_KEPT
+        assert next(iter(group_math._uses)) == (50, 10**9 + 7)
+
+    def test_racing_threads(self, toy, key_tables):
+        # 8 threads draw from all 22 bases of toy23, more than KEY_TABLES_KEPT,
+        # so tables are built and evicted while other threads look them up
+        wrong, errors = [], []
+
+        def work(k):
+            rng = random.Random(k)
+            try:
+                for _ in range(12_000):
+                    y, e = rng.randrange(1, toy.p), rng.randrange(toy.q)
+                    if modexp(y, e, toy.p) != pow(y, e, toy.p):
+                        wrong.append((y, e))
+            except Exception as exc:  # a thread that dies fails the test below
+                errors.append(exc)
+
+        run_threads(work, range(8))
+        assert (wrong, errors) == ([], [])
+        assert len(key_tables) == KEY_TABLES_KEPT
+        assert len(group_math._uses) <= USES_KEPT
+
+    def test_one_count_per_call_on_every_path(self, desk, key_tables, table_calls):
+        y, p = pow(desk.g, 4242, desk.p), desk.p
+        with count_exponentiations() as c:
+            heat(y, p, KEY_TABLE_AFTER - 1)  # cold: pow
+        assert (c.count, len(table_calls)) == (KEY_TABLE_AFTER - 1, 0)
+        with count_exponentiations() as c:
+            modexp(y, 3, p)  # the use that builds the table
+        assert (c.count, len(table_calls)) == (1, 1)
+        with count_exponentiations() as c:
+            modexp(y, 4, p)  # hot, in range
+            modexp(y, 2**170, p)  # hot, past the table
+            modexp(y, -1, p)
+        assert (c.count, len(table_calls)) == (3, 2)
+
+    def test_verify_under_hot_key_needs_no_pow(self, desk, key_tables, monkeypatch):
+        rng, suite = random.Random(23), std_suite()
+        key = keygen(desk, rng)
+        signed = [(m, sign(m, key, desk, suite, rng))
+                  for m in (bytes([i]) for i in range(KEY_TABLE_AFTER + 1))]
+        for m, sig in signed[:-1]:  # warm-up: each verify is one use of y
+            assert verify(m, sig, key.y, desk, suite)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(group_math, "pow", spy, raising=False)
+        m, sig = signed[-1]
+        with count_exponentiations() as c:
+            assert verify(m, sig, key.y, desk, suite)
+        assert (c.count, calls) == (2, [])
 
 
 class TestModinv:

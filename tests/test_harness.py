@@ -264,6 +264,14 @@ class TestTamperSuite:
         with pytest.raises(ValueError, match=message):
             tamper_suite(transcripts[0], 5, rng, fields=fields)
 
+    @pytest.mark.parametrize("trials", [-1, -3])
+    def test_negative_trials_rejected_before_any_draw(self, toy, suite, trials):
+        # a negative count once returned a report reading "0/-3 single-bit flips rejected"
+        transcripts = run_honest_sessions(1, "blind_signcrypt", toy, suite, random.Random(17))
+        rng = ScriptRng([])  # any draw fails the test
+        with pytest.raises(ValueError, match="trials must be at least 0"):
+            tamper_suite(transcripts[0], trials, rng)
+
 
 class TestBench:
     def test_bsc_counts(self, desk, suite, rng):

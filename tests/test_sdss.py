@@ -1,7 +1,11 @@
 import random
 
-from helpers import ScriptRng, flip_bit
-from blindsigncrypt.group_math import int_to_bytes, modexp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import ScriptRng, flip_bit, two_step_commitment, two_step_shared_element
+from blindsigncrypt import blind_sdss, blind_signcrypt, zheng
+from blindsigncrypt.group_math import DESK512, TOY23, GroupParams, int_to_bytes, modexp
 from blindsigncrypt.sdss import (
     KeyPair,
     SdssSignature,
@@ -116,3 +120,56 @@ class TestRoundtrip:
             else:
                 bad_m = flip_bit(m, rng.randrange(len(m) * 8))
                 assert not verify(bad_m, sig, key.y, desk, suite)
+
+
+# g of order q in each; every Z_p* has p - 1 of order 2, and desk512's
+# (p - 1) / q = 2 * 3 * c also has elements of order 3
+SPLIT_PARAMS = (TOY23, GroupParams(p=47, q=23, g=2), GroupParams(p=59, q=29, g=4), DESK512)
+
+
+def small_order_elements(p):
+    """1, p - 1 and, when 3 divides p - 1, both elements of order 3."""
+    found = [1, p - 1]
+    if (p - 1) % 3 == 0:
+        omega = next(w for w in (pow(h, (p - 1) // 3, p) for h in range(2, p)) if w != 1)
+        found += [omega, omega * omega % p]
+    return found
+
+
+@st.composite
+def verifier_inputs(draw):
+    """A parameter set, r, s and x in [1, q - 1], and y and T anywhere in
+    Z_p*, often multiplied by an element of order 2 or 3."""
+    params = draw(st.sampled_from(SPLIT_PARAMS))
+    p, q = params.p, params.q
+    scalar = st.integers(1, q - 1)
+    twist = st.sampled_from(small_order_elements(p))
+    y = draw(st.integers(1, p - 1)) * draw(twist) % p
+    T = draw(st.integers(1, p - 1)) * draw(twist) % p
+    return params, draw(scalar), draw(scalar), draw(scalar), y, T
+
+
+class TestSplitFormula:
+    """The verifiers compute (y * g^r)^s as y^s * g^(r*s mod q): exact for
+    every y in Z_p*, inside the order-q subgroup or not, when g has order q."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(verifier_inputs())
+    def test_recover_commitment_equals_two_step(self, inputs):
+        params, r, s, _, y, T = inputs
+        assert recover_commitment(SdssSignature(r=r, s=s), y, params) == \
+            two_step_commitment(r, s, y, params)
+        assert blind_sdss.recover_commitment(blind_sdss.BlindSignature(r=r, s=s, T=T), y,
+                                             params) == \
+            two_step_commitment(r, s, y * T % params.p, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(verifier_inputs())
+    def test_shared_element_equals_two_step(self, inputs):
+        params, r, s, x, y, T = inputs
+        recipient = KeyPair(x=x, y=pow(params.g, x, params.p))
+        assert zheng.shared_element(zheng.SigncryptedText(c=b"", r=r, s=s), recipient, y,
+                                    params) == two_step_shared_element(r, s, x, y, params)
+        text = blind_signcrypt.BlindSigncryptedText(c=b"", r=r, s=s, T=T)
+        assert blind_signcrypt.shared_element(text, recipient, y, params) == \
+            two_step_shared_element(r, s, x, y * T % params.p, params)
