@@ -50,7 +50,10 @@ from .group_math import (
     retry,
 )
 from .sdss import KeyPair, commitment_hash, s_from_nonce
-from .sdss import recover_commitment as sdss_recover_commitment, verify as sdss_verify
+from .sdss import (
+    recover_commitment as sdss_recover_commitment,
+    verified_commitment as sdss_verified_commitment,
+)
 
 
 class SignerState(enum.Enum):
@@ -228,11 +231,19 @@ def recover_commitment(sig: BlindSignature, signer_pub: GroupElement,
     return sdss_recover_commitment(sig, signer_pub * sig.T % params.p, params)
 
 
+def verified_commitment(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
+                        params: GroupParams, suite: CryptoSuite) -> GroupElement | None:
+    """K = (y * T * g^r)^s mod p when (r, s, T) verifies on m, else None; for
+    an honest signature K = g^u mod p."""
+    if not 0 < sig.T < params.p:
+        return None
+    return sdss_verified_commitment(m, sig, signer_pub * sig.T % params.p, params, suite)
+
+
 def verify(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
            params: GroupParams, suite: CryptoSuite) -> bool:
     """(r, s, T) is valid iff (r, s) is an SDSS signature under the key y * T."""
-    return 0 < sig.T < params.p and sdss_verify(m, sig, signer_pub * sig.T % params.p,
-                                                params, suite)
+    return verified_commitment(m, sig, signer_pub, params, suite) is not None
 
 
 def _column_exponent(sig: BlindSignature, u: Scalar, q: int) -> Scalar | None:
@@ -277,12 +288,15 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
     """cells[i][j]: whether `recover_blinding_factors(views[i], sig, u, params)`
     succeeds for columns[j] = (sig, u), from O(n) powers instead of two per cell.
 
-    With g of order q, g^alpha = C_j * R_i mod p for C_j = g^a_j per column
-    (a_j from `_column_exponent`) and R_i = g^(-s_bar_i) per row. A column
-    whose s-equation fails is False in every row and costs no power. Each
-    row keeps z^(r + beta) * R_i keyed by the unreduced exponent r + beta,
-    which for 0 <= r < q is r_bar mod q or r_bar mod q + q, so a cell is one
-    multiplication: an n x n grid costs 2n + 1 table powers of g (one checks
+    With g of order q, g^alpha = g^a_j * R_i mod p for a_j from
+    `_column_exponent` and R_i = g^(-s_bar_i) per row, so the T equation
+    z^(r + beta) * R_i * g^a_j = T (mod p) reads z^(r + beta) * R_i = D_j with
+    the column's target D_j = T_j * g^(-a_j) mod p. A column whose
+    s-equation fails, or whose T lies outside [0, p) where no reduced product
+    can equal it, is False in every row and costs no power. Each row keeps
+    z^(r + beta) * R_i keyed by the unreduced exponent r + beta, which for
+    0 <= r < q is r_bar mod q or r_bar mod q + q, so a cell is one
+    comparison: an n x n grid costs 2n + 1 table powers of g (one checks
     g^q = 1) and, for 0 <= r < q, at most 2n powers of the views' z.
     Raises BadGenerator when g^q != 1 mod p, where the split would be wrong.
     """
@@ -292,7 +306,8 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
     cols = []
     for sig, u in columns:
         a = _column_exponent(sig, u, q)
-        cols.append(None if a is None else (sig.r, modexp(g, a, p), sig.T))
+        ok = a is not None and 0 <= sig.T < p
+        cols.append((sig.r, sig.T * modexp(g, -a % q, p) % p) if ok else None)
 
     cells = []
     for view in views:
@@ -303,11 +318,11 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
             if col is None:
                 row.append(False)
                 continue
-            r, col_power, T = col
+            r, target = col
             exponent = r + (view.r_bar - r) % q
             z_power = z_powers.get(exponent)
             if z_power is None:
                 z_power = z_powers[exponent] = modexp(view.z, exponent, p) * row_power % p
-            row.append(z_power * col_power % p == T)
+            row.append(z_power == target)
         cells.append(row)
     return cells

@@ -42,6 +42,7 @@ __all__ = [
     "bsc_signer_respond",
     "bsc_requester_challenge",
     "bsc_requester_finalize",
+    "open_sealed",
     "unsigncrypt",
 ]
 
@@ -93,11 +94,20 @@ def shared_element(ct: BlindSigncryptedText, recipient: KeyPair,
     return zheng.shared_element(ct, recipient, signer_pub * ct.T % params.p, params)
 
 
-def unsigncrypt(ct: BlindSigncryptedText, recipient: KeyPair,
-                signer_pub: GroupElement, bind_info: bytes,
-                params: GroupParams, suite: CryptoSuite) -> bytes:
-    """Decrypt-and-verify; returns the message or raises TagMismatch."""
+def open_sealed(ct: BlindSigncryptedText, recipient: KeyPair,
+                signer_pub: GroupElement, bind_info: bytes, params: GroupParams,
+                suite: CryptoSuite) -> tuple[bytes, GroupElement]:
+    """The recipient's move: range-check T, then Zheng's open with y_A * T.
+    Returns the message and the shared element (y_C^u mod p for an honest
+    text), or raises TagMismatch and exposes neither."""
     if not 0 < ct.T < params.p:
         raise TagMismatch("T out of range")  # rejects T+p style re-encodings
     return zheng.open_sealed(ct, recipient, signer_pub * ct.T % params.p, bind_info,
                              params, suite)
+
+
+def unsigncrypt(ct: BlindSigncryptedText, recipient: KeyPair,
+                signer_pub: GroupElement, bind_info: bytes,
+                params: GroupParams, suite: CryptoSuite) -> bytes:
+    """Decrypt-and-verify; returns the message or raises TagMismatch."""
+    return open_sealed(ct, recipient, signer_pub, bind_info, params, suite)[0]

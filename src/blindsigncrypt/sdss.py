@@ -92,9 +92,16 @@ def recover_commitment(sig: SdssSignature, signer_pub: GroupElement,
     return modexp(signer_pub, sig.s, p) * modexp(params.g, sig.r * sig.s % q, p) % p
 
 
+def verified_commitment(m: bytes, sig: SdssSignature, signer_pub: GroupElement,
+                        params: GroupParams, suite: CryptoSuite) -> GroupElement | None:
+    """The verifier's move: K = (y * g^r)^s mod p once (r, s) has passed the
+    range checks and hashing K with m has reproduced r; None otherwise."""
+    if not (0 < sig.r < params.q and 0 < sig.s < params.q):
+        return None
+    k_element = recover_commitment(sig, signer_pub, params)
+    return k_element if commitment_hash(k_element, m, params, suite) == sig.r else None
+
+
 def verify(m: bytes, sig: SdssSignature, signer_pub: GroupElement,
            params: GroupParams, suite: CryptoSuite) -> bool:
-    if not (0 < sig.r < params.q and 0 < sig.s < params.q):
-        return False
-    k_element = recover_commitment(sig, signer_pub, params)
-    return commitment_hash(k_element, m, params, suite) == sig.r
+    return verified_commitment(m, sig, signer_pub, params, suite) is not None

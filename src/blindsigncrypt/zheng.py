@@ -71,18 +71,22 @@ def shared_element(ct, recipient: KeyPair, signer_part: GroupElement,
     return modexp(signer_part, e, p) * modexp(params.g, ct.r * e % q, p) % p
 
 
-def open_sealed(ct, recipient: KeyPair, signer_part: GroupElement,
-                bind_info: bytes, params: GroupParams, suite: CryptoSuite) -> bytes:
+def open_sealed(ct, recipient: KeyPair, signer_part: GroupElement, bind_info: bytes,
+                params: GroupParams, suite: CryptoSuite) -> tuple[bytes, GroupElement]:
     """The recipient path both signcryption schemes share: range-check r and
     s, rebuild the shared element, decrypt (the stream cipher is its own
-    inverse), and accept only if the keyed hash reduces back to r."""
+    inverse), and accept only if the keyed hash reduces back to r.
+
+    Returns the message and the shared element, the one place the recipient
+    computes it; a rejected text raises TagMismatch and exposes neither."""
     if not (0 < ct.r < params.q and 0 < ct.s < params.q):
         raise TagMismatch("scalar out of range")  # rejects s+q style re-encodings
-    keys = derive_keys(shared_element(ct, recipient, signer_part, params), suite)
+    shared = shared_element(ct, recipient, signer_part, params)
+    keys = derive_keys(shared, suite)
     m = suite.cipher_encrypt(keys.k1, ct.c)
     if keyed_hash_to_scalar(keys.k2, m, bind_info, params.q, suite) != ct.r:
         raise TagMismatch("keyed-hash check failed")
-    return m
+    return m, shared
 
 
 def unsigncrypt(ct: SigncryptedText, recipient: KeyPair,
@@ -90,4 +94,4 @@ def unsigncrypt(ct: SigncryptedText, recipient: KeyPair,
                 params: GroupParams, suite: CryptoSuite) -> bytes:
     """Decrypt-and-verify. Returns the message or raises TagMismatch;
     nothing of the plaintext is exposed on failure."""
-    return open_sealed(ct, recipient, sender_pub, bind_info, params, suite)
+    return open_sealed(ct, recipient, sender_pub, bind_info, params, suite)[0]

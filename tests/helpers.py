@@ -38,6 +38,16 @@ class ScriptRng:
         return not self._values
 
 
+class ConstantRng:
+    """Random source whose every draw is the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, *args):
+        return self.value
+
+
 class BrokenRng:
     """Random source that always fails."""
 

@@ -314,6 +314,25 @@ class TestPairingGrid:
         assert cells == [[three_power_outcome(view, sig, u, params) is not None
                           for sig, u in columns] for view in views]
 
+    def test_targets_at_zero_and_past_p(self, toy):
+        # a cell compares z^(r + beta) * g^(-s_bar) with T * g^(-a); T = 0
+        # matches exactly the rows whose z is 0 mod p, and a T at or past p
+        # matches no reduced product
+        p, q, g = toy.p, toy.q, toy.g
+        r, s, u = 4, 7, 6
+        views = [View(z=0, r_bar=5, s_bar=3), View(z=p, r_bar=5, s_bar=3),
+                 View(z=9, r_bar=2, s_bar=8)]
+        fit = views[2]
+        alpha = (pow(s, -1, q) * u - (r + fit.s_bar)) % q
+        T = pow(fit.z, r + (fit.r_bar - r) % q, p) * pow(g, alpha, p) % p
+        columns = [(BlindSignature(r=r, s=s, T=t), u) for t in (0, p, T, T + p)]
+        cells = pairing_grid(views, columns, toy)
+        assert cells == [[recovers(view, sig, u, toy) for sig, u in columns]
+                         for view in views]
+        assert cells == [[True, False, False, False],
+                         [True, False, False, False],
+                         [False, False, True, False]]
+
 
 class TestVerifyRejection:
     def test_perturbed_inputs_rejected(self, desk, suite):

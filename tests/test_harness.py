@@ -5,15 +5,15 @@ import sys
 
 import pytest
 
-from helpers import ScriptRng, marginals_smoke_test, three_power_outcome
-from blindsigncrypt import blind_sdss
+from helpers import ConstantRng, ScriptRng, marginals_smoke_test, three_power_outcome
+from blindsigncrypt import blind_sdss, harness
 from blindsigncrypt.blind_sdss import (
     BlindSignature,
     pairing_grid,
     recover_blinding_factors,
     verify,
 )
-from blindsigncrypt.errors import BadGenerator, InconsistentPair
+from blindsigncrypt.errors import BadGenerator, HarnessCheckFailed, InconsistentPair, RngFailure
 from blindsigncrypt.group_math import GroupParams, count_exponentiations
 from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
 from blindsigncrypt.crypto_suite import derive_keys, kh_preimage
@@ -23,7 +23,7 @@ from blindsigncrypt.harness import (
     run_honest_sessions,
     tamper_suite,
 )
-from blindsigncrypt.sdss import KeyPair
+from blindsigncrypt.sdss import KeyPair, keygen
 
 
 class TestRunHonestSessions:
@@ -70,6 +70,65 @@ class TestRunHonestSessions:
         transcripts = run_honest_sessions(300, "blind_sdss", toy, suite,
                                           random.Random(3))
         assert transcripts[0].context.degenerate_retries >= 1
+
+    @pytest.mark.parametrize("scheme, c", [("blind_sdss", 3), ("blind_signcrypt", 9)])
+    def test_restart_loop_is_bounded(self, toy, suite, scheme, c):
+        # with every draw equal to c, each attempt hits the same degenerate
+        # denominator; the restart loop once ran forever
+        signer, recipient = keygen(toy, random.Random(1)), keygen(toy, random.Random(2))
+        with pytest.raises(RngFailure, match="degenerate denominator"):
+            run_honest_sessions(1, scheme, toy, suite, ConstantRng(c), messages=[b"m"],
+                                signer=signer, recipient=recipient)
+
+
+class TestSessionCost:
+    """Every group element a harness check needs is compared with the one the
+    receiving party's move computes, never computed a second time."""
+
+    @pytest.mark.parametrize("scheme, powers", [("blind_sdss", 7), ("blind_signcrypt", 10)])
+    def test_exact_powers_per_session(self, desk, suite, scheme, powers):
+        rng = random.Random(50)
+        signer, recipient = keygen(desk, rng), keygen(desk, rng)
+        with count_exponentiations() as counter:
+            t = run_honest_sessions(1, scheme, desk, suite, rng,
+                                    signer=signer, recipient=recipient)[0]
+        assert counter.count == powers + 4 * t.context.degenerate_retries
+
+    def test_each_restart_costs_the_protocol_powers(self, toy, stub_suite):
+        # the worked vector's draws, first with alpha = 0, which makes
+        # r + s_bar + alpha = 7 + 4 + 0 = 0 mod 11 and restarts the session
+        m, bind = b"settle anonymously", b"to-carol"
+        stub_suite.stub_keyed_hash(derive_keys(9, stub_suite).k2, kh_preimage(m, bind), 7)
+        with count_exponentiations() as counter:
+            t = run_honest_sessions(
+                1, "blind_signcrypt", toy, stub_suite, ScriptRng([5, 4, 2, 0, 5, 4, 2, 6]),
+                messages=[m], bind_info=bind,
+                signer=KeyPair(x=3, y=8), recipient=KeyPair(x=4, y=16))[0]
+        assert t.context.degenerate_retries == 1
+        assert (t.output.r, t.output.s, t.output.T) == (7, 8, 13)
+        assert counter.count == 10 + 4
+
+    @pytest.mark.parametrize("scheme", ["blind_sdss", "blind_signcrypt"])
+    def test_wrong_commitment_is_caught(self, desk, suite, scheme):
+        # another u leaves the output valid, so only the comparison of g^u
+        # with the K the signature recovers can catch it
+        t = run_honest_sessions(1, scheme, desk, suite, random.Random(52))[0]
+        sec = t.requester_secrets
+        forged = dataclasses.replace(
+            t, requester_secrets=dataclasses.replace(sec, u=sec.u % (desk.q - 1) + 1))
+        with pytest.raises(HarnessCheckFailed, match="recovers the commitment"):
+            harness._check_consistent(forged)
+
+    def test_wrong_key_agreement_is_caught(self, desk, suite):
+        # a recipient entry whose public key is not g^x_C makes the harness's
+        # y_C^u differ from the element the recipient's open computes, while
+        # every other check still passes
+        t = run_honest_sessions(1, "blind_signcrypt", desk, suite, random.Random(51))[0]
+        ctx = t.context
+        wrong = KeyPair(x=ctx.recipient.x, y=ctx.recipient.y * desk.g % desk.p)
+        forged = dataclasses.replace(t, context=dataclasses.replace(ctx, recipient=wrong))
+        with pytest.raises(HarnessCheckFailed, match="key agreement"):
+            harness._check_consistent(forged)
 
 
 class TestCrossPairing:
@@ -245,6 +304,14 @@ class TestTamperSuite:
         report = tamper_suite(transcripts[0], 50, random.Random(15), fields=("c",))
         assert report.all_rejected
         assert set(report.by_field) == {"c"}
+
+    def test_failed_control_is_reported(self, desk, suite):
+        t = run_honest_sessions(1, "blind_signcrypt", desk, suite, random.Random(18))[0]
+        broken = dataclasses.replace(t, output=dataclasses.replace(t.output, r=t.output.r ^ 1))
+        report = tamper_suite(broken, 20, random.Random(19))
+        assert report.control_ok is False
+        assert (report.trials, report.rejections) == (20, 20)
+        assert report.summary().endswith("(control accepts: False)")
 
     def test_wrong_scheme_rejected(self, toy, suite, rng):
         transcripts = run_honest_sessions(1, "blind_sdss", toy, suite, rng)
