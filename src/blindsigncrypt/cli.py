@@ -25,7 +25,6 @@ import random
 import secrets
 import sys
 import typing
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import blind_sdss, blind_signcrypt, harness, sdss, wire_codec, zheng
@@ -70,13 +69,6 @@ class VerifyFailure(Exception):
 
 class UsageFailure(Exception):
     """Command-level usage/input problem; mapped to exit code 2."""
-
-
-@dataclass
-class CliConfig:
-    test_mode: bool
-    seed: int | None
-    rng: object
 
 
 # -- file helpers ----------------------------------------------------------------
@@ -176,25 +168,25 @@ def _from_json(cls, raw, name: str):
     raise TypeError(f"session field type {cls} has no JSON form")
 
 
-def _save_state(path: str, session, cfg: CliConfig) -> None:
-    if not cfg.test_mode:
+def _save_state(path: str, session, args) -> None:
+    if not args.test_mode:
         raise UsageFailure(
             "session state files exist only under --test-mode; in normal mode "
             "run the whole session in one process")
     state = {"session": type(session).__name__, "fields": dataclasses.asdict(session)}
-    key = _state_key(cfg.seed or 0)
+    key = _state_key(args.seed or 0)
     suite = std_suite()
     ct = suite.cipher_encrypt(key, json.dumps(state, sort_keys=True, default=_jsonable).encode())
     tag = suite.keyed_hash(key, ct)
     Path(path).write_text(wire_codec.armor(tag + ct))
 
 
-def _load_state(path: str, cfg: CliConfig, session_cls: type, params: GroupParams):
+def _load_state(path: str, args, session_cls: type, params: GroupParams):
     """Open a state file and rebuild the session_cls it must hold."""
-    if not cfg.test_mode:
+    if not args.test_mode:
         raise UsageFailure("session state files exist only under --test-mode")
     blob = wire_codec.dearmor(_read_input(path).decode())
-    key = _state_key(cfg.seed or 0)
+    key = _state_key(args.seed or 0)
     suite = std_suite()
     tag, ct = blob[:32], blob[32:]
     if not hmac.compare_digest(tag, suite.keyed_hash(key, ct)):
@@ -218,14 +210,14 @@ def _bind_info(args, recipient_pub: int) -> bytes:
 
 # -- commands ----------------------------------------------------------------------
 
-def cmd_params_gen(args, cfg: CliConfig) -> int:
-    params = generate_params(args.bits_p, args.bits_q, cfg.rng)
+def cmd_params_gen(args) -> int:
+    params = generate_params(args.bits_p, args.bits_q, args.rng)
     _write_wire(args.out, params)
     print(f"wrote {args.bits_p}/{args.bits_q}-bit parameters to {args.out}")
     return 0
 
 
-def cmd_params_validate(args, cfg: CliConfig) -> int:
+def cmd_params_validate(args) -> int:
     try:
         params = _read_params(args.params)
         if args.params in _PRESETS:  # a file was validated as it was read
@@ -237,9 +229,9 @@ def cmd_params_validate(args, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_keygen(args, cfg: CliConfig) -> int:
+def cmd_keygen(args) -> int:
     params = _read_params(args.params)
-    key = sdss.keygen(params, cfg.rng)
+    key = sdss.keygen(params, args.rng)
     Path(args.out).write_text(json.dumps({"x": key.x, "y": key.y}) + "\n")
     if args.pub_out:
         _write_wire(args.pub_out, wire_codec.PubKeyMsg(y=key.y))
@@ -247,84 +239,89 @@ def cmd_keygen(args, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_sdss_sign(args, cfg: CliConfig) -> int:
+def cmd_sdss_sign(args) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    sig = sdss.sign(m, key, params, get_suite(SUITE_ID), cfg.rng)
+    sig = sdss.sign(m, key, params, get_suite(SUITE_ID), args.rng)
     _write_wire(args.out, sig)
     return 0
 
 
-def cmd_sdss_verify(args, cfg: CliConfig) -> int:
+def cmd_verify(args) -> int:
+    """sdss verify and blind verify. The parser sets args.lib (the scheme's
+    module), args.wire (its signature class) and args.pub_dest (the dest of
+    its signer key flag)."""
     params = _read_params(args.params)
-    sig, suite_id = _read_wire(args.sig, sdss.SdssSignature)
+    sig, suite_id = _read_wire(args.sig, args.wire)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    if not sdss.verify(m, sig, _read_pub(args.pub), params, get_suite(suite_id)):
+    signer_pub = _read_pub(getattr(args, args.pub_dest))
+    if not args.lib.verify(m, sig, signer_pub, params, get_suite(suite_id)):
         raise VerifyFailure("signature rejected")
     print("signature ok")
     return 0
 
 
-def cmd_zheng_seal(args, cfg: CliConfig) -> int:
+def cmd_zheng_seal(args) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
     recipient_pub = _read_pub(args.recipient_pub)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     ct = zheng.signcrypt(m, key, recipient_pub, _bind_info(args, recipient_pub),
-                         params, get_suite(SUITE_ID), cfg.rng)
+                         params, get_suite(SUITE_ID), args.rng)
     _write_wire(args.out, ct)
     return 0
 
 
-def cmd_zheng_open(args, cfg: CliConfig) -> int:
+def cmd_open(args) -> int:
+    """zheng open and bsc open, set up by the parser as for cmd_verify."""
     params = _read_params(args.params)
     key = _read_key(args.key, params)
-    ct, suite_id = _read_wire(args.infile, zheng.SigncryptedText)
-    m = zheng.unsigncrypt(ct, key, _read_pub(args.sender_pub),
-                          _bind_info(args, key.y), params, get_suite(suite_id))
+    ct, suite_id = _read_wire(args.infile, args.wire)
+    m = args.lib.unsigncrypt(ct, key, _read_pub(getattr(args, args.pub_dest)),
+                             _bind_info(args, key.y), params, get_suite(suite_id))
     Path(args.out).write_bytes(m)
     print(f"recovered {len(m)} bytes")
     return 0
 
 
-def cmd_session_commit(args, cfg: CliConfig) -> int:
+def cmd_session_commit(args) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
-    session, commit = blind_sdss.signer_commit(key, params, cfg.rng)
-    _save_state(args.state_out, session, cfg)
+    session, commit = blind_sdss.signer_commit(key, params, args.rng)
+    _save_state(args.state_out, session, args)
     _write_wire(args.out, commit)
     return 0
 
 
-def cmd_blind_challenge(args, cfg: CliConfig) -> int:
+def cmd_blind_challenge(args) -> int:
     params = _read_params(args.params)
     commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_sdss.requester_challenge(
-        m, commit.z, _read_pub(args.signer_pub), params, get_suite(SUITE_ID), cfg.rng)
-    _save_state(args.state_out, session, cfg)
+        m, commit.z, _read_pub(args.signer_pub), params, get_suite(SUITE_ID), args.rng)
+    _save_state(args.state_out, session, args)
     _write_wire(args.out, challenge)
     return 0
 
 
-def cmd_session_respond(args, cfg: CliConfig) -> int:
+def cmd_session_respond(args) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
-    session = _load_state(args.state, cfg, blind_sdss.SignerSession, params)
+    session = _load_state(args.state, args, blind_sdss.SignerSession, params)
     challenge, _ = _read_wire(args.challenge, blind_sdss.ChallengeMsg)
     response = blind_sdss.signer_respond(session, challenge.r_bar, key)
-    _save_state(args.state, session, cfg)
+    _save_state(args.state, session, args)
     _write_wire(args.out, response)
     return 0
 
 
-def cmd_blind_finalize(args, cfg: CliConfig) -> int:
+def cmd_blind_finalize(args) -> int:
     params = _read_params(args.params)
-    session = _load_state(args.state, cfg, blind_sdss.RequesterSession, params)
+    session = _load_state(args.state, args, blind_sdss.RequesterSession, params)
     response, _ = _read_wire(args.response, blind_sdss.ResponseMsg)
     sig = blind_sdss.requester_finalize(session, response.s_bar, params)
-    _save_state(args.state, session, cfg)
+    _save_state(args.state, session, args)
     if not blind_sdss.verify(session.m, sig, session.signer_pub, params,
                              get_suite(SUITE_ID)):
         raise VerifyFailure("unblinded signature failed verification")
@@ -332,56 +329,33 @@ def cmd_blind_finalize(args, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_blind_verify(args, cfg: CliConfig) -> int:
-    params = _read_params(args.params)
-    sig, suite_id = _read_wire(args.sig, blind_sdss.BlindSignature)
-    m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    if not blind_sdss.verify(m, sig, _read_pub(args.signer_pub), params,
-                             get_suite(suite_id)):
-        raise VerifyFailure("signature rejected")
-    print("signature ok")
-    return 0
-
-
-def cmd_bsc_challenge(args, cfg: CliConfig) -> int:
+def cmd_bsc_challenge(args) -> int:
     params = _read_params(args.params)
     commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
     recipient_pub = _read_pub(args.recipient_pub)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_signcrypt.bsc_requester_challenge(
         m, commit.z, recipient_pub, _bind_info(args, recipient_pub), params,
-        get_suite(SUITE_ID), cfg.rng)
-    _save_state(args.state_out, session, cfg)
+        get_suite(SUITE_ID), args.rng)
+    _save_state(args.state_out, session, args)
     _write_wire(args.out, challenge)
     return 0
 
 
-def cmd_bsc_finalize(args, cfg: CliConfig) -> int:
+def cmd_bsc_finalize(args) -> int:
     params = _read_params(args.params)
-    session = _load_state(args.state, cfg, blind_signcrypt.BscRequesterSession, params)
+    session = _load_state(args.state, args, blind_signcrypt.BscRequesterSession, params)
     response, _ = _read_wire(args.response, blind_sdss.ResponseMsg)
     ct = blind_signcrypt.bsc_requester_finalize(session, response.s_bar, params)
-    _save_state(args.state, session, cfg)
+    _save_state(args.state, session, args)
     _write_wire(args.out, ct)
     return 0
 
 
-def cmd_bsc_open(args, cfg: CliConfig) -> int:
-    params = _read_params(args.params)
-    key = _read_key(args.key, params)
-    ct, suite_id = _read_wire(args.infile, blind_signcrypt.BlindSigncryptedText)
-    m = blind_signcrypt.unsigncrypt(ct, key, _read_pub(args.signer_pub),
-                                    _bind_info(args, key.y), params,
-                                    get_suite(suite_id))
-    Path(args.out).write_bytes(m)
-    print(f"recovered {len(m)} bytes")
-    return 0
-
-
-def cmd_bench(args, cfg: CliConfig) -> int:
+def cmd_bench(args) -> int:
     params = _read_params(args.params)
     report = harness.measure_exponentiation_counts(
-        _SCHEME_NAMES[args.scheme], params, get_suite(SUITE_ID), cfg.rng)
+        _SCHEME_NAMES[args.scheme], params, get_suite(SUITE_ID), args.rng)
     for line in report.lines():
         if args.party and line.startswith("party ") and not line.startswith(f"party {args.party}:"):
             continue
@@ -416,13 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ssub = _group(sub, "sdss", "shortened DSS signatures")
     _command(ssub, "sign", cmd_sdss_sign, "--params", "--key", "--in", "--out")
-    _command(ssub, "verify", cmd_sdss_verify, "--params", "--pub", "--in", "--sig")
+    _command(ssub, "verify", cmd_verify, "--params", "--pub", "--in", "--sig").set_defaults(
+        lib=sdss, wire=sdss.SdssSignature, pub_dest="pub")
 
     zsub = _group(sub, "zheng", "signcryption")
     _command(zsub, "seal", cmd_zheng_seal, "--params", "--key", "--recipient-pub", "--in",
              "--out", optional=("--bind-info",))
-    _command(zsub, "open", cmd_zheng_open, "--params", "--key", "--sender-pub", "--in",
-             "--out", optional=("--bind-info",))
+    _command(zsub, "open", cmd_open, "--params", "--key", "--sender-pub", "--in",
+             "--out", optional=("--bind-info",)).set_defaults(
+        lib=zheng, wire=zheng.SigncryptedText, pub_dest="sender_pub")
 
     bsub = _group(sub, "blind", "blind signature session")
     _command(bsub, "commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
@@ -431,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     _command(bsub, "respond", cmd_session_respond, "--params", "--key", "--state",
              "--challenge", "--out")
     _command(bsub, "finalize", cmd_blind_finalize, "--params", "--state", "--response", "--out")
-    _command(bsub, "verify", cmd_blind_verify, "--params", "--signer-pub", "--in", "--sig")
+    _command(bsub, "verify", cmd_verify, "--params", "--signer-pub", "--in", "--sig").set_defaults(
+        lib=blind_sdss, wire=blind_sdss.BlindSignature, pub_dest="signer_pub")
 
     csub = _group(sub, "bsc", "blind signcryption session")
     _command(csub, "commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
@@ -440,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     _command(csub, "respond", cmd_session_respond, "--params", "--key", "--state",
              "--challenge", "--out")
     _command(csub, "finalize", cmd_bsc_finalize, "--params", "--state", "--response", "--out")
-    _command(csub, "open", cmd_bsc_open, "--params", "--key", "--signer-pub", "--in", "--out",
-             optional=("--bind-info",))
+    _command(csub, "open", cmd_open, "--params", "--key", "--signer-pub", "--in", "--out",
+             optional=("--bind-info",)).set_defaults(
+        lib=blind_signcrypt, wire=blind_signcrypt.BlindSigncryptedText, pub_dest="signer_pub")
 
     bench = _command(sub, "bench", cmd_bench, help="per-party modular-exponentiation counts")
     bench.add_argument("--scheme", required=True, choices=sorted(_SCHEME_NAMES))
@@ -479,11 +457,10 @@ def main(argv=None) -> int:
     if args.seed is not None and not args.test_mode:
         print("error: --seed requires --test-mode", file=sys.stderr)
         return 2
-    rng = random.Random(args.seed) if args.test_mode else secrets.SystemRandom()
-    cfg = CliConfig(test_mode=args.test_mode, seed=args.seed, rng=rng)
+    args.rng = random.Random(args.seed) if args.test_mode else secrets.SystemRandom()
 
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (TagMismatch, VerifyFailure) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1

@@ -15,19 +15,10 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Callable
 
 from .group_math import Scalar, int_to_bytes
 
 DIGEST_LEN = 32
-
-
-def _sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
-def _hmac_sha256(key: bytes, message: bytes) -> bytes:
-    return hmac.new(key, message, hashlib.sha256).digest()
 
 
 def _keystream_xor(key: bytes, data: bytes) -> bytes:
@@ -50,13 +41,18 @@ def _keystream_xor(key: bytes, data: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
 
 
-@dataclass
 class CryptoSuite:
-    suite_id: str
-    hash: Callable[[bytes], bytes] = _sha256
-    keyed_hash: Callable[[bytes, bytes], bytes] = _hmac_sha256
-    # the XOR stream is its own inverse, so this one field also decrypts
-    cipher_encrypt: Callable[[bytes, bytes], bytes] = _keystream_xor
+    """The std-v1 suite: SHA-256, HMAC-SHA-256 and the SHA-256 keystream."""
+
+    suite_id = "std-v1"
+    # the XOR stream is its own inverse, so this one method also decrypts
+    cipher_encrypt = staticmethod(_keystream_xor)
+
+    def hash(self, data: bytes) -> bytes:
+        return hashlib.sha256(data).digest()
+
+    def keyed_hash(self, key: bytes, message: bytes) -> bytes:
+        return hmac.new(key, message, hashlib.sha256).digest()
 
 
 @dataclass(frozen=True)
@@ -104,14 +100,11 @@ class ToyCryptoSuite(CryptoSuite):
     is below q. Unpinned inputs fall back to the real primitives.
     """
 
+    suite_id = "toy-v1"
+
     def __init__(self):
         self._hash_stubs: dict[bytes, int] = {}
         self._keyed_stubs: dict[tuple[bytes, bytes], int] = {}
-        super().__init__(
-            suite_id="toy-v1",
-            hash=self._hash,
-            keyed_hash=self._keyed_hash,
-        )
 
     def stub_hash(self, preimage: bytes, value: int) -> None:
         self._hash_stubs[preimage] = value
@@ -119,15 +112,15 @@ class ToyCryptoSuite(CryptoSuite):
     def stub_keyed_hash(self, key: bytes, message: bytes, value: int) -> None:
         self._keyed_stubs[(key, message)] = value
 
-    def _hash(self, data: bytes) -> bytes:
+    def hash(self, data: bytes) -> bytes:
         if data in self._hash_stubs:
             return self._hash_stubs[data].to_bytes(DIGEST_LEN, "big")
-        return _sha256(data)
+        return super().hash(data)
 
-    def _keyed_hash(self, key: bytes, message: bytes) -> bytes:
+    def keyed_hash(self, key: bytes, message: bytes) -> bytes:
         if (key, message) in self._keyed_stubs:
             return self._keyed_stubs[(key, message)].to_bytes(DIGEST_LEN, "big")
-        return _hmac_sha256(key, message)
+        return super().keyed_hash(key, message)
 
 
 def toy_suite() -> ToyCryptoSuite:
@@ -135,7 +128,7 @@ def toy_suite() -> ToyCryptoSuite:
 
 
 def std_suite() -> CryptoSuite:
-    return CryptoSuite(suite_id="std-v1")
+    return CryptoSuite()
 
 
 def get_suite(suite_id: str) -> CryptoSuite:

@@ -260,7 +260,7 @@ def rand_scalar_nonzero(rng, q: int) -> Scalar:
 
 # -- primality -----------------------------------------------------------------
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS, rng=None) -> bool:
+def is_probable_prime(n: int, rng=None) -> bool:
     """Miller-Rabin with random bases (deterministic when rng is seeded)."""
     if n < 2:
         return False
@@ -274,7 +274,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS, rng=None) -> bo
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         if rng is None:
             a = 2 + secrets.randbelow(n - 3)
         else:

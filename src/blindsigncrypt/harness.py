@@ -121,6 +121,8 @@ def _session(ctx: HarnessContext, m: bytes, rng) -> FullTranscript:
     by `group_math.retry`'s budget, past which RngFailure is raised.
     """
     params, suite = ctx.params, ctx.suite
+    finalize = (blind_sdss.requester_finalize if ctx.scheme == "blind_sdss"
+                else blind_signcrypt.bsc_requester_finalize)
 
     def attempt() -> FullTranscript | None:
         counts: dict[str, int] = {}
@@ -137,10 +139,7 @@ def _session(ctx: HarnessContext, m: bytes, rng) -> FullTranscript:
             response = blind_sdss.signer_respond(signer_session, challenge.r_bar, ctx.signer)
         try:
             with _counted(counts, "B"):
-                if ctx.scheme == "blind_sdss":
-                    output = blind_sdss.requester_finalize(req, response.s_bar, params)
-                else:
-                    output = blind_signcrypt.bsc_requester_finalize(req, response.s_bar, params)
+                output = finalize(req, response.s_bar, params)
         except DegenerateDenominator:
             ctx.degenerate_retries += 1
             return None

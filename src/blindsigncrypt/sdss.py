@@ -1,8 +1,7 @@
 """Shortened DSS signatures: r = h(g^k mod p || m), s = k / (r + x) mod q.
 
-Verification recomputes K = (y * g^r)^s mod p as y^s * g^(r*s mod q), which
-equals g^k mod p for an honest signature, and checks that hashing K with the
-message reproduces r.
+Verification recomputes K = (y * g^r)^s mod p, which equals g^k mod p for an
+honest signature, and checks that hashing K with the message reproduces r.
 """
 
 from __future__ import annotations
@@ -79,17 +78,22 @@ def sign(m: bytes, key: KeyPair, params: GroupParams, suite: CryptoSuite,
         RngFailure("signing kept hitting degenerate r; suspect rng or hash stub"))
 
 
-def recover_commitment(sig: SdssSignature, signer_pub: GroupElement,
-                       params: GroupParams) -> GroupElement:
-    """K = (y * g^r)^s mod p; equals g^k mod p for an honest signature.
-    Blind SDSS recovers and verifies through here with y * T as the key.
+def key_power(y: GroupElement, r: Scalar, e: Scalar, params: GroupParams) -> GroupElement:
+    """(y * g^r)^e mod p, the power every verifier and recipient takes.
 
-    Computed as y^s * g^(r*s mod q), still two powers, so that the key is a
+    Computed as y^e * g^(r*e mod q), still two powers, so that the key y is a
     base of its own and a hot key gets a table in `modexp`. The split is
     exact for any y in Z_p* when g has order q, which `validate_params` and
     the named sets guarantee."""
-    p, q = params.p, params.q
-    return modexp(signer_pub, sig.s, p) * modexp(params.g, sig.r * sig.s % q, p) % p
+    p = params.p
+    return modexp(y, e, p) * modexp(params.g, r * e % params.q, p) % p
+
+
+def recover_commitment(sig: SdssSignature, signer_pub: GroupElement,
+                       params: GroupParams) -> GroupElement:
+    """K = (y * g^r)^s mod p; equals g^k mod p for an honest signature.
+    Blind SDSS recovers and verifies through here with y * T as the key."""
+    return key_power(signer_pub, sig.r, sig.s, params)
 
 
 def verified_commitment(m: bytes, sig: SdssSignature, signer_pub: GroupElement,

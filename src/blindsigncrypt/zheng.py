@@ -20,7 +20,7 @@ from .group_math import (
     rand_scalar_nonzero,
     retry,
 )
-from .sdss import KeyPair, s_from_nonce
+from .sdss import KeyPair, key_power, s_from_nonce
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,8 @@ def signcrypt(m: bytes, sender: KeyPair, recipient_pub: GroupElement,
 def shared_element(ct, recipient: KeyPair, signer_part: GroupElement,
                    params: GroupParams) -> GroupElement:
     """(signer_part * g^r)^(s * x_B) mod p for a text carrying r and s;
-    signer_part is y_A here and y_A * T in blind signcryption.
-
-    Computed as signer_part^e * g^(r*e mod q) with e = s * x_B mod q, still
-    two powers, so that y_A is a base of its own and a hot signer key gets a
-    table in `modexp`. The split is exact for any signer_part in Z_p* when g
-    has order q, which `validate_params` and the named sets guarantee."""
-    p, q = params.p, params.q
-    e = ct.s * recipient.x % q
-    return modexp(signer_part, e, p) * modexp(params.g, ct.r * e % q, p) % p
+    signer_part is y_A here and y_A * T in blind signcryption."""
+    return key_power(signer_part, ct.r, ct.s * recipient.x % params.q, params)
 
 
 def open_sealed(ct, recipient: KeyPair, signer_part: GroupElement, bind_info: bytes,
