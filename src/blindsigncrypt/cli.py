@@ -86,6 +86,15 @@ def _read_input(path: str, limit: int = _MAX_FILE_BYTES) -> bytes:
     return data
 
 
+def _parse_json(data: bytes, path: str):
+    """json.loads, refusing JSON nested deeper than the parser's recursion
+    limit with a UsageFailure naming path instead of a RecursionError."""
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise UsageFailure(f"{path} nests its JSON too deeply") from None
+
+
 def _read_params(value: str) -> GroupParams:
     """A preset, or a parameter file that passes validate_params (its named
     errors exit 2)."""
@@ -97,7 +106,7 @@ def _read_params(value: str) -> GroupParams:
 
 def _read_key(path: str, params: GroupParams) -> sdss.KeyPair:
     """Load a key file, accepting only integers with 1 <= x < q and y = g^x mod p."""
-    data = json.loads(_read_input(path))
+    data = _parse_json(_read_input(path), path)
     x, y = (data.get("x"), data.get("y")) if isinstance(data, dict) else (None, None)
     if type(x) is not int or type(y) is not int:  # type(), so that JSON true is refused
         raise UsageFailure(f"{path} is not a key file: x and y must be integers")
@@ -108,8 +117,13 @@ def _read_key(path: str, params: GroupParams) -> sdss.KeyPair:
     return sdss.KeyPair(x=x, y=y)
 
 
-def _read_pub(path: str) -> int:
-    return _read_wire(path, wire_codec.PubKeyMsg)[0].y
+def _read_pub(path: str, params: GroupParams) -> int:
+    """A public key y with 1 < y < p. A key of 0 or 1 mod p lets anyone forge
+    signatures under it; a key outside the order-q subgroup still passes."""
+    y = _read_wire(path, wire_codec.PubKeyMsg)[0].y
+    if not 1 < y < params.p:
+        raise UsageFailure(f"{path}: public y is outside [2, p-1]")
+    return y
 
 
 def _read_wire(path: str, expect: type):
@@ -191,7 +205,7 @@ def _load_state(path: str, args, session_cls: type, params: GroupParams):
     tag, ct = blob[:32], blob[32:]
     if not hmac.compare_digest(tag, suite.keyed_hash(key, ct)):
         raise UsageFailure(f"cannot open {path}: wrong seed or corrupted state")
-    state = json.loads(suite.cipher_encrypt(key, ct))
+    state = _parse_json(suite.cipher_encrypt(key, ct), path)
     held = state.get("session") if isinstance(state, dict) else None
     if held != session_cls.__name__:
         raise UsageFailure(f"{path} holds {held or 'an unrecognised state format'}, "
@@ -255,7 +269,7 @@ def cmd_verify(args) -> int:
     params = _read_params(args.params)
     sig, suite_id = _read_wire(args.sig, args.wire)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    signer_pub = _read_pub(getattr(args, args.pub_dest))
+    signer_pub = _read_pub(getattr(args, args.pub_dest), params)
     if not args.lib.verify(m, sig, signer_pub, params, get_suite(suite_id)):
         raise VerifyFailure("signature rejected")
     print("signature ok")
@@ -265,7 +279,7 @@ def cmd_verify(args) -> int:
 def cmd_zheng_seal(args) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
-    recipient_pub = _read_pub(args.recipient_pub)
+    recipient_pub = _read_pub(args.recipient_pub, params)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     ct = zheng.signcrypt(m, key, recipient_pub, _bind_info(args, recipient_pub),
                          params, get_suite(SUITE_ID), args.rng)
@@ -278,7 +292,7 @@ def cmd_open(args) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
     ct, suite_id = _read_wire(args.infile, args.wire)
-    m = args.lib.unsigncrypt(ct, key, _read_pub(getattr(args, args.pub_dest)),
+    m = args.lib.unsigncrypt(ct, key, _read_pub(getattr(args, args.pub_dest), params),
                              _bind_info(args, key.y), params, get_suite(suite_id))
     Path(args.out).write_bytes(m)
     print(f"recovered {len(m)} bytes")
@@ -299,7 +313,7 @@ def cmd_blind_challenge(args) -> int:
     commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_sdss.requester_challenge(
-        m, commit.z, _read_pub(args.signer_pub), params, get_suite(SUITE_ID), args.rng)
+        m, commit.z, _read_pub(args.signer_pub, params), params, get_suite(SUITE_ID), args.rng)
     _save_state(args.state_out, session, args)
     _write_wire(args.out, challenge)
     return 0
@@ -332,7 +346,7 @@ def cmd_blind_finalize(args) -> int:
 def cmd_bsc_challenge(args) -> int:
     params = _read_params(args.params)
     commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
-    recipient_pub = _read_pub(args.recipient_pub)
+    recipient_pub = _read_pub(args.recipient_pub, params)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_signcrypt.bsc_requester_challenge(
         m, commit.z, recipient_pub, _bind_info(args, recipient_pub), params,

@@ -1,9 +1,9 @@
-"""Pluggable primitive suite: hash, keyed hash, symmetric cipher, key split.
+"""The primitives the schemes use: hash, keyed hash, stream cipher, key split.
 
-Two fixed suites exist. "std-v1" is SHA-256 / HMAC-SHA-256 / an XOR stream
-cipher whose keystream is SHA-256(k1 || counter). "toy-v1" uses the same
-primitives but lets tests pin individual hash outputs so small-prime worked
-vectors come out exactly.
+Two fixed suites exist, each a class. "std-v1" (`CryptoSuite`) is SHA-256 /
+HMAC-SHA-256 / an XOR stream cipher whose keystream is SHA-256(k1 || counter).
+"toy-v1" (`ToyCryptoSuite`) uses the same primitives but lets tests pin
+individual hash outputs so small-prime worked vectors come out exactly.
 
 Canonical preimage layouts (normative; also documented with the wire format):
   * signature hashes take  int_to_bytes(group_element) || message

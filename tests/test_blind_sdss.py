@@ -28,7 +28,7 @@ from blindsigncrypt.errors import (
     InvalidState,
 )
 from blindsigncrypt.group_math import GroupParams, count_exponentiations, int_to_bytes, modexp
-from blindsigncrypt.sdss import KeyPair, keygen
+from blindsigncrypt.sdss import KeyPair, keygen, sign
 
 MSG = b"unlinkable payment order"
 ALICE = KeyPair(x=3, y=8)
@@ -356,3 +356,20 @@ class TestVerifyRejection:
         assert not verify(m, BlindSignature(r=sig.r + desk.q, s=sig.s, T=sig.T), key.y, desk, suite)
         assert not verify(m, BlindSignature(r=sig.r, s=sig.s, T=sig.T + desk.p), key.y, desk, suite)
         assert not verify(m, BlindSignature(r=sig.r, s=0, T=sig.T), key.y, desk, suite)
+
+
+class TestChosenTagForgery:
+    """Anyone can pick t, set T = y_A^-1 * g^t mod p and sign with secret t:
+    verification uses the key y_A * T = g^t, so the signature verifies under
+    y_A with no signer involved. T lies in the order-q subgroup, so a subgroup
+    check does not stop this; the scheme has to bind T to a signer session."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="T is not bound to a signer session")
+    def test_chosen_T_forgery_rejected(self, desk, suite):
+        rng = random.Random(11)
+        signer = keygen(desk, rng)
+        forger = keygen(desk, rng)  # t = forger.x, g^t = forger.y
+        T = pow(signer.y, -1, desk.p) * forger.y % desk.p
+        sig = sign(MSG, forger, desk, suite, rng)
+        assert not verify(MSG, BlindSignature(r=sig.r, s=sig.s, T=T), signer.y, desk, suite)

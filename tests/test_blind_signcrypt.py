@@ -22,6 +22,7 @@ from blindsigncrypt.errors import (
 )
 from blindsigncrypt.group_math import modexp
 from blindsigncrypt.sdss import KeyPair, keygen
+from blindsigncrypt.zheng import signcrypt
 
 MSG = b"settle anonymously"
 BIND = b"to-carol"
@@ -221,3 +222,22 @@ class TestRejection:
         ):
             with pytest.raises(TagMismatch):
                 unsigncrypt(bad, recipient, signer.y, BIND, desk, suite)
+
+
+class TestChosenTagForgery:
+    """The blind SDSS chosen-T forgery carried over: with T = y_A^-1 * g^t mod p,
+    a Zheng text sealed to C under secret t opens under y_A, because the
+    recipient's key is y_A * T = g^t."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="T is not bound to a signer session")
+    def test_chosen_T_forgery_rejected(self, desk, suite, rng):
+        signer, recipient, forger = keygen(desk, rng), keygen(desk, rng), keygen(desk, rng)
+        T = pow(signer.y, -1, desk.p) * forger.y % desk.p
+        ct = signcrypt(MSG, forger, recipient.y, BIND, desk, suite, rng)
+        forged = BlindSigncryptedText(c=ct.c, r=ct.r, s=ct.s, T=T)
+        try:
+            opened = unsigncrypt(forged, recipient, signer.y, BIND, desk, suite)
+        except TagMismatch:
+            opened = None
+        assert opened is None, f"a text sealed under a chosen T opened as {opened!r}"

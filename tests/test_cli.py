@@ -6,11 +6,17 @@ import sys
 
 import pytest
 
-from blindsigncrypt import cli
+from blindsigncrypt import cli, sdss
+from blindsigncrypt.blind_sdss import BlindSignature
+from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
 from blindsigncrypt.cli import _state_key, build_parser, main
 from blindsigncrypt.crypto_suite import std_suite
-from blindsigncrypt.group_math import GroupParams
-from blindsigncrypt.wire_codec import armor, dearmor, encode
+from blindsigncrypt.group_math import GroupParams, desk512
+from blindsigncrypt.wire_codec import PubKeyMsg, armor, dearmor, encode
+from blindsigncrypt.zheng import SigncryptedText
+
+# JSON nested deeper than the json module's recursion limit (400 KB)
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
 
 
 def run(*argv):
@@ -126,6 +132,16 @@ class TestBlindSession:
         assert run("blind", "verify", "--params", setup["params"],
                    "--signer-pub", setup["pub_a"], "--in", msg,
                    "--sig", d / "final.sig") == 0
+
+    def test_changed_message_exits_1(self, setup, capsys):
+        self.test_five_step_flow(setup)
+        d = setup["dir"]
+        (d / "blind.msg").write_bytes(b"blindly signeD")
+        capsys.readouterr()
+        assert run("blind", "verify", "--params", setup["params"],
+                   "--signer-pub", setup["pub_a"], "--in", d / "blind.msg",
+                   "--sig", d / "final.sig") == 1
+        assert "rejected: signature rejected" in capsys.readouterr().err
 
     def test_state_requires_test_mode(self, setup):
         d = setup["dir"]
@@ -295,6 +311,14 @@ class TestKeyFiles:
         assert reason in capsys.readouterr().err
         assert not (setup["dir"] / "m.sig").exists()
 
+    def test_deeply_nested_key_is_usage_error(self, setup, capsys):
+        key, msg = setup["dir"] / "deep.key", setup["dir"] / "m"
+        key.write_bytes(DEEP_JSON)
+        msg.write_bytes(b"x")
+        assert run("--test-mode", "--seed", 4, "sdss", "sign", "--params", setup["params"],
+                   "--key", key, "--in", msg, "--out", setup["dir"] / "m.sig") == 2
+        assert f"{key} nests its JSON too deeply" in capsys.readouterr().err
+
     def test_public_half_must_match(self, setup, capsys):
         key = json.loads(setup["key_a"].read_text())
         bad = setup["dir"] / "bad.key"
@@ -418,6 +442,16 @@ class TestMalformedStateFields:
         assert named in capsys.readouterr().err
         assert not (d / "out.wire").exists()
 
+    def test_deeply_nested_state_refused(self, setup, capsys):
+        d = TestStateFiles().commit_and_challenge(setup)
+        key, suite = _state_key(21), std_suite()
+        ct = suite.cipher_encrypt(key, DEEP_JSON)
+        (d / "a.state").write_text(armor(suite.keyed_hash(key, ct) + ct))
+        capsys.readouterr()
+        assert self.respond(setup, d) == 2
+        assert f"{d / 'a.state'} nests its JSON too deeply" in capsys.readouterr().err
+        assert not (d / "c3.wire").exists()
+
     def test_rewrite_with_the_same_value_still_loads(self, setup):
         d = TestStateFiles().commit_and_challenge(setup)
         state = json.loads(std_suite().cipher_encrypt(
@@ -531,6 +565,87 @@ class TestErrorPaths:
         bad = tmp_path / "bad.params"
         bad.write_text(armor(encode(GroupParams(p=24, q=11, g=2), "std-v1")))
         assert run("params", "validate", "--params", bad) == 1
+
+
+OUT_OF_RANGE = pytest.mark.parametrize("y", [0, 1, desk512().p, desk512().p + 1],
+                                       ids=["0", "1", "p", "p+1"])
+
+
+class TestPubKeyRange:
+    """A public key file must hold 1 < y < p: a key of 0 or 1 mod p lets
+    anyone forge signatures under it."""
+
+    def write(self, path, obj):
+        path.write_text(armor(encode(obj, "std-v1")))
+        return path
+
+    def verify(self, d, m: bytes, sig, y: int):
+        (d / "m").write_bytes(m)
+        return run("sdss", "verify", "--params", "desk512",
+                   "--pub", self.write(d / "y.pub", PubKeyMsg(y=y)),
+                   "--in", d / "m", "--sig", self.write(d / "m.sig", sig))
+
+    def test_keyless_forgery_with_pub_y_1(self, tmp_path, capsys, suite):
+        # y = 1 is the public key of x = 0: signing with x = 0 needs no key,
+        # and (1 * g^r)^s = g^k
+        params, m = desk512(), b"signed by nobody"
+        sig = sdss.sign(m, sdss.KeyPair(x=0, y=1), params, suite, random.Random(1))
+        assert sdss.verify(m, sig, 1, params, suite)
+        assert self.verify(tmp_path, m, sig, 1) == 2
+        assert "outside [2, p-1]" in capsys.readouterr().err
+
+    def test_any_s_forgery_with_pub_y_0(self, tmp_path, capsys, suite):
+        # y = 0 makes K = 0, so r = h(0 || m) verifies with any s
+        params, m = desk512(), b"signed by nobody"
+        sig = sdss.SdssSignature(r=sdss.commitment_hash(0, m, params, suite), s=12345)
+        assert sdss.verify(m, sig, 0, params, suite)
+        assert self.verify(tmp_path, m, sig, 0) == 2
+        assert "outside [2, p-1]" in capsys.readouterr().err
+
+    @OUT_OF_RANGE
+    def test_sdss_verify_refuses(self, tmp_path, capsys, y):
+        assert self.verify(tmp_path, b"x", sdss.SdssSignature(r=1, s=1), y) == 2
+        assert f"{tmp_path / 'y.pub'}: public y is outside [2, p-1]" in capsys.readouterr().err
+
+    @OUT_OF_RANGE
+    def test_zheng_seal_refuses(self, tmp_path, capsys, y):
+        key, msg, out = tmp_path / "a.key", tmp_path / "m", tmp_path / "m.ct"
+        assert run("--test-mode", "--seed", 2, "keygen", "--params", "desk512",
+                   "--out", key) == 0
+        msg.write_bytes(b"x")
+        assert run("--test-mode", "--seed", 3, "zheng", "seal", "--params", "desk512",
+                   "--key", key, "--recipient-pub", self.write(tmp_path / "y.pub", PubKeyMsg(y=y)),
+                   "--in", msg, "--out", out) == 2
+        assert f"{tmp_path / 'y.pub'}: public y is outside [2, p-1]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestWrongScheme:
+    """sdss and blind verify share one body, as do zheng and bsc open; each
+    still refuses the other scheme's file, naming the class it expected."""
+
+    @pytest.mark.parametrize("command, pub_flag, held, expected", [
+        (("sdss", "verify"), "--pub", BlindSignature(r=1, s=1, T=2), "SdssSignature"),
+        (("blind", "verify"), "--signer-pub", sdss.SdssSignature(r=1, s=1), "BlindSignature"),
+        (("zheng", "open"), "--sender-pub",
+         BlindSigncryptedText(c=b"x", r=1, s=1, T=2), "SigncryptedText"),
+        (("bsc", "open"), "--signer-pub",
+         SigncryptedText(c=b"x", r=1, s=1), "BlindSigncryptedText"),
+    ])
+    def test_other_schemes_file_is_usage_error(self, setup, capsys, command, pub_flag,
+                                               held, expected):
+        d = setup["dir"]
+        wrong = d / "wrong.wire"
+        wrong.write_text(armor(encode(held, "std-v1")))
+        (d / "m").write_bytes(b"x")
+        if command[1] == "verify":
+            rest = ("--in", d / "m", "--sig", wrong)
+        else:
+            rest = ("--key", setup["key_c"], "--in", wrong, "--out", d / "out")
+        assert run(*command, "--params", setup["params"], pub_flag, setup["pub_a"], *rest) == 2
+        err = capsys.readouterr().err
+        assert f"holds {type(held).__name__}, expected {expected}" in err
+        assert not (d / "out").exists()
 
 
 class TestParserCache:
