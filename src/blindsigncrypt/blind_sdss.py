@@ -25,7 +25,6 @@ O(n) powers, not O(n^2).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,16 +53,6 @@ from .sdss import (
     recover_commitment as sdss_recover_commitment,
     verified_commitment as sdss_verified_commitment,
 )
-
-
-class SignerState(enum.Enum):
-    COMMITTED = "committed"
-    RESPONDED = "responded"
-
-
-class RequesterState(enum.Enum):
-    CHALLENGED = "challenged"
-    DONE = "done"
 
 
 # protocol messages (serialized by wire_codec)
@@ -101,24 +90,23 @@ class View:
 
 @dataclass
 class SignerSession:
+    """What the signer keeps from commit to respond; spent once it responded."""
     params: GroupParams
     k_tilde: Scalar
-    z: GroupElement
-    state: SignerState
+    spent: bool
 
 
 @dataclass
 class BlindingSession:
-    """The requester state both blind schemes keep between challenge and finalize."""
+    """The requester state both blind schemes keep between challenge and
+    finalize; spent once it was unblinded."""
     params: GroupParams
-    z: GroupElement
     u: Scalar
     alpha: Scalar
     beta: Scalar
     r: Scalar
-    r_bar: Scalar
     T: GroupElement
-    state: RequesterState
+    spent: bool
 
 
 @dataclass
@@ -142,18 +130,16 @@ def signer_commit(key: KeyPair, params: GroupParams, rng) -> tuple[SignerSession
 
     k_tilde, z = retry(draw_commitment,
                        RngFailure("could not draw a commitment with gcd(z, q) = 1"))
-    session = SignerSession(params=params, k_tilde=k_tilde, z=z,
-                            state=SignerState.COMMITTED)
-    return session, CommitMsg(z=z)
+    return SignerSession(params=params, k_tilde=k_tilde, spent=False), CommitMsg(z=z)
 
 
 def blind_challenge(session_cls: type, z: GroupElement, derive_r,
-                    params: GroupParams, rng, **fields):
+                    params: GroupParams, rng):
     """The requester core both blind schemes share: validate z, draw u until
     derive_r(u) gives r != 0, beta until r_bar = r + beta != 0, then alpha,
     and form T = z^r_bar * g^alpha mod p. The draw order is fixed so seeded
-    runs are reproducible. derive_r(u) returns r and the session fields it
-    derived; `fields` holds the rest."""
+    runs are reproducible. derive_r(u) returns r and every field of
+    session_cls that the scheme adds."""
     p, q = params.p, params.q
     if not 0 < z < p:
         raise BadCommit(f"commitment z = {z} is outside [1, p-1]")
@@ -175,9 +161,8 @@ def blind_challenge(session_cls: type, z: GroupElement, derive_r,
     alpha = rand_scalar(rng, q)
     T = modexp(z, r_bar, p) * modexp(params.g, alpha, p) % p
 
-    session = session_cls(params=params, z=z, u=u, alpha=alpha, beta=beta, r=r,
-                          r_bar=r_bar, T=T, state=RequesterState.CHALLENGED,
-                          **fields, **derived)
+    session = session_cls(params=params, u=u, alpha=alpha, beta=beta, r=r, T=T,
+                          spent=False, **derived)
     return session, ChallengeMsg(r_bar=r_bar)
 
 
@@ -186,20 +171,20 @@ def requester_challenge(m: bytes, z: GroupElement, signer_pub: GroupElement,
                         rng) -> tuple[RequesterSession, ChallengeMsg]:
     """Blind the message hash r = h(g^u mod p || m) and send the challenge r_bar."""
     def derive_r(u):
-        return commitment_hash(modexp(params.g, u, params.p), m, params, suite), {}
+        r = commitment_hash(modexp(params.g, u, params.p), m, params, suite)
+        return r, {"m": m, "signer_pub": signer_pub}
 
-    return blind_challenge(RequesterSession, z, derive_r, params, rng,
-                           m=m, signer_pub=signer_pub)
+    return blind_challenge(RequesterSession, z, derive_r, params, rng)
 
 
 def signer_respond(session: SignerSession, r_bar: Scalar, key: KeyPair) -> ResponseMsg:
     """s_bar = x + r_bar * k_tilde mod q. Consumes the session."""
-    if session.state is not SignerState.COMMITTED:
-        raise InvalidState(f"cannot respond in state {session.state.value}")
+    if session.spent:
+        raise InvalidState("cannot respond: the signer session has already responded")
     if r_bar % session.params.q == 0:
         raise BadChallenge("challenge r_bar is 0 mod q")
     s_bar = (key.x + r_bar * session.k_tilde) % session.params.q
-    session.state = SignerState.RESPONDED
+    session.spent = True
     return ResponseMsg(s_bar=s_bar)
 
 
@@ -210,9 +195,9 @@ def unblind(session: BlindingSession, s_bar: Scalar, q: int) -> Scalar:
     A zero denominator r + s_bar + alpha aborts the whole session: alpha is
     already baked into T, so redrawing it here would desynchronize the pair.
     """
-    if session.state is not RequesterState.CHALLENGED:
-        raise InvalidState(f"cannot finalize in state {session.state.value}")
-    session.state = RequesterState.DONE
+    if session.spent:
+        raise InvalidState("cannot finalize: the requester session is already unblinded")
+    session.spent = True
     s = s_from_nonce(session.u, session.r, s_bar + session.alpha, q)
     if s is None:
         raise DegenerateDenominator("r + s_bar + alpha = 0 mod q; restart the session")

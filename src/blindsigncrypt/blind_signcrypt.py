@@ -30,7 +30,7 @@ from .blind_sdss import (
     signer_respond as bsc_signer_respond,
     unblind,
 )
-from .crypto_suite import CryptoSuite, SplitKeys, derive_keys, keyed_hash_to_scalar
+from .crypto_suite import CryptoSuite, derive_keys, keyed_hash_to_scalar
 from .errors import TagMismatch
 from .group_math import GroupElement, GroupParams, Scalar, modexp
 from .sdss import KeyPair
@@ -57,8 +57,6 @@ class BlindSigncryptedText:
 
 @dataclass
 class BscRequesterSession(BlindingSession):
-    bind_info: bytes
-    keys: SplitKeys
     c: bytes
 
 
@@ -75,10 +73,9 @@ def bsc_requester_challenge(m: bytes, z: GroupElement,
     def derive_r(u):
         keys = derive_keys(modexp(recipient_pub, u, params.p), suite)
         r = keyed_hash_to_scalar(keys.k2, m, bind_info, params.q, suite)
-        return r, {"keys": keys, "c": suite.cipher_encrypt(keys.k1, m)}
+        return r, {"c": suite.cipher_encrypt(keys.k1, m)}
 
-    return blind_challenge(BscRequesterSession, z, derive_r, params, rng,
-                           bind_info=bind_info)
+    return blind_challenge(BscRequesterSession, z, derive_r, params, rng)
 
 
 def bsc_requester_finalize(session: BscRequesterSession, s_bar: Scalar,

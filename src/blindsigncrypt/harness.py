@@ -295,17 +295,15 @@ def _flip_bit_bytes(value: bytes, rng) -> bytes:
 TAMPER_FIELDS = ("c", "r", "s", "T")
 
 
-def tamper_suite(transcript: FullTranscript, trials: int, rng,
-                 fields: Sequence[str] = TAMPER_FIELDS) -> TamperReport:
+def tamper_suite(transcript: FullTranscript, trials: int, rng) -> TamperReport:
     """Flip random single bits of (c, r, s, T) and count unsigncrypt rejections.
 
-    Every flip must be rejected with TagMismatch; acceptance of any tampered
-    text is a failure. The untampered control is unsigncrypted first; a
-    control that is rejected or opens to another message reads
-    control_ok=False, and the flips run as usual.
-    `trials` and `fields` are checked before any draw: a negative count, an
-    unknown name, or no field that can be flipped (c is skipped when empty)
-    raises ValueError. Zero trials runs the control alone.
+    Each flip picks one field uniformly; c is skipped when the ciphertext is
+    empty. Every flip must be rejected with TagMismatch; acceptance of any
+    tampered text is a failure. The untampered control is unsigncrypted
+    first; a control that is rejected or opens to another message reads
+    control_ok=False, and the flips run as usual. A negative `trials` raises
+    ValueError before any draw; zero trials runs the control alone.
     """
     ctx = transcript.context
     if ctx.scheme != "blind_signcrypt":
@@ -313,14 +311,7 @@ def tamper_suite(transcript: FullTranscript, trials: int, rng,
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     ct = transcript.output
-    for name in fields:
-        if name not in TAMPER_FIELDS:
-            raise ValueError(f"unknown tamper field {name!r}; "
-                             f"choose from {', '.join(TAMPER_FIELDS)}")
-    eligible = [f for f in fields if f != "c" or len(ct.c) > 0]
-    if not eligible:
-        raise ValueError(f"no field can be flipped among {tuple(fields)!r}; "
-                         "c is skipped when the ciphertext is empty")
+    eligible = [f for f in TAMPER_FIELDS if f != "c" or ct.c]
 
     def open_text(candidate: BlindSigncryptedText) -> bytes:
         return blind_signcrypt.unsigncrypt(candidate, ctx.recipient, ctx.signer.y,
@@ -348,14 +339,11 @@ def tamper_suite(transcript: FullTranscript, trials: int, rng,
 
 # -- efficiency instrumentation ---------------------------------------------------
 
-MULTI_EXP_STRATEGY = "naive: every power counted separately (no multi-exponentiation)"
-
-
 @dataclass
 class BenchReport:
     scheme: str
     counts: dict[str, int]
-    strategy: str = MULTI_EXP_STRATEGY
+    strategy = "naive: every power counted separately (no multi-exponentiation)"
 
     def lines(self) -> list[str]:
         out = [f"scheme: {self.scheme}",
@@ -365,8 +353,7 @@ class BenchReport:
 
 
 def measure_exponentiation_counts(scheme: str, params: GroupParams,
-                                  suite: CryptoSuite, rng,
-                                  bind_info: bytes = DEFAULT_BIND_INFO) -> BenchReport:
+                                  suite: CryptoSuite, rng) -> BenchReport:
     """Count group exponentiations per party over one honest session.
 
     Expected with the naive strategy, for blind signcryption:
@@ -375,7 +362,7 @@ def measure_exponentiation_counts(scheme: str, params: GroupParams,
     For blind_sdss the verifier replaces C and also costs 2.
     """
     transcript = run_honest_sessions(1, scheme, params, suite, rng,
-                                     messages=[b"bench message"], bind_info=bind_info)[0]
+                                     messages=[b"bench message"])[0]
     counts = dict(transcript.modexp_counts)
     with _counted(counts, "verify" if scheme == "blind_sdss" else "C"):
         _open(transcript)

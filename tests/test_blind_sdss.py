@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from helpers import ScriptRng, three_power_outcome, three_power_t_check
 from blindsigncrypt.blind_sdss import (
     BlindSignature,
-    RequesterState,
-    SignerState,
     View,
     pairing_grid,
     recover_blinding_factors,
@@ -59,7 +57,7 @@ class TestWorkedVectors:
         session, commit = signer_commit(ALICE, toy, ScriptRng([5]))
         assert commit.z == 9
         assert session.k_tilde == 5
-        assert session.state is SignerState.COMMITTED
+        assert session.spent is False
 
     def test_challenge(self, toy, stub_suite):
         # u=4, r=7, beta=2, alpha=6: r_bar = 9, T = 9^9 * 2^6 = 13 mod 23
@@ -88,7 +86,8 @@ class TestWorkedVectors:
 
     def test_recover_blinding_factors(self, toy, stub_suite):
         signer_session, requester, sig, _ = run_toy_session(toy, stub_suite)
-        view = View(z=signer_session.z, r_bar=requester.r_bar, s_bar=4,
+        view = View(z=modexp(toy.g, signer_session.k_tilde, toy.p),
+                    r_bar=(requester.r + requester.beta) % toy.q, s_bar=4,
                     k_tilde=signer_session.k_tilde)
         alpha, beta = recover_blinding_factors(view, sig, requester.u, toy)
         assert (alpha, beta) == (6, 2)
@@ -144,7 +143,7 @@ class TestGuards:
 
     def test_finalize_reuse_rejected(self, toy, stub_suite):
         _, requester, _, _ = run_toy_session(toy, stub_suite)
-        assert requester.state is RequesterState.DONE
+        assert requester.spent is True
         with pytest.raises(InvalidState):
             requester_finalize(requester, 4, toy)
 
@@ -205,7 +204,8 @@ class TestBlindness:
         for _ in range(n):
             signer_session, requester, response, sig = complete_session(
                 key, rng.randbytes(24), params, suite, rng)
-            view = View(z=signer_session.z, r_bar=requester.r_bar,
+            view = View(z=modexp(params.g, signer_session.k_tilde, params.p),
+                        r_bar=(requester.r + requester.beta) % params.q,
                         s_bar=response.s_bar, k_tilde=signer_session.k_tilde)
             out.append((view, requester, sig))
         return out

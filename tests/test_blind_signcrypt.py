@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import ScriptRng, flip_bit
-from blindsigncrypt.blind_sdss import BlindSignature, RequesterState, recover_commitment
+from blindsigncrypt.blind_sdss import BlindSignature, recover_commitment
 from blindsigncrypt.blind_signcrypt import (
     BlindSigncryptedText,
     bsc_requester_challenge,
@@ -69,7 +69,7 @@ class TestWorkedPipeline:
         _, requester, response, ct = run_toy_pipeline(toy, suite)
         assert response.s_bar == 4
         assert (ct.r, ct.s, ct.T) == (7, 8, 13)
-        assert ct.c == suite.cipher_encrypt(requester.keys.k1, MSG)
+        assert ct.c == suite.cipher_encrypt(derive_keys(modexp(CAROL.y, requester.u, toy.p), suite).k1, MSG)
 
     def test_unsigncrypt_accepts(self, toy, stub_suite):
         # base = 8 * 13 * 2^7 = 18 mod 23; 18^(8*4 mod 11) = 18^10 = 9 = shared
@@ -93,7 +93,7 @@ class TestGuards:
     def test_finalize_one_shot(self, toy, stub_suite):
         suite = pin_keyed_hash(stub_suite)
         _, requester, response, _ = run_toy_pipeline(toy, suite)
-        assert requester.state is RequesterState.DONE
+        assert requester.spent is True
         with pytest.raises(InvalidState):
             bsc_requester_finalize(requester, response.s_bar, toy)
 

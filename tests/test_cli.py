@@ -411,10 +411,11 @@ class TestMalformedStateFields:
         (("fields",), None, "state field fields must be an object"),
         (("fields", "k_tilde"), "abc", "fields.k_tilde must be an integer"),  # was OverflowError
         (("fields", "k_tilde"), True, "fields.k_tilde must be an integer"),
-        (("fields", "z"), 1.5, "fields.z must be an integer"),
+        # what a state file written before sessions held a spent flag hits
+        (("fields", "spent"), MISSING, "fields lacks spent"),
         (("fields", "params", "q"), "11", "fields.params.q must be an integer"),
-        (("fields", "state"), "signed", "fields.state must be one of"),
-        (("fields", "state"), [], "fields.state must be one of"),
+        (("fields", "spent"), "false", "fields.spent must be true or false"),
+        (("fields", "spent"), 0, "fields.spent must be true or false"),
         (("fields", "k_tilde"), MISSING, "fields lacks k_tilde"),
     ])
     def test_signer_state_refused(self, setup, capsys, where, value, named):
@@ -430,8 +431,7 @@ class TestMalformedStateFields:
     @pytest.mark.parametrize("where, value, named", [
         (("fields", "c"), "zz", "fields.c must be a hex string"),
         (("fields", "c"), 12, "fields.c must be a hex string"),
-        (("fields", "keys", "k1"), None, "fields.keys.k1 must be a hex string"),
-        (("fields", "keys"), "00", "fields.keys must be an object"),
+        (("fields", "params"), "00", "fields.params must be an object"),
     ])
     def test_requester_state_refused(self, setup, capsys, where, value, named):
         d = TestStateFiles().commit_and_challenge(setup)
