@@ -85,13 +85,24 @@ def _read_input(path: str, limit: int = _MAX_FILE_BYTES) -> bytes:
     return data
 
 
-def _parse_json(data: bytes, path: str):
-    """json.loads, refusing JSON nested deeper than the parser's recursion
-    limit with a UsageFailure naming path instead of a RecursionError."""
+def _parse_json(data: bytes, path: str, kind: str):
+    """json.loads, refusing input that is not JSON, or JSON nested deeper than
+    the parser's recursion limit, with a UsageFailure naming path."""
     try:
         return json.loads(data)
     except RecursionError:
         raise UsageFailure(f"{path} nests its JSON too deeply") from None
+    except ValueError as exc:
+        raise UsageFailure(f"{path} is not a {kind} file: {exc}") from None
+
+
+def _read_armor(path: str) -> bytes:
+    """The bytes inside an armored file; a file that is not text exits 2 naming path."""
+    try:
+        text = _read_input(path).decode()
+    except UnicodeDecodeError:
+        raise UsageFailure(f"{path} is not an armored file: it is not UTF-8 text") from None
+    return wire_codec.dearmor(text)
 
 
 def _read_params(value: str) -> GroupParams:
@@ -105,7 +116,7 @@ def _read_params(value: str) -> GroupParams:
 
 def _read_key(path: str, params: GroupParams) -> sdss.KeyPair:
     """Load a key file, accepting only integers with 1 <= x < q and y = g^x mod p."""
-    data = _parse_json(_read_input(path), path)
+    data = _parse_json(_read_input(path), path, "key")
     x, y = (data.get("x"), data.get("y")) if isinstance(data, dict) else (None, None)
     if type(x) is not int or type(y) is not int:  # type(), so that JSON true is refused
         raise UsageFailure(f"{path} is not a key file: x and y must be integers")
@@ -126,7 +137,7 @@ def _read_pub(path: str, params: GroupParams) -> int:
 
 
 def _read_wire(path: str, expect: type):
-    obj, suite_id = wire_codec.decode(wire_codec.dearmor(_read_input(path).decode()))
+    obj, suite_id = wire_codec.decode(_read_armor(path))
     if not isinstance(obj, expect):
         raise UsageFailure(f"{path} holds {type(obj).__name__}, expected {expect.__name__}")
     return obj, suite_id
@@ -188,13 +199,13 @@ def _load_state(path: str, args, session_cls: type, params: GroupParams):
     """Open a state file and rebuild the session_cls it must hold."""
     if not args.test_mode:
         raise UsageFailure("session state files exist only under --test-mode")
-    blob = wire_codec.dearmor(_read_input(path).decode())
+    blob = _read_armor(path)
     key = _state_key(args.seed or 0)
     suite = std_suite()
     tag, ct = blob[:32], blob[32:]
     if not hmac.compare_digest(tag, suite.keyed_hash(key, ct)):
         raise UsageFailure(f"cannot open {path}: wrong seed or corrupted state")
-    state = _parse_json(suite.cipher_encrypt(key, ct), path)
+    state = _parse_json(suite.cipher_encrypt(key, ct), path, "state")
     held = state.get("session") if isinstance(state, dict) else None
     if held != session_cls.__name__:
         raise UsageFailure(f"{path} holds {held or 'an unrecognised state format'}, "

@@ -41,17 +41,15 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class GroupParams:
     """Public triple (p, q, g): prime modulus, prime subgroup order, generator.
 
-    Making one registers g with `modexp`, which then computes g^e mod p from a
-    fixed-base table (built on first use) for every e >= 0 no longer than q in
-    whole bytes.
+    The built-in sets and every set that passes `validate_params` register g
+    with `modexp`, which then computes g^e mod p from a fixed-base table
+    (built on first use) for every e >= 0 no longer than q in whole bytes. A
+    set that is only constructed, such as a decoded Params message, does not.
     """
 
     p: int
     q: int
     g: int
-
-    def __post_init__(self):
-        _register_generator(self.g, self.p, self.q.bit_length())
 
 
 # -- byte encoding -------------------------------------------------------------
@@ -148,9 +146,10 @@ class FixedBase:
         return result
 
 
-# (g, p) -> table, one per parameter set made in this process. Parameter sets
-# can come from untrusted files, so only the first GENERATORS_KEPT sets get a
-# table, and only when it fits in TABLE_BYTES_MAX; the others use pow.
+# (g, p) -> table, one per built-in or validated parameter set in this process.
+# Validated sets can come from untrusted files, so only the first
+# GENERATORS_KEPT sets get a table, and only when it fits in TABLE_BYTES_MAX;
+# the others use pow.
 GENERATORS_KEPT = 16
 TABLE_BYTES_MAX = 4 << 20  # 2048-bit p with 256-bit q needs 2 MB
 _generators: dict[tuple[int, int], FixedBase] = {}
@@ -294,7 +293,8 @@ def is_probable_prime(n: int, rng=None) -> bool:
 # -- parameter validation and generation ----------------------------------------
 
 def validate_params(candidate: tuple[int, int, int]) -> GroupParams:
-    """Check (p, q, g) and return them as GroupParams, or raise a named error."""
+    """Check (p, q, g) and return them as GroupParams, or raise a named error.
+    A set that passes registers its g with `modexp` (see GroupParams)."""
     p, q, g = candidate
     if not is_probable_prime(p):
         raise NotPrime("p", p)
@@ -306,6 +306,7 @@ def validate_params(candidate: tuple[int, int, int]) -> GroupParams:
         raise BadGenerator(f"g = {g} is outside [2, p-1]")
     if pow(g, q, p) != 1:
         raise BadGenerator(f"g = {g} does not have order dividing q")
+    _register_generator(g, p, q.bit_length())
     return GroupParams(p=p, q=q, g=g)
 
 
@@ -371,6 +372,11 @@ DESK512 = GroupParams(
     g=int("0b48eb3919664359dcecf1fe2f640a731ee925eb41846eefc6e95d7e3706a83e"
           "a34b081abc8d6a03424d8e57cbede86e9e6b3b0e7b39c95f7ba12375106b07dc", 16),
 )
+
+# The built-in sets skip validate_params (the tests validate them), so they
+# register here.
+for _builtin in (TOY23, DESK512):
+    _register_generator(_builtin.g, _builtin.p, _builtin.q.bit_length())
 
 
 def desk512() -> GroupParams:

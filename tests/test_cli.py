@@ -190,6 +190,16 @@ class TestBlindSession:
                    "--key", setup["key_a"], "--state", d / "a.state",
                    "--challenge", d / "challenge.wire", "--out", d / "r2.wire") == 2
 
+    def test_finalizing_twice_is_rejected(self, setup, capsys):
+        self.test_five_step_flow(setup)
+        d = setup["dir"]
+        capsys.readouterr()
+        assert run("--test-mode", "--seed", 12, "blind", "finalize", "--params", setup["params"],
+                   "--state", d / "b.state", "--response", d / "response.wire",
+                   "--out", d / "again.sig") == 2
+        assert "already unblinded" in capsys.readouterr().err
+        assert not (d / "again.sig").exists()
+
 
 class TestBscSession:
     def full_round(self, setup, message: bytes, seed_a=21, seed_b=22):
@@ -226,6 +236,21 @@ class TestBscSession:
             if codes[3] == 0:
                 assert codes == [0, 0, 0, 0, 0]
                 assert recovered.read_bytes() == b"the whole point"
+                return
+        pytest.fail("every attempt hit a degenerate denominator")
+
+    def test_finalizing_twice_is_rejected(self, setup, capsys):
+        for attempt in range(6):
+            seed_b = 52 + attempt * 100
+            codes, _ = self.full_round(setup, b"once", seed_a=51 + attempt * 100, seed_b=seed_b)
+            if codes[3] == 0:
+                d = setup["dir"]
+                capsys.readouterr()
+                assert run("--test-mode", "--seed", seed_b, "bsc", "finalize",
+                           "--params", setup["params"], "--state", d / "b.state",
+                           "--response", d / "c3.wire", "--out", d / "again.wire") == 2
+                assert "already unblinded" in capsys.readouterr().err
+                assert not (d / "again.wire").exists()
                 return
         pytest.fail("every attempt hit a degenerate denominator")
 
@@ -301,10 +326,12 @@ class TestKeyFiles:
         ('{"x": "5", "y": 8}', "must be integers"),
         ("[1, 2]", "must be integers"),
         ('{"x": 0, "y": 1}', "outside [1, q-1]"),
+        ("not json", "bad.key is not a key file: Expecting value"),
+        (b"\xff\xfe", "bad.key is not a key file: Expecting value"),
     ])
     def test_malformed_key_is_usage_error(self, setup, capsys, content, reason):
         key, msg = setup["dir"] / "bad.key", setup["dir"] / "m"
-        key.write_text(content)
+        key.write_bytes(content if isinstance(content, bytes) else content.encode())
         msg.write_bytes(b"x")
         assert run("--test-mode", "--seed", 4, "sdss", "sign", "--params", setup["params"],
                    "--key", key, "--in", msg, "--out", setup["dir"] / "m.sig") == 2
@@ -560,6 +587,17 @@ class TestErrorPaths:
         assert run("sdss", "verify", "--params", setup["params"],
                    "--pub", setup["pub_a"], "--in", msg,
                    "--sig", setup["pub_a"]) == 2
+
+    def test_pub_file_not_text_is_usage_error(self, setup, capsys):
+        d = setup["dir"]
+        pub, msg = d / "bad.pub", d / "m"
+        pub.write_bytes(b"\xff\xfe")
+        msg.write_bytes(b"x")
+        assert run("--test-mode", "--seed", 5, "zheng", "seal", "--params", setup["params"],
+                   "--key", setup["key_a"], "--recipient-pub", pub,
+                   "--in", msg, "--out", d / "z.ct") == 2
+        assert f"{pub} is not an armored file" in capsys.readouterr().err
+        assert not (d / "z.ct").exists()
 
     def test_invalid_params_validate_exits_1(self, tmp_path):
         bad = tmp_path / "bad.params"

@@ -24,7 +24,7 @@ from blindsigncrypt.errors import (
     RngFailure,
     ZeroInverse,
 )
-from blindsigncrypt import group_math
+from blindsigncrypt import group_math, wire_codec
 from blindsigncrypt.crypto_suite import std_suite
 from blindsigncrypt.group_math import (
     DESK512,
@@ -192,8 +192,9 @@ class TestFixedBase:
         assert table_calls == list(range(2**8))
 
     def test_params_built_directly(self, monkeypatch, table_calls):
-        # a 64-bit p / 40-bit q set in no named set, registered in an empty
-        # registry so that sets made by earlier tests cannot have filled it
+        # a 64-bit p / 40-bit q set in no named set, registered by
+        # generate_params in an empty registry so that sets registered by
+        # earlier tests cannot have filled it; a copy built directly shares it
         monkeypatch.setattr(group_math, "_generators", {})
         params = generate_params(64, 40, random.Random(11))
         direct = GroupParams(p=params.p, q=params.q, g=params.g)
@@ -244,7 +245,7 @@ class TestFixedBase:
         kept = group_math.GENERATORS_KEPT
         for _ in range(40):
             monkeypatch.setattr(group_math, "_generators", {})
-            run_threads(lambda k: [GroupParams(p=1_000_003, q=500_001, g=10 * k + j)
+            run_threads(lambda k: [group_math._register_generator(10 * k + j, 1_000_003, 19)
                                    for j in range(4)], range(8))
             assert len(group_math._generators) == kept
         # a generator left out still computes correctly, through pow
@@ -256,12 +257,27 @@ class TestFixedBase:
     def test_no_table_beyond_size_bound(self, monkeypatch, table_calls):
         # 256 * 64 bytes of q * 1024 bytes of p = 16 MB: over the bound, so pow
         monkeypatch.setattr(group_math, "_generators", {})
-        big = GroupParams(p=2**8192 - 1, q=2**512 - 1, g=3)
+        group_math._register_generator(3, 2**8192 - 1, 512)
         assert group_math._generators == {}
-        assert modexp(big.g, 2**500, big.p) == pow(3, 2**500, 2**8192 - 1)
+        assert modexp(3, 2**500, 2**8192 - 1) == pow(3, 2**500, 2**8192 - 1)
         assert table_calls == []
-        fits = GroupParams(p=2**2048 - 1, q=2**256 - 1, g=3)
-        assert list(group_math._generators) == [(fits.g, fits.p)]
+        group_math._register_generator(3, 2**2048 - 1, 256)
+        assert list(group_math._generators) == [(3, 2**2048 - 1)]
+
+    def test_decoded_params_take_no_table(self, monkeypatch, table_calls):
+        # decoding a Params message once registered its g, so a few untrusted
+        # messages filled the registry and a set made afterwards got no table
+        rng = random.Random(15)
+        messages = [wire_codec.encode(GroupParams(p=rng.getrandbits(64) | 1,
+                                                  q=rng.getrandbits(40) | 1,
+                                                  g=rng.getrandbits(63)), "std-v1")
+                    for _ in range(group_math.GENERATORS_KEPT + 4)]
+        monkeypatch.setattr(group_math, "_generators", {})
+        for data in messages:
+            wire_codec.decode(data)
+        params = generate_params(64, 40, random.Random(11))
+        assert modexp(params.g, 12345, params.p) == pow(params.g, 12345, params.p)
+        assert table_calls == [12345]
 
 
 def heat(base, p, uses=KEY_TABLE_AFTER):
