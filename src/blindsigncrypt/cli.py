@@ -22,18 +22,20 @@ import json
 import os
 import random
 import secrets
+import stat
 import sys
 import typing
-from pathlib import Path
 
 from . import blind_sdss, blind_signcrypt, harness, sdss, wire_codec, zheng
 from .crypto_suite import get_suite, std_suite
 from .errors import (
+    ArmorError,
     BadGenerator,
     NotPrime,
     OrderMismatch,
     ProtocolError,
     TagMismatch,
+    WireError,
 )
 from .group_math import GroupParams, generate_params, int_to_bytes, named_params, validate_params
 
@@ -58,6 +60,10 @@ MAX_MESSAGE_BYTES = 8 << 20
 # more inside its armor, so just over 4 bytes per message byte, plus the fixed
 # fields and a command-line bind_info.
 _MAX_FILE_BYTES = 5 * MAX_MESSAGE_BYTES
+
+# Key files hold the secret x, and a state file holds a nonce under a key
+# derived from the public seed; only their owner may read either.
+_SECRET_MODE = 0o600
 
 _field_types = functools.cache(typing.get_type_hints)  # resolving string annotations is slow
 
@@ -85,6 +91,28 @@ def _read_input(path: str, limit: int = _MAX_FILE_BYTES) -> bytes:
     return data
 
 
+def _write_output(path: str, data: bytes, mode: int = 0o666) -> None:
+    """Write data to path, overwriting in place and then cutting a regular
+    file to len(data). Opening with O_TRUNC instead makes ext4 (auto_da_alloc)
+    start writeback when the file is closed, which costs many times the write
+    itself for a small file. Like O_TRUNC, this is not atomic: a crash
+    mid-write can leave a mix of old and new bytes.
+
+    A new file gets `mode` less the umask. An existing regular file that lets
+    group or others read or write more than `mode` does is narrowed to `mode`
+    before any byte is written. A device such as /dev/null or /dev/stdout is
+    written to and left as it is."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), mode)
+    with open(fd, "wb") as f:
+        st = os.fstat(fd)
+        regular = stat.S_ISREG(st.st_mode)
+        if regular and st.st_mode & ~mode & 0o066:
+            os.fchmod(fd, stat.S_IMODE(st.st_mode) & mode)
+        f.write(data)
+        if regular:
+            f.truncate(len(data))
+
+
 def _parse_json(data: bytes, path: str, kind: str):
     """json.loads, refusing input that is not JSON, or JSON nested deeper than
     the parser's recursion limit, with a UsageFailure naming path."""
@@ -97,12 +125,14 @@ def _parse_json(data: bytes, path: str, kind: str):
 
 
 def _read_armor(path: str) -> bytes:
-    """The bytes inside an armored file; a file that is not text exits 2 naming path."""
+    """The bytes inside an armored file; a file that is not armored text exits 2
+    naming path."""
     try:
-        text = _read_input(path).decode()
+        return wire_codec.dearmor(_read_input(path).decode())
     except UnicodeDecodeError:
         raise UsageFailure(f"{path} is not an armored file: it is not UTF-8 text") from None
-    return wire_codec.dearmor(text)
+    except ArmorError as exc:
+        raise UsageFailure(f"{path} is not an armored file: {exc}") from None
 
 
 def _read_params(value: str) -> GroupParams:
@@ -137,14 +167,20 @@ def _read_pub(path: str, params: GroupParams) -> int:
 
 
 def _read_wire(path: str, expect: type):
-    obj, suite_id = wire_codec.decode(_read_armor(path))
+    """The (message, suite id) in an armored wire file; a message that does not
+    decode, or is not an `expect`, exits 2 naming path."""
+    blob = _read_armor(path)
+    try:
+        obj, suite_id = wire_codec.decode(blob)
+    except WireError as exc:
+        raise UsageFailure(f"{path}: {exc}") from None
     if not isinstance(obj, expect):
         raise UsageFailure(f"{path} holds {type(obj).__name__}, expected {expect.__name__}")
     return obj, suite_id
 
 
 def _write_wire(path: str, obj) -> None:
-    Path(path).write_text(wire_codec.armor(wire_codec.encode(obj, SUITE_ID)))
+    _write_output(path, wire_codec.armor(wire_codec.encode(obj, SUITE_ID)).encode())
 
 
 # -- encrypted session state (test mode only) -------------------------------------
@@ -192,7 +228,7 @@ def _save_state(path: str, session, args) -> None:
     suite = std_suite()
     ct = suite.cipher_encrypt(key, json.dumps(state, sort_keys=True, default=bytes.hex).encode())
     tag = suite.keyed_hash(key, ct)
-    Path(path).write_text(wire_codec.armor(tag + ct))
+    _write_output(path, wire_codec.armor(tag + ct).encode(), _SECRET_MODE)
 
 
 def _load_state(path: str, args, session_cls: type, params: GroupParams):
@@ -246,7 +282,8 @@ def cmd_params_validate(args) -> int:
 def cmd_keygen(args) -> int:
     params = _read_params(args.params)
     key = sdss.keygen(params, args.rng)
-    Path(args.out).write_text(json.dumps({"x": key.x, "y": key.y}) + "\n")
+    _write_output(args.out, (json.dumps({"x": key.x, "y": key.y}) + "\n").encode(),
+                  _SECRET_MODE)
     if args.pub_out:
         _write_wire(args.pub_out, wire_codec.PubKeyMsg(y=key.y))
     print(f"wrote key pair to {args.out}")
@@ -294,7 +331,7 @@ def cmd_open(args) -> int:
     ct, suite_id = _read_wire(args.infile, args.wire)
     m = args.lib.unsigncrypt(ct, key, _read_pub(getattr(args, args.pub_dest), params),
                              _bind_info(args, key.y), params, get_suite(suite_id))
-    Path(args.out).write_bytes(m)
+    _write_output(args.out, m)
     print(f"recovered {len(m)} bytes")
     return 0
 

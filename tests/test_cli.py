@@ -1,6 +1,9 @@
+import builtins
+import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 
@@ -294,6 +297,161 @@ class TestBscSession:
                     assert f.stat().st_size <= ratio * len(message), f.name
                 return
         pytest.fail("every attempt hit a degenerate denominator")
+
+
+class TestOutputFiles:
+    """Outputs are overwritten in place and cut to length, never opened with
+    O_TRUNC; key and state files are readable by their owner only."""
+
+    def session(self, setup, message: bytes, first_attempt: int) -> int:
+        """A full bsc round in setup's directory; returns the attempt that ran."""
+        for attempt in range(first_attempt, first_attempt + 6):
+            codes, recovered = TestBscSession().full_round(
+                setup, message, seed_a=61 + attempt * 100, seed_b=62 + attempt * 100)
+            if codes[3] == 0:
+                assert codes == [0, 0, 0, 0, 0]
+                assert recovered.read_bytes() == message
+                return attempt
+        pytest.fail("every attempt hit a degenerate denominator")
+
+    def outputs(self, d):
+        return {f.name: f.read_bytes() for f in d.iterdir()
+                if f.suffix in (".state", ".wire") or f.name == "recovered.txt"}
+
+    def test_shorter_session_leaves_no_old_tail(self, setup):
+        d = setup["dir"]
+        self.session(setup, random.Random(6).randbytes(300), 0)
+        first = self.outputs(d)
+        attempt = self.session(setup, b"short", 10)
+        second = self.outputs(d)
+        assert second["recovered.txt"] == b"short"
+        for name in ("b.state", "sealed.wire", "recovered.txt"):  # the files that hold m
+            assert len(second[name]) < len(first[name]), name
+        # the same round in files created afresh writes the same bytes
+        for name in second:
+            (d / name).unlink()
+        assert self.session(setup, b"short", attempt) == attempt
+        assert self.outputs(d) == second
+
+    def test_shorter_key_files_leave_no_old_tail(self, setup):
+        d = setup["dir"]
+
+        def keygen(params, key, pub):
+            return run("--test-mode", "--seed", 8, "keygen", "--params", params,
+                       "--out", d / key, "--pub-out", d / pub)
+
+        assert keygen("desk512", "k.key", "k.pub") == 0
+        long = (d / "k.key").read_bytes(), (d / "k.pub").read_bytes()
+        assert keygen(setup["params"], "k.key", "k.pub") == 0
+        assert keygen(setup["params"], "fresh.key", "fresh.pub") == 0
+        for name, old in zip(("key", "pub"), long):
+            now = (d / f"k.{name}").read_bytes()
+            assert now == (d / f"fresh.{name}").read_bytes()
+            assert len(now) < len(old)
+
+    def sealed(self, setup):
+        d = setup["dir"]
+        (d / "z.msg").write_bytes(b"sealed orders")
+        assert run("--test-mode", "--seed", 5, "zheng", "seal", "--params", setup["params"],
+                   "--key", setup["key_a"], "--recipient-pub", setup["pub_c"],
+                   "--in", d / "z.msg", "--out", d / "z.ct") == 0
+        return ("zheng", "open", "--params", setup["params"], "--key", setup["key_c"],
+                "--sender-pub", setup["pub_a"], "--in", d / "z.ct")
+
+    def test_out_dev_null(self, setup):
+        before = os.stat("/dev/null")
+        assert run(*self.sealed(setup), "--out", "/dev/null") == 0
+        assert run("--test-mode", "--seed", 9, "keygen", "--params", setup["params"],
+                   "--out", "/dev/null", "--pub-out", "/dev/null") == 0
+        after = os.stat("/dev/null")
+        assert (after.st_mode, after.st_rdev) == (before.st_mode, before.st_rdev)
+
+    def test_symlinked_out_writes_through(self, setup):
+        d = setup["dir"]
+        target, link = d / "target.txt", d / "link.txt"
+        target.write_bytes(b"an older and much longer plaintext")
+        link.symlink_to(target)
+        assert run(*self.sealed(setup), "--out", link) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == b"sealed orders"
+
+    @pytest.fixture
+    def umask_022(self):
+        old = os.umask(0o022)
+        try:
+            yield
+        finally:
+            os.umask(old)
+
+    def mode(self, path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    @pytest.mark.parametrize("existing", [None, 0o644, 0o666], ids=["new", "0644", "0666"])
+    def test_key_and_state_files_are_owner_only(self, setup, umask_022, existing):
+        d = setup["dir"]
+        key, pub, state = d / "k.key", d / "k.pub", d / "k.state"
+        if existing is not None:
+            for path in (key, pub, state):
+                path.write_bytes(b"x" * 5000)
+                path.chmod(existing)
+        assert run("--test-mode", "--seed", 8, "keygen", "--params", setup["params"],
+                   "--out", key, "--pub-out", pub) == 0
+        assert run("--test-mode", "--seed", 21, "bsc", "commit", "--params", setup["params"],
+                   "--key", key, "--state-out", state, "--out", d / "c1.wire") == 0
+        assert self.mode(key) == 0o600
+        assert self.mode(state) == 0o600
+        # public outputs keep the mode open() would give them
+        assert self.mode(pub) == (existing or 0o644)
+        assert self.mode(d / "c1.wire") == 0o644
+
+    def test_no_output_is_opened_with_o_trunc(self, setup, monkeypatch):
+        # cutting with O_TRUNC made ext4 flush every small output at close;
+        # catch any open that truncates: os.open with O_TRUNC, or a path
+        # opened in a "w" mode through builtins.open or io.open (pathlib)
+        d = setup["dir"]
+        (d / "m").write_bytes(b"x")
+        created, truncating = set(), []
+        real_os_open, real_open, real_io_open = os.open, builtins.open, io.open
+
+        def os_open(path, flags, *rest, **kwargs):
+            if flags & os.O_CREAT:
+                created.add(os.fspath(path))
+            if flags & os.O_TRUNC:
+                truncating.append(("os.open", path))
+            return real_os_open(path, flags, *rest, **kwargs)
+
+        def checked(real):
+            def open_(file, mode="r", *rest, **kwargs):
+                if not isinstance(file, int) and "w" in mode:
+                    truncating.append((mode, file))
+                return real(file, mode, *rest, **kwargs)
+            return open_
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(builtins, "open", checked(real_open))
+        monkeypatch.setattr(io, "open", checked(real_io_open))
+        p, ka, pa, kc, pc = (str(setup[k]) for k in ("params", "key_a", "pub_a",
+                                                      "key_c", "pub_c"))
+        commands = [
+            ("--test-mode", "--seed", 1, "params", "gen", "--bits-p", 16, "--bits-q", 8,
+             "--out", d / "p.params"),
+            ("--test-mode", "--seed", 8, "keygen", "--params", p, "--out", d / "k.key",
+             "--pub-out", d / "k.pub"),
+            ("--test-mode", "--seed", 4, "sdss", "sign", "--params", p, "--key", ka,
+             "--in", d / "m", "--out", d / "m.sig"),
+            ("--test-mode", "--seed", 5, "zheng", "seal", "--params", p, "--key", ka,
+             "--recipient-pub", pc, "--in", d / "m", "--out", d / "z.ct"),
+            ("zheng", "open", "--params", p, "--key", kc, "--sender-pub", pa,
+             "--in", d / "z.ct", "--out", d / "z.out"),
+        ]
+        for argv in commands:
+            assert run(*argv) == 0
+        self.session(setup, b"x", 0)  # also writes its message file, which is no output
+        outputs = {str(d / name) for name in (
+            "p.params", "k.key", "k.pub", "m.sig", "z.ct", "z.out", "a.state", "b.state",
+            "c1.wire", "c2.wire", "c3.wire", "sealed.wire", "recovered.txt")}
+        assert outputs <= created
+        assert [(how, path) for how, path in truncating if os.fspath(path) in outputs] == []
 
 
 class TestBench:
@@ -597,6 +755,22 @@ class TestErrorPaths:
                    "--key", setup["key_a"], "--recipient-pub", pub,
                    "--in", msg, "--out", d / "z.ct") == 2
         assert f"{pub} is not an armored file" in capsys.readouterr().err
+        assert not (d / "z.ct").exists()
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"hello\n", " is not an armored file: missing armor header line"),
+        (armor(b"BSC2" + encode(PubKeyMsg(y=5), "std-v1")[4:]).encode(),
+         ": input does not start with BSC1"),
+    ], ids=["not-armor", "wrong-magic"])
+    def test_undecodable_pub_file_is_named(self, setup, capsys, content, reason):
+        d = setup["dir"]
+        pub, msg = d / "bad.pub", d / "m"
+        pub.write_bytes(content)
+        msg.write_bytes(b"x")
+        assert run("--test-mode", "--seed", 5, "zheng", "seal", "--params", setup["params"],
+                   "--key", setup["key_a"], "--recipient-pub", pub,
+                   "--in", msg, "--out", d / "z.ct") == 2
+        assert f"error: {pub}{reason}" in capsys.readouterr().err
         assert not (d / "z.ct").exists()
 
     def test_invalid_params_validate_exits_1(self, tmp_path):
