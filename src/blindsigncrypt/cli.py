@@ -5,16 +5,15 @@ bytes between files and library calls. Exit codes: 0 success, 1 verification
 or tag failure, 2 usage/input error.
 
 Multi-invocation blind sessions need the one-shot nonces (k_tilde, u) to
-survive between processes. They are persisted only under --test-mode, in a
-state file encrypted and MAC'd under a key derived from the seed; in normal
-mode the whole session must run inside one process, so the session
-subcommands refuse to write state.
+survive between processes. They are persisted only under --test-mode, as the
+session's wire message in a state file, encrypted and MAC'd under a key
+derived from the seed; in normal mode the whole session must run inside one
+process, so the session subcommands refuse to write state.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import hmac
@@ -24,7 +23,6 @@ import random
 import secrets
 import stat
 import sys
-import typing
 
 from . import blind_sdss, blind_signcrypt, harness, sdss, wire_codec, zheng
 from .crypto_suite import get_suite, std_suite
@@ -56,16 +54,14 @@ _PRESETS = ("toy23", "desk512")
 # file is refused before it is read rather than left to exhaust memory.
 MAX_MESSAGE_BYTES = 8 << 20
 # Every other file (armor, state, keys) may hold one such message: armor is hex
-# in 72-character lines, and a requester state file hex-encodes the message once
-# more inside its armor, so just over 4 bytes per message byte, plus the fixed
-# fields and a command-line bind_info.
-_MAX_FILE_BYTES = 5 * MAX_MESSAGE_BYTES
+# in 72-character lines, ~2.03 bytes per byte, and a requester state file holds
+# the message's bytes once inside its armor, ~2.04 bytes per message byte with
+# its fixed fields.
+_MAX_FILE_BYTES = 3 * MAX_MESSAGE_BYTES
 
 # Key files hold the secret x, and a state file holds a nonce under a key
 # derived from the public seed; only their owner may read either.
 _SECRET_MODE = 0o600
-
-_field_types = functools.cache(typing.get_type_hints)  # resolving string annotations is slow
 
 
 class VerifyFailure(Exception):
@@ -113,15 +109,15 @@ def _write_output(path: str, data: bytes, mode: int = 0o666) -> None:
             f.truncate(len(data))
 
 
-def _parse_json(data: bytes, path: str, kind: str):
-    """json.loads, refusing input that is not JSON, or JSON nested deeper than
-    the parser's recursion limit, with a UsageFailure naming path."""
+def _parse_json(data: bytes, path: str):
+    """json.loads of a key file, refusing input that is not JSON, or JSON nested
+    deeper than the parser's recursion limit, with a UsageFailure naming path."""
     try:
         return json.loads(data)
     except RecursionError:
         raise UsageFailure(f"{path} nests its JSON too deeply") from None
     except ValueError as exc:
-        raise UsageFailure(f"{path} is not a {kind} file: {exc}") from None
+        raise UsageFailure(f"{path} is not a key file: {exc}") from None
 
 
 def _read_armor(path: str) -> bytes:
@@ -146,7 +142,7 @@ def _read_params(value: str) -> GroupParams:
 
 def _read_key(path: str, params: GroupParams) -> sdss.KeyPair:
     """Load a key file, accepting only integers with 1 <= x < q and y = g^x mod p."""
-    data = _parse_json(_read_input(path), path, "key")
+    data = _parse_json(_read_input(path), path)
     x, y = (data.get("x"), data.get("y")) if isinstance(data, dict) else (None, None)
     if type(x) is not int or type(y) is not int:  # type(), so that JSON true is refused
         raise UsageFailure(f"{path} is not a key file: x and y must be integers")
@@ -167,9 +163,13 @@ def _read_pub(path: str, params: GroupParams) -> int:
 
 
 def _read_wire(path: str, expect: type):
-    """The (message, suite id) in an armored wire file; a message that does not
-    decode, or is not an `expect`, exits 2 naming path."""
-    blob = _read_armor(path)
+    """The (message, suite id) in an armored wire file, checked by _decode."""
+    return _decode(_read_armor(path), path, expect)
+
+
+def _decode(blob: bytes, path: str, expect: type):
+    """The (message, suite id) that blob, read from path, encodes; a message
+    that does not decode, or is not an `expect`, exits 2 naming path."""
     try:
         obj, suite_id = wire_codec.decode(blob)
     except WireError as exc:
@@ -189,44 +189,14 @@ def _state_key(seed: int) -> bytes:
     return hashlib.sha256(_STATE_LABEL + str(seed).encode()).digest()
 
 
-def _from_json(cls, raw, name: str):
-    """Rebuild cls from the JSON form of dataclasses.asdict(cls instance),
-    driven by the field annotations of cls. A value that does not fit its
-    annotation (the state key is public in test mode, so anyone can write a
-    state file) raises a UsageFailure naming the field."""
-    def bad(expected: str):
-        return UsageFailure(f"state field {name} must be {expected}, not {type(raw).__name__}")
-
-    if dataclasses.is_dataclass(cls):
-        if not isinstance(raw, dict):
-            raise bad("an object")
-        hints = _field_types(cls)
-        missing = [f.name for f in dataclasses.fields(cls) if f.name not in raw]
-        if missing:
-            raise UsageFailure(f"state field {name} lacks {', '.join(missing)}")
-        return cls(**{f.name: _from_json(hints[f.name], raw[f.name], f"{name}.{f.name}")
-                      for f in dataclasses.fields(cls)})
-    if cls is int or cls is bool:
-        if type(raw) is not cls:  # type(), so that JSON true is not an integer
-            raise bad("an integer" if cls is int else "true or false")
-        return raw
-    if cls is bytes:
-        try:
-            return bytes.fromhex(raw)
-        except (TypeError, ValueError):
-            raise bad("a hex string") from None
-    raise TypeError(f"session field type {cls} has no JSON form")
-
-
 def _save_state(path: str, session, args) -> None:
     if not args.test_mode:
         raise UsageFailure(
             "session state files exist only under --test-mode; in normal mode "
             "run the whole session in one process")
-    state = {"session": type(session).__name__, "fields": dataclasses.asdict(session)}
     key = _state_key(args.seed or 0)
     suite = std_suite()
-    ct = suite.cipher_encrypt(key, json.dumps(state, sort_keys=True, default=bytes.hex).encode())
+    ct = suite.cipher_encrypt(key, wire_codec.encode(session, SUITE_ID))
     tag = suite.keyed_hash(key, ct)
     _write_output(path, wire_codec.armor(tag + ct).encode(), _SECRET_MODE)
 
@@ -241,12 +211,7 @@ def _load_state(path: str, args, session_cls: type, params: GroupParams):
     tag, ct = blob[:32], blob[32:]
     if not hmac.compare_digest(tag, suite.keyed_hash(key, ct)):
         raise UsageFailure(f"cannot open {path}: wrong seed or corrupted state")
-    state = _parse_json(suite.cipher_encrypt(key, ct), path, "state")
-    held = state.get("session") if isinstance(state, dict) else None
-    if held != session_cls.__name__:
-        raise UsageFailure(f"{path} holds {held or 'an unrecognised state format'}, "
-                           f"expected {session_cls.__name__}")
-    session = _from_json(session_cls, state.get("fields"), "fields")
+    session = _decode(suite.cipher_encrypt(key, ct), path, session_cls)[0]
     if session.params != params:
         raise UsageFailure(f"{path} was made under other group parameters")
     return session
@@ -332,7 +297,7 @@ def cmd_open(args) -> int:
     m = args.lib.unsigncrypt(ct, key, _read_pub(getattr(args, args.pub_dest), params),
                              _bind_info(args, key.y), params, get_suite(suite_id))
     _write_output(args.out, m)
-    print(f"recovered {len(m)} bytes")
+    print(f"recovered {len(m)} bytes", file=sys.stderr)  # --out may be /dev/stdout
     return 0
 
 

@@ -85,7 +85,7 @@ class Truncated(WireError):
 
 
 class NonCanonicalInteger(WireError):
-    """Integer field encoded with leading zero bytes."""
+    """Integer field with leading zero bytes, or a bool field other than 0 or 1."""
 
 
 class TrailingBytes(WireError):

@@ -7,11 +7,13 @@ Envelope layout (normative, bit-exact):
     suite_id  2-byte BE length || string bytes
     body      the type's fields, in declared order
 
-Body fields come in two kinds:
+Body fields come in four kinds:
 
     integer   2-byte BE length || minimal big-endian bytes (0 is empty,
               leading zero bytes are rejected as non-canonical)
     bytes     4-byte BE length || raw bytes
+    bool      an integer that is 0 or 1; any other value is non-canonical
+    params    p, q, g as three integers, read back as a GroupParams
 
 Message types:
 
@@ -24,6 +26,11 @@ Message types:
     0x07 SigncryptedText      c, r, s
     0x08 BlindSigncryptedText c, r, s, T
     0x09 BlindSig             r, s, T
+    0x0A SignerSession        params, k_tilde, spent
+    0x0B RequesterSession     params, u, alpha, beta, r, T, spent, m, signer_pub
+    0x0C BscRequesterSession  params, u, alpha, beta, r, T, spent, c
+
+The session types are the one-shot state that the CLI persists between moves.
 
 Equal values always encode to identical bytes, and decode(b) = v implies
 encode(v) = b. Decoding never raises anything but the named WireError
@@ -34,8 +41,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blind_sdss import BlindSignature, ChallengeMsg, CommitMsg, ResponseMsg
-from .blind_signcrypt import BlindSigncryptedText
+from .blind_sdss import (
+    BlindSignature,
+    ChallengeMsg,
+    CommitMsg,
+    RequesterSession,
+    ResponseMsg,
+    SignerSession,
+)
+from .blind_signcrypt import BlindSigncryptedText, BscRequesterSession
 from .errors import (
     ArmorError,
     BadMagic,
@@ -56,7 +70,12 @@ class PubKeyMsg:
     y: int
 
 
-# msg_type -> (dataclass, ((field, kind), ...)) with kind "int" or "bytes"
+# The fields both requester sessions share (blind_sdss.BlindingSession).
+_BLINDING = (("params", "params"), ("u", "int"), ("alpha", "int"), ("beta", "int"),
+             ("r", "int"), ("T", "int"), ("spent", "bool"))
+
+# msg_type -> (dataclass, ((field, kind), ...)) with kind "int", "bytes",
+# "bool" or "params"
 _TYPES: dict[int, tuple[type, tuple[tuple[str, str], ...]]] = {
     0x01: (GroupParams, (("p", "int"), ("q", "int"), ("g", "int"))),
     0x02: (PubKeyMsg, (("y", "int"),)),
@@ -68,6 +87,9 @@ _TYPES: dict[int, tuple[type, tuple[tuple[str, str], ...]]] = {
     0x08: (BlindSigncryptedText,
            (("c", "bytes"), ("r", "int"), ("s", "int"), ("T", "int"))),
     0x09: (BlindSignature, (("r", "int"), ("s", "int"), ("T", "int"))),
+    0x0A: (SignerSession, (("params", "params"), ("k_tilde", "int"), ("spent", "bool"))),
+    0x0B: (RequesterSession, _BLINDING + (("m", "bytes"), ("signer_pub", "int"))),
+    0x0C: (BscRequesterSession, _BLINDING + (("c", "bytes"),)),
 }
 
 _CLASS_TO_TYPE = {cls: code for code, (cls, _) in _TYPES.items()}
@@ -86,11 +108,12 @@ def encode(value, suite_id: str = "std-v1") -> bytes:
     out += len(sid).to_bytes(2, "big") + sid
     for name, kind in layout:
         raw = getattr(value, name)
-        if kind == "int":
-            payload = int_to_bytes(raw)
-            out += len(payload).to_bytes(2, "big") + payload
-        else:
+        if kind == "bytes":
             out += len(raw).to_bytes(4, "big") + raw
+            continue
+        for n in (raw.p, raw.q, raw.g) if kind == "params" else (raw,):
+            payload = int_to_bytes(n)
+            out += len(payload).to_bytes(2, "big") + payload
     return bytes(out)
 
 
@@ -111,17 +134,28 @@ def decode(data: bytes):
 
     values = {}
     for name, kind in layout:
-        if kind == "int":
-            payload, offset = _take_prefixed(data, offset, 2, name)
-            if payload[:1] == b"\x00":
-                raise NonCanonicalInteger(f"field {name} has a leading zero byte")
-            values[name] = int_from_bytes(payload)
+        if kind == "bytes":
+            values[name], offset = _take_prefixed(data, offset, 4, name)
+        elif kind == "params":
+            p, offset = _take_int(data, offset, f"{name}.p")
+            q, offset = _take_int(data, offset, f"{name}.q")
+            g, offset = _take_int(data, offset, f"{name}.g")
+            values[name] = GroupParams(p, q, g)
         else:
-            payload, offset = _take_prefixed(data, offset, 4, name)
-            values[name] = payload
+            n, offset = _take_int(data, offset, name)
+            if kind == "bool" and n > 1:
+                raise NonCanonicalInteger(f"field {name} must be 0 or 1, not {n}")
+            values[name] = bool(n) if kind == "bool" else n
     if offset != len(data):
         raise TrailingBytes(f"{len(data) - offset} bytes after the last field")
     return cls(**values), suite_id
+
+
+def _take_int(data: bytes, offset: int, name: str) -> tuple[int, int]:
+    payload, offset = _take_prefixed(data, offset, 2, name)
+    if payload[:1] == b"\x00":
+        raise NonCanonicalInteger(f"field {name} has a leading zero byte")
+    return int_from_bytes(payload), offset
 
 
 def _take_prefixed(data: bytes, offset: int, prefix_len: int, name: str) -> tuple[bytes, int]:

@@ -10,12 +10,19 @@ import sys
 import pytest
 
 from blindsigncrypt import cli, sdss
-from blindsigncrypt.blind_sdss import BlindSignature
+from blindsigncrypt.blind_sdss import BlindSignature, CommitMsg, RequesterSession
 from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
 from blindsigncrypt.cli import _state_key, build_parser, main
 from blindsigncrypt.crypto_suite import std_suite
-from blindsigncrypt.group_math import GroupParams, desk512
-from blindsigncrypt.wire_codec import PubKeyMsg, armor, dearmor, encode
+from blindsigncrypt.errors import (
+    BadMagic,
+    NonCanonicalInteger,
+    TrailingBytes,
+    Truncated,
+    UnknownType,
+)
+from blindsigncrypt.group_math import GroupParams, desk512, int_to_bytes
+from blindsigncrypt.wire_codec import PubKeyMsg, armor, dearmor, decode, encode
 from blindsigncrypt.zheng import SigncryptedText
 
 # JSON nested deeper than the json module's recursion limit (400 KB)
@@ -159,7 +166,8 @@ class TestBlindSession:
             "--key", setup["key_a"], "--state-out", d / "a.state",
             "--out", d / "commit.wire")
         blob = dearmor((d / "a.state").read_text())
-        assert b"k_tilde" not in blob  # encrypted, not plaintext JSON
+        with pytest.raises(BadMagic):  # encrypted, not the session's wire message
+            decode(blob[32:])
 
     def test_state_needs_matching_seed(self, setup):
         d = setup["dir"]
@@ -275,6 +283,29 @@ class TestBscSession:
                            "--key", setup["key_c"], "--signer-pub", setup["pub_a"],
                            "--in", d / "sealed.wire", "--out", d / "no.txt",
                            "--bind-info", "not-carol") == 1
+                return
+        pytest.fail("every attempt hit a degenerate denominator")
+
+    def test_open_to_stdout_writes_only_the_message(self, setup):
+        # the status line goes to standard error: through a pipe it used to
+        # follow the plaintext, and redirected to a file, overwrite its start
+        message = b"a plaintext longer than the status line"
+        for attempt in range(6):
+            codes, _ = self.full_round(setup, message, seed_a=71 + attempt * 100,
+                                       seed_b=72 + attempt * 100)
+            if codes[3] == 0:
+                d = setup["dir"]
+                argv = [sys.executable, "-m", "blindsigncrypt", "bsc", "open",
+                        "--params", setup["params"], "--key", setup["key_c"],
+                        "--signer-pub", setup["pub_a"], "--in", d / "sealed.wire",
+                        "--out", "/dev/stdout"]
+                piped = subprocess.run(argv, capture_output=True)
+                assert piped.returncode == 0, piped.stderr
+                assert piped.stdout == message
+                assert f"recovered {len(message)} bytes".encode() in piped.stderr
+                with open(d / "redirected.txt", "wb") as out:
+                    assert subprocess.run(argv, stdout=out, stderr=subprocess.DEVNULL).returncode == 0
+                assert (d / "redirected.txt").read_bytes() == message
                 return
         pytest.fail("every attempt hit a degenerate denominator")
 
@@ -554,7 +585,7 @@ class TestStateFiles:
         ct = suite.cipher_encrypt(key, json.dumps(old).encode())
         (d / "old.state").write_text(armor(suite.keyed_hash(key, ct) + ct))
         assert self.finalize(setup, d / "old.state", 22) == 2
-        assert "unrecognised state format" in capsys.readouterr().err
+        assert "does not start with BSC1" in capsys.readouterr().err
 
     def test_state_from_other_params_refused(self, setup, capsys):
         d = self.commit_and_challenge(setup)
@@ -563,27 +594,34 @@ class TestStateFiles:
                    "--challenge", d / "c2.wire", "--out", d / "c3.wire") == 2
 
 
+def signer_plaintext(params, k_tilde: bytes, spent: bytes) -> bytes:
+    """A SignerSession wire message (0x0A) built field by field from raw
+    integer payloads, so that a test can write bytes encode() never would."""
+    fields = [b"std-v1", *(int_to_bytes(v) for v in (params.p, params.q, params.g)),
+              k_tilde, spent]
+    return b"BSC1\x0a" + b"".join(len(f).to_bytes(2, "big") + f for f in fields)
+
+
+def pad_q(pt: bytes, session) -> bytes:
+    """pt, a session's wire message, with params.q given a leading zero byte;
+    q follows the 11-byte header and the field of p."""
+    at = 11 + 2 + len(int_to_bytes(session.params.p))
+    q = int_to_bytes(session.params.q)
+    return pt[:at] + (len(q) + 1).to_bytes(2, "big") + b"\x00" + q + pt[at + 2 + len(q):]
+
+
 class TestMalformedStateFields:
     """The state key derives from the public --seed, so a state file with a
-    valid tag can hold anything; each value is checked against its field's
-    annotation and a misfit exits 2 naming the field, not with a traceback."""
+    valid tag can hold any plaintext; one that is not the expected session's
+    canonical wire message exits 2 naming the file, not with a traceback."""
 
-    MISSING = object()
+    def plaintext(self, path, seed) -> bytes:
+        return std_suite().cipher_encrypt(_state_key(seed), dearmor(path.read_text())[32:])
 
-    def rewrite(self, path, seed, where, value):
-        """Set state[where[0]][where[1]]... = value (MISSING deletes it) and
-        write the file back under the seed's state key."""
+    def rewrite(self, path, seed, plaintext: bytes) -> None:
+        """Write plaintext to path as a state file under the seed's state key."""
         key, suite = _state_key(seed), std_suite()
-        blob = dearmor(path.read_text())
-        state = json.loads(suite.cipher_encrypt(key, blob[32:]))
-        holder = state
-        for name in where[:-1]:
-            holder = holder[name]
-        if value is self.MISSING:
-            del holder[where[-1]]
-        else:
-            holder[where[-1]] = value
-        ct = suite.cipher_encrypt(key, json.dumps(state).encode())
+        ct = suite.cipher_encrypt(key, plaintext)
         path.write_text(armor(suite.keyed_hash(key, ct) + ct))
 
     def respond(self, setup, d):
@@ -591,57 +629,64 @@ class TestMalformedStateFields:
                    "--key", setup["key_a"], "--state", d / "a.state",
                    "--challenge", d / "c2.wire", "--out", d / "c3.wire")
 
-    @pytest.mark.parametrize("where, value, named", [
-        (("fields",), [], "state field fields must be an object"),  # was TypeError, exit 1
-        (("fields",), None, "state field fields must be an object"),
-        (("fields", "k_tilde"), "abc", "fields.k_tilde must be an integer"),  # was OverflowError
-        (("fields", "k_tilde"), True, "fields.k_tilde must be an integer"),
-        # what a state file written before sessions held a spent flag hits
-        (("fields", "spent"), MISSING, "fields lacks spent"),
-        (("fields", "params", "q"), "11", "fields.params.q must be an integer"),
-        (("fields", "spent"), "false", "fields.spent must be true or false"),
-        (("fields", "spent"), 0, "fields.spent must be true or false"),
-        (("fields", "k_tilde"), MISSING, "fields lacks k_tilde"),
-    ])
-    def test_signer_state_refused(self, setup, capsys, where, value, named):
-        d = TestStateFiles().commit_and_challenge(setup)
-        self.rewrite(d / "a.state", 21, where, value)
-        capsys.readouterr()
-        assert self.respond(setup, d) == 2
+    def edit(self, path, seed, edit, error, expected: str) -> str:
+        """Replace path's plaintext pt, which decodes to s, with edit(pt, s);
+        return what loading the file must print. error is the WireError the
+        edit makes, or None for a message of another class than expected."""
+        plaintext = self.plaintext(path, seed)
+        edited = edit(plaintext, decode(plaintext)[0])
+        self.rewrite(path, seed, edited)
+        if error is None:
+            return f"{path} holds {type(decode(edited)[0]).__name__}, expected {expected}"
+        with pytest.raises(error) as exc:
+            decode(edited)
+        return f"{path}: {exc.value}"
+
+    def assert_refused(self, code, capsys, named, out):
+        assert code == 2
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
-        assert not (d / "c3.wire").exists()
+        assert not out.exists()
 
-    @pytest.mark.parametrize("where, value, named", [
-        (("fields", "c"), "zz", "fields.c must be a hex string"),
-        (("fields", "c"), 12, "fields.c must be a hex string"),
-        (("fields", "params"), "00", "fields.params must be an object"),
-    ])
-    def test_requester_state_refused(self, setup, capsys, where, value, named):
+    @pytest.mark.parametrize("edit, error", [
+        (lambda pt, s: encode(CommitMsg(z=5)), None),
+        (lambda pt, s: pt[:-1], Truncated),
+        (lambda pt, s: signer_plaintext(s.params, int_to_bytes(s.k_tilde), b"\x02"),
+         NonCanonicalInteger),
+        (lambda pt, s: pt + b"\x00", TrailingBytes),
+        (lambda pt, s: signer_plaintext(s.params, b"\x00" + int_to_bytes(s.k_tilde), b""),
+         NonCanonicalInteger),
+        (lambda pt, s: pt[:4] + b"\x7f" + pt[5:], UnknownType),
+    ], ids=["commit-msg", "cut-by-one", "spent-2", "trailing-byte", "k-tilde-leading-zero",
+            "unknown-type"])
+    def test_signer_state_refused(self, setup, capsys, edit, error):
         d = TestStateFiles().commit_and_challenge(setup)
-        assert self.respond(setup, d) == 0
-        self.rewrite(d / "b.state", 22, where, value)
+        named = self.edit(d / "a.state", 21, edit, error, "SignerSession")
         capsys.readouterr()
-        assert TestStateFiles().finalize(setup, d / "b.state", 22) == 2
-        assert named in capsys.readouterr().err
-        assert not (d / "out.wire").exists()
+        self.assert_refused(self.respond(setup, d), capsys, named, d / "c3.wire")
 
-    def test_deeply_nested_state_refused(self, setup, capsys):
+    @pytest.mark.parametrize("edit, error", [
+        (lambda pt, s: encode(RequesterSession(s.params, s.u, s.alpha, s.beta, s.r, s.T,
+                                               s.spent, m=s.c, signer_pub=5)), None),
+        (lambda pt, s: pt[:-len(s.c) - 4] + (len(s.c) + 1).to_bytes(4, "big") + s.c,
+         Truncated),
+        (pad_q, NonCanonicalInteger),
+    ], ids=["blind-requester-session", "c-longer-than-declared", "q-leading-zero"])
+    def test_requester_state_refused(self, setup, capsys, edit, error):
         d = TestStateFiles().commit_and_challenge(setup)
-        key, suite = _state_key(21), std_suite()
-        ct = suite.cipher_encrypt(key, DEEP_JSON)
-        (d / "a.state").write_text(armor(suite.keyed_hash(key, ct) + ct))
+        named = self.edit(d / "b.state", 22, edit, error, "BscRequesterSession")
         capsys.readouterr()
-        assert self.respond(setup, d) == 2
-        assert f"{d / 'a.state'} nests its JSON too deeply" in capsys.readouterr().err
-        assert not (d / "c3.wire").exists()
+        code = TestStateFiles().finalize(setup, d / "b.state", 22)
+        self.assert_refused(code, capsys, named, d / "out.wire")
 
     def test_rewrite_with_the_same_value_still_loads(self, setup):
         d = TestStateFiles().commit_and_challenge(setup)
-        state = json.loads(std_suite().cipher_encrypt(
-            _state_key(21), dearmor((d / "a.state").read_text())[32:]))
-        self.rewrite(d / "a.state", 21, ("fields", "k_tilde"), state["fields"]["k_tilde"])
+        plaintext = self.plaintext(d / "a.state", 21)
+        session, suite_id = decode(plaintext)
+        assert encode(session, suite_id) == plaintext
+        assert signer_plaintext(session.params, int_to_bytes(session.k_tilde), b"") == plaintext
+        self.rewrite(d / "a.state", 21, encode(session, suite_id))
         assert self.respond(setup, d) == 0
 
 

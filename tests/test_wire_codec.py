@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindsigncrypt.blind_sdss import BlindSignature, ChallengeMsg, CommitMsg, ResponseMsg
-from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
+from blindsigncrypt.blind_sdss import (
+    BlindSignature,
+    ChallengeMsg,
+    CommitMsg,
+    RequesterSession,
+    ResponseMsg,
+    SignerSession,
+)
+from blindsigncrypt.blind_signcrypt import BlindSigncryptedText, BscRequesterSession
 from blindsigncrypt.errors import (
     ArmorError,
     BadMagic,
@@ -22,9 +29,12 @@ from blindsigncrypt.zheng import SigncryptedText
 
 ints = st.integers(min_value=0, max_value=2**521 - 1)
 blobs = st.binary(max_size=300)
+params = st.builds(GroupParams, p=ints, q=ints, g=ints)
+blinding = dict(params=params, u=ints, alpha=ints, beta=ints, r=ints, T=ints,
+                spent=st.booleans())
 
 value_strategies = st.one_of(
-    st.builds(GroupParams, p=ints, q=ints, g=ints),
+    params,
     st.builds(PubKeyMsg, y=ints),
     st.builds(CommitMsg, z=ints),
     st.builds(ChallengeMsg, r_bar=ints),
@@ -33,6 +43,9 @@ value_strategies = st.one_of(
     st.builds(SigncryptedText, c=blobs, r=ints, s=ints),
     st.builds(BlindSigncryptedText, c=blobs, r=ints, s=ints, T=ints),
     st.builds(BlindSignature, r=ints, s=ints, T=ints),
+    st.builds(SignerSession, params=params, k_tilde=ints, spent=st.booleans()),
+    st.builds(RequesterSession, **blinding, m=blobs, signer_pub=ints),
+    st.builds(BscRequesterSession, **blinding, c=blobs),
 )
 
 
@@ -94,6 +107,22 @@ class TestNamedErrors:
         with pytest.raises(NonCanonicalInteger):
             decode(data)
 
+    def test_bool_other_than_0_or_1(self):
+        data = encode(SignerSession(GroupParams(23, 11, 4), k_tilde=7, spent=True), "x")
+        assert data.endswith(b"\x00\x01\x01")
+        with pytest.raises(NonCanonicalInteger, match="spent"):
+            decode(data[:-1] + b"\x02")
+
+    def test_non_canonical_integer_inside_params(self):
+        # SignerSession: params p, q, g, then k_tilde and spent (0 is empty)
+        head = b"BSC1" + b"\x0a" + b"\x00\x01" + b"x"
+        body = b"\x00\x01\x0b" + b"\x00\x01\x04" + b"\x00\x01\x07" + b"\x00\x00"
+        data = encode(SignerSession(GroupParams(23, 11, 4), k_tilde=7, spent=False), "x")
+        assert data == head + b"\x00\x01\x17" + body
+        # p = 23 padded to two bytes: 0x00 0x17
+        with pytest.raises(NonCanonicalInteger, match="params.p"):
+            decode(head + b"\x00\x02\x00\x17" + body)
+
     def test_trailing_bytes(self):
         data = encode(CommitMsg(z=9), "std-v1") + b"\x00"
         with pytest.raises(TrailingBytes):
@@ -117,15 +146,30 @@ class TestFuzz:
 
     def test_mutated_valid_messages_never_crash(self):
         rng = random.Random(4321)
-        base = encode(BlindSigncryptedText(c=b"payload", r=7, s=8, T=13), "std-v1")
-        for _ in range(10_000):
-            blob = bytearray(base)
-            for _ in range(rng.randrange(1, 4)):
-                blob[rng.randrange(len(blob))] = rng.randrange(256)
-            try:
-                decode(bytes(blob))
-            except WireError:
-                pass
+        for value in (BlindSigncryptedText(c=b"payload", r=7, s=8, T=13),
+                      RequesterSession(GroupParams(23, 11, 4), u=3, alpha=5, beta=6, r=7,
+                                       T=13, spent=True, m=b"payload", signer_pub=9)):
+            base = encode(value, "std-v1")
+            for _ in range(10_000):
+                blob = bytearray(base)
+                for _ in range(rng.randrange(1, 4)):
+                    blob[rng.randrange(len(blob))] = rng.randrange(256)
+                try:
+                    decode(bytes(blob))
+                except WireError:
+                    pass
+
+    @given(value_strategies, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_values_never_crash(self, value, data):
+        blob = bytearray(encode(value, "std-v1"))
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        try:
+            decoded, sid = decode(bytes(blob))
+        except WireError:
+            return
+        assert encode(decoded, sid) == blob  # decode(b) = v implies encode(v) = b
 
     @given(st.binary(max_size=128))
     @settings(max_examples=300, deadline=None)
