@@ -56,7 +56,7 @@ MAX_MESSAGE_BYTES = 8 << 20
 # Every other file (armor, state, keys) may hold one such message: armor is hex
 # in 72-character lines, ~2.03 bytes per byte, and a requester state file holds
 # the message's bytes once inside its armor, ~2.04 bytes per message byte with
-# its fixed fields.
+# its fixed fields, until finalize drops them.
 _MAX_FILE_BYTES = 3 * MAX_MESSAGE_BYTES
 
 # Key files hold the secret x, and a state file holds a nonce under a key
@@ -163,20 +163,24 @@ def _read_pub(path: str, params: GroupParams) -> int:
 
 
 def _read_wire(path: str, expect: type):
-    """The (message, suite id) in an armored wire file, checked by _decode."""
+    """The (message, suite) in an armored wire file, checked by _decode."""
     return _decode(_read_armor(path), path, expect)
 
 
 def _decode(blob: bytes, path: str, expect: type):
-    """The (message, suite id) that blob, read from path, encodes; a message
-    that does not decode, or is not an `expect`, exits 2 naming path."""
+    """The (message, suite) that blob, read from path, encodes; a message that
+    does not decode, is not an `expect` or names an unknown suite exits 2
+    naming path."""
     try:
         obj, suite_id = wire_codec.decode(blob)
     except WireError as exc:
         raise UsageFailure(f"{path}: {exc}") from None
     if not isinstance(obj, expect):
         raise UsageFailure(f"{path} holds {type(obj).__name__}, expected {expect.__name__}")
-    return obj, suite_id
+    try:
+        return obj, get_suite(suite_id)
+    except KeyError:
+        raise UsageFailure(f"{path}: unknown suite {suite_id!r}") from None
 
 
 def _write_wire(path: str, obj) -> None:
@@ -269,10 +273,10 @@ def cmd_verify(args) -> int:
     module), args.wire (its signature class) and args.pub_dest (the dest of
     its signer key flag)."""
     params = _read_params(args.params)
-    sig, suite_id = _read_wire(args.sig, args.wire)
+    sig, suite = _read_wire(args.sig, args.wire)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     signer_pub = _read_pub(getattr(args, args.pub_dest), params)
-    if not args.lib.verify(m, sig, signer_pub, params, get_suite(suite_id)):
+    if not args.lib.verify(m, sig, signer_pub, params, suite):
         raise VerifyFailure("signature rejected")
     print("signature ok")
     return 0
@@ -293,9 +297,9 @@ def cmd_open(args) -> int:
     """zheng open and bsc open, set up by the parser as for cmd_verify."""
     params = _read_params(args.params)
     key = _read_key(args.key, params)
-    ct, suite_id = _read_wire(args.infile, args.wire)
+    ct, suite = _read_wire(args.infile, args.wire)
     m = args.lib.unsigncrypt(ct, key, _read_pub(getattr(args, args.pub_dest), params),
-                             _bind_info(args, key.y), params, get_suite(suite_id))
+                             _bind_info(args, key.y), params, suite)
     _write_output(args.out, m)
     print(f"recovered {len(m)} bytes", file=sys.stderr)  # --out may be /dev/stdout
     return 0
@@ -337,9 +341,9 @@ def cmd_blind_finalize(args) -> int:
     session = _load_state(args.state, args, blind_sdss.RequesterSession, params)
     response, _ = _read_wire(args.response, blind_sdss.ResponseMsg)
     sig = blind_sdss.requester_finalize(session, response.s_bar, params)
+    m, session.m = session.m, b""  # a spent session's m is never read again
     _save_state(args.state, session, args)
-    if not blind_sdss.verify(session.m, sig, session.signer_pub, params,
-                             get_suite(SUITE_ID)):
+    if not blind_sdss.verify(m, sig, session.signer_pub, params, get_suite(SUITE_ID)):
         raise VerifyFailure("unblinded signature failed verification")
     _write_wire(args.out, sig)
     return 0
@@ -363,6 +367,7 @@ def cmd_bsc_finalize(args) -> int:
     session = _load_state(args.state, args, blind_signcrypt.BscRequesterSession, params)
     response, _ = _read_wire(args.response, blind_sdss.ResponseMsg)
     ct = blind_signcrypt.bsc_requester_finalize(session, response.s_bar, params)
+    session.c = b""  # a spent session's c is never read again
     _save_state(args.state, session, args)
     _write_wire(args.out, ct)
     return 0
@@ -480,7 +485,7 @@ def main(argv=None) -> int:
     except (TagMismatch, VerifyFailure) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
-    except (UsageFailure, ProtocolError, OSError, ValueError, KeyError) as exc:
+    except (UsageFailure, ProtocolError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

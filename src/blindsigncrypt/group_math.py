@@ -2,10 +2,11 @@
 
 Scalars are plain ints kept reduced mod q; group elements are plain ints in
 [1, p-1]. Everything here is a pure function, so concurrent use is safe. The
-shared state is `modexp`'s two bounded registries of fixed-base tables: one
-for each parameter set's generator, and one for the bases it sees most often
-(public keys, in practice), with the use counts that pick them; a lock guards
-every update. The optional exponentiation counters are per thread.
+shared state is `modexp`'s fixed-base tables: one for the generator of each
+built-in set, fixed at import, and a bounded registry for the bases it sees
+most often (public keys, in practice), with the use counts that pick them; a
+lock guards every update of that registry. The optional exponentiation
+counters are per thread.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class GroupParams:
     """Public triple (p, q, g): prime modulus, prime subgroup order, generator.
 
-    The built-in sets and every set that passes `validate_params` register g
-    with `modexp`, which then computes g^e mod p from a fixed-base table
-    (built on first use) for every e >= 0 no longer than q in whole bytes. A
-    set that is only constructed, such as a decoded Params message, does not.
+    For the built-in sets, TOY23 and DESK512, `modexp` computes g^e mod p
+    from a fixed-base table (built on first use) for every e >= 0 no longer
+    than q in whole bytes. Every other set, generated, validated or decoded,
+    computes g^e with pow.
     """
 
     p: int
@@ -146,20 +147,11 @@ class FixedBase:
         return result
 
 
-# (g, p) -> table, one per built-in or validated parameter set in this process.
-# Validated sets can come from untrusted files, so only the first
-# GENERATORS_KEPT sets get a table, and only when it fits in TABLE_BYTES_MAX;
-# the others use pow.
-GENERATORS_KEPT = 16
-TABLE_BYTES_MAX = 4 << 20  # 2048-bit p with 256-bit q needs 2 MB
-_generators: dict[tuple[int, int], FixedBase] = {}
-
 # (base, p) -> radix-2^4 table for the bases modexp sees most often: a base
 # gets one on its KEY_TABLE_AFTER-th use in a row of USES_KEPT counted bases,
-# under a p with a table for its generator (the width comes from that set's
-# q). A table costs about four pows to build, so a base that lives for one
-# session (z, y * T) never gets one. Both maps drop their least recently used
-# entry.
+# under the p of a built-in set (the width comes from that set's q). A table
+# costs about four pows to build, so a base that lives for one session
+# (z, y * T) never gets one. Both maps drop their least recently used entry.
 KEY_TABLES_KEPT = 16
 KEY_TABLE_AFTER = 8
 KEY_RADIX_BITS = 4
@@ -167,17 +159,8 @@ USES_KEPT = 256
 _key_tables: OrderedDict[tuple[int, int], FixedBase] = OrderedDict()
 _uses: OrderedDict[tuple[int, int], int] = OrderedDict()
 
-# Every registry update holds this lock; modexp reads _generators without it.
+# Every update of _key_tables and _uses holds this lock.
 _tables_lock = threading.Lock()
-
-
-def _register_generator(g: GroupElement, p: int, bits: int) -> None:
-    table_bytes = 256 * ((bits + 7) // 8) * ((p.bit_length() + 7) // 8)
-    if p < 2 or table_bytes > TABLE_BYTES_MAX:
-        return
-    with _tables_lock:
-        if (g, p) not in _generators and len(_generators) < GENERATORS_KEPT:
-            _generators[(g, p)] = FixedBase(g, p, bits)
 
 
 def _key_table(base: GroupElement, p: int) -> FixedBase | None:
@@ -206,7 +189,7 @@ def _key_table(base: GroupElement, p: int) -> FixedBase | None:
 def modexp(base: GroupElement, exp: Scalar, p: int) -> GroupElement:
     """base^exp mod p. The single exponentiation primitive all schemes share.
 
-    A registered generator (see GroupParams) or a hot base (see
+    A built-in set's generator (see GroupParams) or a hot base (see
     KEY_TABLE_AFTER) with 0 <= exp < its table's limit goes through the
     table; everything else through pow. Both give the same element and count
     as one exponentiation.
@@ -293,8 +276,7 @@ def is_probable_prime(n: int, rng=None) -> bool:
 # -- parameter validation and generation ----------------------------------------
 
 def validate_params(candidate: tuple[int, int, int]) -> GroupParams:
-    """Check (p, q, g) and return them as GroupParams, or raise a named error.
-    A set that passes registers its g with `modexp` (see GroupParams)."""
+    """Check (p, q, g) and return them as GroupParams, or raise a named error."""
     p, q, g = candidate
     if not is_probable_prime(p):
         raise NotPrime("p", p)
@@ -306,7 +288,6 @@ def validate_params(candidate: tuple[int, int, int]) -> GroupParams:
         raise BadGenerator(f"g = {g} is outside [2, p-1]")
     if pow(g, q, p) != 1:
         raise BadGenerator(f"g = {g} does not have order dividing q")
-    _register_generator(g, p, q.bit_length())
     return GroupParams(p=p, q=q, g=g)
 
 
@@ -373,10 +354,10 @@ DESK512 = GroupParams(
           "a34b081abc8d6a03424d8e57cbede86e9e6b3b0e7b39c95f7ba12375106b07dc", 16),
 )
 
-# The built-in sets skip validate_params (the tests validate them), so they
-# register here.
-for _builtin in (TOY23, DESK512):
-    _register_generator(_builtin.g, _builtin.p, _builtin.q.bit_length())
+# (g, p) -> table for each built-in set, never written after import. A
+# parameter file or a generated set takes a few powers of g per process, far
+# fewer than a table costs to build, so those powers use pow.
+_generators = {(s.g, s.p): FixedBase(s.g, s.p, s.q.bit_length()) for s in (TOY23, DESK512)}
 
 
 def desk512() -> GroupParams:

@@ -330,6 +330,53 @@ class TestBscSession:
         pytest.fail("every attempt hit a degenerate denominator")
 
 
+class TestSpentRequesterState:
+    """Nothing reads a requester session's message or ciphertext after
+    finalize, so the spent state file keeps only the fixed fields."""
+
+    @pytest.mark.parametrize("scheme", ["blind", "bsc"])
+    def test_finalize_drops_the_payload(self, setup, capsys, scheme):
+        d = setup["dir"]
+        message = random.Random(6).randbytes(64 << 10)
+        (d / "m").write_bytes(message)
+        params = ("--params", setup["params"])
+        pub = ("--signer-pub", setup["pub_a"]) if scheme == "blind" else \
+            ("--recipient-pub", setup["pub_c"])
+        ratio = cli._MAX_FILE_BYTES / cli.MAX_MESSAGE_BYTES
+        for attempt in range(6):
+            seed_a, seed_b = 61 + attempt * 100, 62 + attempt * 100
+            assert run("--test-mode", "--seed", seed_a, scheme, "commit", *params,
+                       "--key", setup["key_a"], "--state-out", d / "a.state",
+                       "--out", d / "commit.wire") == 0
+            assert run("--test-mode", "--seed", seed_b, scheme, "challenge", *params, *pub,
+                       "--in", d / "m", "--commit", d / "commit.wire",
+                       "--state-out", d / "b.state", "--out", d / "challenge.wire") == 0
+            assert (d / "b.state").stat().st_size <= ratio * len(message)
+            assert run("--test-mode", "--seed", seed_a, scheme, "respond", *params,
+                       "--key", setup["key_a"], "--state", d / "a.state",
+                       "--challenge", d / "challenge.wire", "--out", d / "response.wire") == 0
+            finalize = ("--test-mode", "--seed", seed_b, scheme, "finalize", *params,
+                        "--state", d / "b.state", "--response", d / "response.wire")
+            if run(*finalize, "--out", d / "final.wire") != 0:
+                continue  # a degenerate denominator at 8-bit q: restart the session
+            assert (d / "b.state").stat().st_size < 1024
+            # the output still carries the message or ciphertext
+            if scheme == "blind":
+                assert run("blind", "verify", *params, *pub, "--in", d / "m",
+                           "--sig", d / "final.wire") == 0
+            else:
+                assert run("bsc", "open", *params, "--key", setup["key_c"],
+                           "--signer-pub", setup["pub_a"], "--in", d / "final.wire",
+                           "--out", d / "recovered") == 0
+                assert (d / "recovered").read_bytes() == message
+            capsys.readouterr()
+            assert run(*finalize, "--out", d / "again.wire") == 2
+            assert "already unblinded" in capsys.readouterr().err
+            assert not (d / "again.wire").exists()
+            return
+        pytest.fail("every attempt hit a degenerate denominator")
+
+
 class TestOutputFiles:
     """Outputs are overwritten in place and cut to length, never opened with
     O_TRUNC; key and state files are readable by their owner only."""
@@ -356,7 +403,9 @@ class TestOutputFiles:
         attempt = self.session(setup, b"short", 10)
         second = self.outputs(d)
         assert second["recovered.txt"] == b"short"
-        for name in ("b.state", "sealed.wire", "recovered.txt"):  # the files that hold m
+        # the files that hold m; the spent b.state keeps none, and the
+        # comparison below checks that it too was cut to length
+        for name in ("sealed.wire", "recovered.txt"):
             assert len(second[name]) < len(first[name]), name
         # the same round in files created afresh writes the same bytes
         for name in second:
@@ -817,6 +866,28 @@ class TestErrorPaths:
                    "--in", msg, "--out", d / "z.ct") == 2
         assert f"error: {pub}{reason}" in capsys.readouterr().err
         assert not (d / "z.ct").exists()
+
+    @pytest.mark.parametrize("command, held", [
+        ("open", SigncryptedText(c=b"x", r=1, s=1)),
+        ("challenge", CommitMsg(z=2)),
+    ], ids=["zheng-open", "bsc-challenge-commit"])
+    def test_unknown_suite_is_named(self, setup, capsys, command, held):
+        # every wire input resolves its suite as it is read, so an unknown
+        # one is a usage error that names the file, before any output
+        d = setup["dir"]
+        wire = d / "nope.wire"
+        wire.write_text(armor(encode(held, "nope-v9")))
+        (d / "m").write_bytes(b"x")
+        if command == "open":
+            argv = ("zheng", "open", "--params", setup["params"], "--key", setup["key_c"],
+                    "--sender-pub", setup["pub_a"], "--in", wire, "--out", d / "out")
+        else:
+            argv = ("--test-mode", "--seed", 5, "bsc", "challenge", "--params", setup["params"],
+                    "--recipient-pub", setup["pub_c"], "--in", d / "m", "--commit", wire,
+                    "--state-out", d / "b.state", "--out", d / "out")
+        assert run(*argv) == 2
+        assert f"error: {wire}: unknown suite 'nope-v9'\n" in capsys.readouterr().err
+        assert not (d / "out").exists() and not (d / "b.state").exists()
 
     def test_invalid_params_validate_exits_1(self, tmp_path):
         bad = tmp_path / "bad.params"

@@ -191,18 +191,21 @@ class TestFixedBase:
             assert modexp(toy.g, e, toy.p) == pow(toy.g, e, toy.p)
         assert table_calls == list(range(2**8))
 
-    def test_params_built_directly(self, monkeypatch, table_calls):
-        # a 64-bit p / 40-bit q set in no named set, registered by
-        # generate_params in an empty registry so that sets registered by
-        # earlier tests cannot have filled it; a copy built directly shares it
-        monkeypatch.setattr(group_math, "_generators", {})
+    def test_only_built_in_sets_have_tables(self, table_calls):
+        # a generated, validated or decoded set takes no table: the registry
+        # holds the built-in sets alone, fixed at import
         params = generate_params(64, 40, random.Random(11))
-        direct = GroupParams(p=params.p, q=params.q, g=params.g)
-        rng = random.Random(12)
-        in_range = [0, 1, direct.q - 1, 2**40 - 1] + [rng.randrange(2**40) for _ in range(200)]
+        assert validate_params((params.p, params.q, params.g)) == params
+        rng = random.Random(15)
+        for _ in range(20):
+            wire_codec.decode(wire_codec.encode(GroupParams(p=rng.getrandbits(64) | 1,
+                                                            q=rng.getrandbits(40) | 1,
+                                                            g=rng.getrandbits(63)), "std-v1"))
+        assert set(group_math._generators) == {(TOY23.g, TOY23.p), (DESK512.g, DESK512.p)}
+        in_range = [0, 1, params.q - 1, 2**40 - 1] + [rng.randrange(2**40) for _ in range(20)]
         for e in in_range + [2**40]:
-            assert modexp(direct.g, e, direct.p) == pow(direct.g, e, direct.p)
-        assert table_calls == in_range
+            assert modexp(params.g, e, params.p) == pow(params.g, e, params.p)
+        assert table_calls == []
 
     def test_table_class_directly(self):
         # the table itself, independent of which parameter sets are registered
@@ -238,46 +241,6 @@ class TestFixedBase:
         run_threads(lambda e: results.__setitem__(e, table.power(e)), exps)
         assert results == {e: pow(DESK512.g, e, DESK512.p) for e in exps}
         assert len(table._rows) == 20 and all(len(row) == 256 for row in table._rows)
-
-    def test_registry_stays_bounded_under_concurrent_registration(self, monkeypatch,
-                                                                  table_calls):
-        # the race is only open while the registry fills, so fill it often
-        kept = group_math.GENERATORS_KEPT
-        for _ in range(40):
-            monkeypatch.setattr(group_math, "_generators", {})
-            run_threads(lambda k: [group_math._register_generator(10 * k + j, 1_000_003, 19)
-                                   for j in range(4)], range(8))
-            assert len(group_math._generators) == kept
-        # a generator left out still computes correctly, through pow
-        unregistered = next(g for g in range(2, 100)
-                            if (g, 1_000_003) not in group_math._generators)
-        assert modexp(unregistered, 77, 1_000_003) == pow(unregistered, 77, 1_000_003)
-        assert table_calls == []
-
-    def test_no_table_beyond_size_bound(self, monkeypatch, table_calls):
-        # 256 * 64 bytes of q * 1024 bytes of p = 16 MB: over the bound, so pow
-        monkeypatch.setattr(group_math, "_generators", {})
-        group_math._register_generator(3, 2**8192 - 1, 512)
-        assert group_math._generators == {}
-        assert modexp(3, 2**500, 2**8192 - 1) == pow(3, 2**500, 2**8192 - 1)
-        assert table_calls == []
-        group_math._register_generator(3, 2**2048 - 1, 256)
-        assert list(group_math._generators) == [(3, 2**2048 - 1)]
-
-    def test_decoded_params_take_no_table(self, monkeypatch, table_calls):
-        # decoding a Params message once registered its g, so a few untrusted
-        # messages filled the registry and a set made afterwards got no table
-        rng = random.Random(15)
-        messages = [wire_codec.encode(GroupParams(p=rng.getrandbits(64) | 1,
-                                                  q=rng.getrandbits(40) | 1,
-                                                  g=rng.getrandbits(63)), "std-v1")
-                    for _ in range(group_math.GENERATORS_KEPT + 4)]
-        monkeypatch.setattr(group_math, "_generators", {})
-        for data in messages:
-            wire_codec.decode(data)
-        params = generate_params(64, 40, random.Random(11))
-        assert modexp(params.g, 12345, params.p) == pow(params.g, 12345, params.p)
-        assert table_calls == [12345]
 
 
 def heat(base, p, uses=KEY_TABLE_AFTER):
