@@ -191,20 +191,18 @@ class TestFixedBase:
             assert modexp(toy.g, e, toy.p) == pow(toy.g, e, toy.p)
         assert table_calls == list(range(2**8))
 
-    def test_only_built_in_sets_have_tables(self, table_calls):
-        # a generated, validated or decoded set takes no table: the registry
-        # holds the built-in sets alone, fixed at import
+    def test_params_built_directly(self, table_calls):
+        # a 64-bit p / 40-bit q set in no named set: generate_params and
+        # validate_params register nothing, so neither it nor a copy built
+        # directly takes a table, and pow gives every result
         params = generate_params(64, 40, random.Random(11))
         assert validate_params((params.p, params.q, params.g)) == params
-        rng = random.Random(15)
-        for _ in range(20):
-            wire_codec.decode(wire_codec.encode(GroupParams(p=rng.getrandbits(64) | 1,
-                                                            q=rng.getrandbits(40) | 1,
-                                                            g=rng.getrandbits(63)), "std-v1"))
-        assert set(group_math._generators) == {(TOY23.g, TOY23.p), (DESK512.g, DESK512.p)}
-        in_range = [0, 1, params.q - 1, 2**40 - 1] + [rng.randrange(2**40) for _ in range(20)]
+        direct = GroupParams(p=params.p, q=params.q, g=params.g)
+        rng = random.Random(12)
+        in_range = [0, 1, direct.q - 1, 2**40 - 1] + [rng.randrange(2**40) for _ in range(200)]
         for e in in_range + [2**40]:
-            assert modexp(params.g, e, params.p) == pow(params.g, e, params.p)
+            assert modexp(direct.g, e, direct.p) == pow(direct.g, e, direct.p)
+        assert set(group_math._generators) == {(TOY23.g, TOY23.p), (DESK512.g, DESK512.p)}
         assert table_calls == []
 
     def test_table_class_directly(self):
@@ -241,6 +239,21 @@ class TestFixedBase:
         run_threads(lambda e: results.__setitem__(e, table.power(e)), exps)
         assert results == {e: pow(DESK512.g, e, DESK512.p) for e in exps}
         assert len(table._rows) == 20 and all(len(row) == 256 for row in table._rows)
+
+    def test_decoded_params_take_no_table(self, desk, table_calls):
+        # decoding untrusted Params messages leaves the registry as built at
+        # import: the built-in sets keep their tables, nothing else gets one
+        rng = random.Random(15)
+        for _ in range(20):
+            wire_codec.decode(wire_codec.encode(GroupParams(p=rng.getrandbits(64) | 1,
+                                                            q=rng.getrandbits(40) | 1,
+                                                            g=rng.getrandbits(63)), "std-v1"))
+        assert set(group_math._generators) == {(TOY23.g, TOY23.p), (DESK512.g, DESK512.p)}
+        params = generate_params(64, 40, random.Random(11))
+        assert modexp(params.g, 12345, params.p) == pow(params.g, 12345, params.p)
+        assert table_calls == []
+        assert modexp(desk.g, 12345, desk.p) == pow(desk.g, 12345, desk.p)
+        assert table_calls == [12345]
 
 
 def heat(base, p, uses=KEY_TABLE_AFTER):
