@@ -76,12 +76,20 @@ class UsageFailure(Exception):
 
 def _read_input(path: str, limit: int = _MAX_FILE_BYTES) -> bytes:
     """The bytes of a file of at most `limit` bytes; a larger one is refused
-    with a UsageFailure before it is read."""
+    with a UsageFailure before it is read.
+
+    The read asks for the size fstat reports plus one probe byte, so what it
+    allocates is bounded by the file, not by the limit. Only when the probe
+    byte arrives (a pipe or a device, which report no size, or a file that
+    grew since fstat) does it read on, up to one byte past the limit."""
     too_large = UsageFailure(f"{path} is larger than the limit of {limit} bytes")
     with open(path, "rb") as f:
-        if os.fstat(f.fileno()).st_size > limit:
+        size = os.fstat(f.fileno()).st_size
+        if size > limit:
             raise too_large
-        data = f.read(limit + 1)  # a pipe has no size to check up front
+        data = f.read(size + 1)
+        if len(data) > size:
+            data += f.read(limit + 1 - len(data))
     if len(data) > limit:
         raise too_large
     return data
@@ -89,24 +97,30 @@ def _read_input(path: str, limit: int = _MAX_FILE_BYTES) -> bytes:
 
 def _write_output(path: str, data: bytes, mode: int = 0o666) -> None:
     """Write data to path, overwriting in place and then cutting a regular
-    file to len(data). Opening with O_TRUNC instead makes ext4 (auto_da_alloc)
-    start writeback when the file is closed, which costs many times the write
-    itself for a small file. Like O_TRUNC, this is not atomic: a crash
-    mid-write can leave a mix of old and new bytes.
+    file that was longer than data to len(data). Opening with O_TRUNC instead
+    makes ext4 (auto_da_alloc) start writeback when the file is closed, which
+    costs many times the write itself for a small file. Like O_TRUNC, this is
+    not atomic: a crash mid-write can leave a mix of old and new bytes. The
+    bytes go straight to os.write, repeated after a short write, so nothing
+    is allocated beyond data itself.
 
     A new file gets `mode` less the umask. An existing regular file that lets
     group or others read or write more than `mode` does is narrowed to `mode`
     before any byte is written. A device such as /dev/null or /dev/stdout is
     written to and left as it is."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), mode)
-    with open(fd, "wb") as f:
+    try:
         st = os.fstat(fd)
         regular = stat.S_ISREG(st.st_mode)
         if regular and st.st_mode & ~mode & 0o066:
             os.fchmod(fd, stat.S_IMODE(st.st_mode) & mode)
-        f.write(data)
-        if regular:
-            f.truncate(len(data))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if regular and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _parse_json(data: bytes, path: str):

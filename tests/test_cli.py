@@ -6,6 +6,7 @@ import random
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -533,6 +534,26 @@ class TestOutputFiles:
         assert outputs <= created
         assert [(how, path) for how, path in truncating if os.fspath(path) in outputs] == []
 
+    def test_short_writes_are_repeated(self, tmp_path, monkeypatch):
+        real_write, sizes = os.write, []
+
+        def write(fd, data):
+            sizes.append(real_write(fd, data[:7]))
+            return sizes[-1]
+
+        data = random.Random(7).randbytes(1000)
+        monkeypatch.setattr(cli.os, "write", write)
+        cli._write_output(tmp_path / "out", data)
+        assert (tmp_path / "out").read_bytes() == data
+        assert len(sizes) == 143
+
+    @pytest.mark.parametrize("old_size", [5000, 10], ids=["longer", "shorter"])
+    def test_overwrite_fits_the_new_length(self, tmp_path, old_size):
+        path, data = tmp_path / "out", random.Random(8).randbytes(700)
+        path.write_bytes(b"x" * old_size)
+        cli._write_output(path, data)
+        assert path.read_bytes() == data
+
 
 class TestBench:
     def test_bsc_counts(self, capsys):
@@ -777,7 +798,8 @@ class TestParamFiles:
 
 
 class TestInputLimit:
-    """Files over the input limits are refused before they are read."""
+    """Files over the input limits are refused before they are read; a read
+    allocates by the file's size, not by the limit."""
 
     def sparse(self, path, size):
         with open(path, "wb") as f:
@@ -824,6 +846,37 @@ class TestInputLimit:
         assert run("--test-mode", "--seed", 4, "sdss", "sign", "--params", setup["params"],
                    "--key", setup["key_a"], "--in", "/dev/zero", "--out", d / "m.sig") == 2
         assert "limit of 1024 bytes" in capsys.readouterr().err
+
+    def test_read_allocates_by_the_file_not_the_limit(self, tmp_path):
+        path = tmp_path / "m"
+        path.write_bytes(random.Random(9).randbytes(300))
+        tracemalloc.start()
+        try:
+            assert len(cli._read_input(path)) == 300
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, f"{peak} bytes allocated to read 300"
+
+    @pytest.mark.parametrize("reported", [lambda size: 0, lambda size: size - 1],
+                             ids=["size-0", "size-1"])
+    def test_under_reported_size_reads_on(self, tmp_path, monkeypatch, reported):
+        # a pipe reports no size, and a file may grow after fstat: the probe
+        # byte arrives and the read goes on to the limit
+        limit = 1000
+        over, at = tmp_path / "over", tmp_path / "at"
+        over.write_bytes(b"o" * (limit + 1))
+        at.write_bytes(b"a" * limit)
+        real_fstat = os.fstat
+
+        def fstat(fd):
+            st = real_fstat(fd)
+            return os.stat_result(st[:6] + (reported(st.st_size),) + st[7:10])
+
+        monkeypatch.setattr(cli.os, "fstat", fstat)
+        with pytest.raises(cli.UsageFailure, match=f"larger than the limit of {limit} bytes"):
+            cli._read_input(over, limit)
+        assert cli._read_input(at, limit) == b"a" * limit
 
 
 class TestErrorPaths:
