@@ -35,19 +35,16 @@ from .errors import (
     TagMismatch,
     WireError,
 )
-from .group_math import GroupParams, generate_params, int_to_bytes, named_params, validate_params
+from .group_math import NAMED_PARAMS, GroupParams, generate_params, int_to_bytes, validate_params
 
 _STATE_LABEL = b"blindsigncrypt-state-v1:"
 
-# The suite of every message the CLI produces. The only other suite, toy-v1,
-# exists for pinning hash outputs in library tests, which a CLI run cannot do.
+# The suite of every message the CLI reads or writes. The only other suite,
+# toy-v1, exists for pinning hash outputs in library tests, which a CLI run
+# cannot do.
 SUITE_ID = "std-v1"
 
 _SCHEME_NAMES = {"blind": "blind_sdss", "bsc": "blind_signcrypt"}
-
-# Built-in parameter sets: constants that the tests validate, so reading one
-# skips validate_params.
-_PRESETS = ("toy23", "desk512")
 
 # The largest message file a command reads. The schemes hold a whole message,
 # its keystream and its ciphertext in memory at once, so a larger or hostile
@@ -146,11 +143,11 @@ def _read_armor(path: str) -> bytes:
 
 
 def _read_params(value: str) -> GroupParams:
-    """A preset, or a parameter file that passes validate_params (its named
-    errors exit 2)."""
-    if value in _PRESETS:
-        return named_params(value)
-    params = _read_wire(value, GroupParams)[0]
+    """A built-in set's name, or a parameter file that passes validate_params
+    (its named errors exit 2)."""
+    if value in NAMED_PARAMS:
+        return NAMED_PARAMS[value]
+    params = _read_wire(value, GroupParams)
     return validate_params((params.p, params.q, params.g))
 
 
@@ -170,20 +167,20 @@ def _read_key(path: str, params: GroupParams) -> sdss.KeyPair:
 def _read_pub(path: str, params: GroupParams) -> int:
     """A public key y with 1 < y < p. A key of 0 or 1 mod p lets anyone forge
     signatures under it; a key outside the order-q subgroup still passes."""
-    y = _read_wire(path, wire_codec.PubKeyMsg)[0].y
+    y = _read_wire(path, wire_codec.PubKeyMsg).y
     if not 1 < y < params.p:
         raise UsageFailure(f"{path}: public y is outside [2, p-1]")
     return y
 
 
 def _read_wire(path: str, expect: type):
-    """The (message, suite) in an armored wire file, checked by _decode."""
+    """The message in an armored wire file, checked by _decode."""
     return _decode(_read_armor(path), path, expect)
 
 
 def _decode(blob: bytes, path: str, expect: type):
-    """The (message, suite) that blob, read from path, encodes; a message that
-    does not decode, is not an `expect` or names an unknown suite exits 2
+    """The message that blob, read from path, encodes; a message that does not
+    decode, is not an `expect` or names a suite other than SUITE_ID exits 2
     naming path."""
     try:
         obj, suite_id = wire_codec.decode(blob)
@@ -191,10 +188,9 @@ def _decode(blob: bytes, path: str, expect: type):
         raise UsageFailure(f"{path}: {exc}") from None
     if not isinstance(obj, expect):
         raise UsageFailure(f"{path} holds {type(obj).__name__}, expected {expect.__name__}")
-    try:
-        return obj, get_suite(suite_id)
-    except KeyError:
-        raise UsageFailure(f"{path}: unknown suite {suite_id!r}") from None
+    if suite_id != SUITE_ID:
+        raise UsageFailure(f"{path}: unknown suite {suite_id!r}")
+    return obj
 
 
 def _write_wire(path: str, obj) -> None:
@@ -229,7 +225,7 @@ def _load_state(path: str, args, session_cls: type, params: GroupParams):
     tag, ct = blob[:32], blob[32:]
     if not hmac.compare_digest(tag, suite.keyed_hash(key, ct)):
         raise UsageFailure(f"cannot open {path}: wrong seed or corrupted state")
-    session = _decode(suite.cipher_encrypt(key, ct), path, session_cls)[0]
+    session = _decode(suite.cipher_encrypt(key, ct), path, session_cls)
     if session.params != params:
         raise UsageFailure(f"{path} was made under other group parameters")
     return session
@@ -253,7 +249,7 @@ def cmd_params_gen(args) -> int:
 def cmd_params_validate(args) -> int:
     try:
         params = _read_params(args.params)
-        if args.params in _PRESETS:  # a file was validated as it was read
+        if args.params in NAMED_PARAMS:  # a file was validated as it was read
             validate_params((params.p, params.q, params.g))
     except (NotPrime, OrderMismatch, BadGenerator) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
@@ -287,10 +283,10 @@ def cmd_verify(args) -> int:
     module), args.wire (its signature class) and args.pub_dest (the dest of
     its signer key flag)."""
     params = _read_params(args.params)
-    sig, suite = _read_wire(args.sig, args.wire)
+    sig = _read_wire(args.sig, args.wire)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     signer_pub = _read_pub(getattr(args, args.pub_dest), params)
-    if not args.lib.verify(m, sig, signer_pub, params, suite):
+    if not args.lib.verify(m, sig, signer_pub, params, get_suite(SUITE_ID)):
         raise VerifyFailure("signature rejected")
     print("signature ok")
     return 0
@@ -311,9 +307,9 @@ def cmd_open(args) -> int:
     """zheng open and bsc open, set up by the parser as for cmd_verify."""
     params = _read_params(args.params)
     key = _read_key(args.key, params)
-    ct, suite = _read_wire(args.infile, args.wire)
+    ct = _read_wire(args.infile, args.wire)
     m = args.lib.unsigncrypt(ct, key, _read_pub(getattr(args, args.pub_dest), params),
-                             _bind_info(args, key.y), params, suite)
+                             _bind_info(args, key.y), params, get_suite(SUITE_ID))
     _write_output(args.out, m)
     print(f"recovered {len(m)} bytes", file=sys.stderr)  # --out may be /dev/stdout
     return 0
@@ -330,7 +326,7 @@ def cmd_session_commit(args) -> int:
 
 def cmd_blind_challenge(args) -> int:
     params = _read_params(args.params)
-    commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
+    commit = _read_wire(args.commit, blind_sdss.CommitMsg)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_sdss.requester_challenge(
         m, commit.z, _read_pub(args.signer_pub, params), params, get_suite(SUITE_ID), args.rng)
@@ -343,7 +339,7 @@ def cmd_session_respond(args) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
     session = _load_state(args.state, args, blind_sdss.SignerSession, params)
-    challenge, _ = _read_wire(args.challenge, blind_sdss.ChallengeMsg)
+    challenge = _read_wire(args.challenge, blind_sdss.ChallengeMsg)
     response = blind_sdss.signer_respond(session, challenge.r_bar, key)
     _save_state(args.state, session, args)
     _write_wire(args.out, response)
@@ -353,7 +349,7 @@ def cmd_session_respond(args) -> int:
 def cmd_blind_finalize(args) -> int:
     params = _read_params(args.params)
     session = _load_state(args.state, args, blind_sdss.RequesterSession, params)
-    response, _ = _read_wire(args.response, blind_sdss.ResponseMsg)
+    response = _read_wire(args.response, blind_sdss.ResponseMsg)
     sig = blind_sdss.requester_finalize(session, response.s_bar, params)
     m, session.m = session.m, b""  # a spent session's m is never read again
     _save_state(args.state, session, args)
@@ -365,7 +361,7 @@ def cmd_blind_finalize(args) -> int:
 
 def cmd_bsc_challenge(args) -> int:
     params = _read_params(args.params)
-    commit, _ = _read_wire(args.commit, blind_sdss.CommitMsg)
+    commit = _read_wire(args.commit, blind_sdss.CommitMsg)
     recipient_pub = _read_pub(args.recipient_pub, params)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_signcrypt.bsc_requester_challenge(
@@ -379,7 +375,7 @@ def cmd_bsc_challenge(args) -> int:
 def cmd_bsc_finalize(args) -> int:
     params = _read_params(args.params)
     session = _load_state(args.state, args, blind_signcrypt.BscRequesterSession, params)
-    response, _ = _read_wire(args.response, blind_sdss.ResponseMsg)
+    response = _read_wire(args.response, blind_sdss.ResponseMsg)
     ct = blind_signcrypt.bsc_requester_finalize(session, response.s_bar, params)
     session.c = b""  # a spent session's c is never read again
     _save_state(args.state, session, args)

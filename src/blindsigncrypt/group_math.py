@@ -307,7 +307,7 @@ def generate_params(bits_p: int, bits_q: int, rng=None, max_tries: int = 0) -> G
 
     q = _random_prime(bits_q, rng, max_tries)
 
-    # p = q*m + 1 with m even, sized so p lands on exactly bits_p bits
+    # p = q*m + 1 with m even; lo <= m <= hi puts p on exactly bits_p bits
     lo = ((1 << (bits_p - 1)) - 1) // q + 1
     hi = ((1 << bits_p) - 1 - 1) // q
     for _ in range(max_tries):
@@ -315,8 +315,6 @@ def generate_params(bits_p: int, bits_q: int, rng=None, max_tries: int = 0) -> G
         if m < lo:
             continue
         p = q * m + 1
-        if p.bit_length() != bits_p:
-            continue
         if is_probable_prime(p, rng=rng):
             break
     else:
@@ -354,10 +352,14 @@ DESK512 = GroupParams(
           "a34b081abc8d6a03424d8e57cbede86e9e6b3b0e7b39c95f7ba12375106b07dc", 16),
 )
 
+# The built-in sets by name: constants that the tests validate, so a caller
+# may skip validate_params for them.
+NAMED_PARAMS = {"toy23": TOY23, "desk512": DESK512}
+
 # (g, p) -> table for each built-in set, never written after import. A
 # parameter file or a generated set takes a few powers of g per process, far
 # fewer than a table costs to build, so those powers use pow.
-_generators = {(s.g, s.p): FixedBase(s.g, s.p, s.q.bit_length()) for s in (TOY23, DESK512)}
+_generators = {(s.g, s.p): FixedBase(s.g, s.p, s.q.bit_length()) for s in NAMED_PARAMS.values()}
 
 
 def desk512() -> GroupParams:
@@ -370,9 +372,8 @@ def desk512() -> GroupParams:
 
 
 def named_params(name: str) -> GroupParams:
-    """Resolve a built-in parameter set name ("toy23" or "desk512")."""
-    if name == "toy23":
-        return TOY23
-    if name == "desk512":
-        return desk512()
-    raise KeyError(f"unknown parameter set {name!r}")
+    """Resolve a built-in parameter set name (a key of NAMED_PARAMS)."""
+    try:
+        return NAMED_PARAMS[name]
+    except KeyError:
+        raise KeyError(f"unknown parameter set {name!r}") from None

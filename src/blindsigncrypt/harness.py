@@ -47,17 +47,9 @@ class HarnessContext:
 
 
 @dataclass(frozen=True)
-class RequesterSecrets:
-    u: int
-    alpha: int
-    beta: int
-    r: int
-
-
-@dataclass(frozen=True)
 class FullTranscript:
     view: View
-    requester_secrets: RequesterSecrets
+    requester_secrets: blind_sdss.BlindingSession  # the requester's own session: u, alpha, beta, r
     output: BlindSignature | BlindSigncryptedText
     message: bytes
     context: HarnessContext
@@ -146,8 +138,7 @@ def _session(ctx: HarnessContext, m: bytes, rng) -> FullTranscript:
         return FullTranscript(
             view=View(z=commit.z, r_bar=challenge.r_bar, s_bar=response.s_bar,
                       k_tilde=signer_session.k_tilde),
-            requester_secrets=RequesterSecrets(u=req.u, alpha=req.alpha,
-                                               beta=req.beta, r=req.r),
+            requester_secrets=req,
             output=output,
             message=m,
             context=ctx,
