@@ -78,18 +78,23 @@ def _read_input(path: str, limit: int = _MAX_FILE_BYTES) -> bytes:
     The read asks for the size fstat reports plus one probe byte, so what it
     allocates is bounded by the file, not by the limit. Only when the probe
     byte arrives (a pipe or a device, which report no size, or a file that
-    grew since fstat) does it read on, up to one byte past the limit."""
+    grew since fstat) does it read on, up to one byte past the limit. Each
+    further read asks for at most as many bytes as are already held, so
+    what it allocates stays bounded by the input, and the reads are joined
+    once."""
     too_large = UsageFailure(f"{path} is larger than the limit of {limit} bytes")
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size > limit:
             raise too_large
-        data = f.read(size + 1)
-        if len(data) > size:
-            data += f.read(limit + 1 - len(data))
-    if len(data) > limit:
+        chunks = [f.read(size + 1)]
+        total = len(chunks[0])
+        while size < total <= limit and (chunk := f.read1(min(total, limit + 1 - total))):
+            chunks.append(chunk)
+            total += len(chunk)
+    if total > limit:
         raise too_large
-    return data
+    return b"".join(chunks)  # one chunk is returned as it is, not copied
 
 
 def _write_output(path: str, data: bytes, mode: int = 0o666) -> None:

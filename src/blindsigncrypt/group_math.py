@@ -291,7 +291,7 @@ def validate_params(candidate: tuple[int, int, int]) -> GroupParams:
     return GroupParams(p=p, q=q, g=g)
 
 
-def generate_params(bits_p: int, bits_q: int, rng=None, max_tries: int = 0) -> GroupParams:
+def generate_params(bits_p: int, bits_q: int, rng=None) -> GroupParams:
     """Generate fresh (p, q, g) with p of bits_p bits and q | p - 1 of bits_q bits.
 
     g is obtained as h0^((p-1)/q) mod p for random h0, retried until g != 1.
@@ -302,15 +302,14 @@ def generate_params(bits_p: int, bits_q: int, rng=None, max_tries: int = 0) -> G
         raise ValueError("bits_q must be smaller than bits_p")
     if rng is None:
         rng = secrets.SystemRandom()
-    if max_tries <= 0:
-        max_tries = 200 * bits_p
+    tries = 200 * bits_p
 
-    q = _random_prime(bits_q, rng, max_tries)
+    q = _random_prime(bits_q, rng, tries)
 
     # p = q*m + 1 with m even; lo <= m <= hi puts p on exactly bits_p bits
     lo = ((1 << (bits_p - 1)) - 1) // q + 1
     hi = ((1 << bits_p) - 1 - 1) // q
-    for _ in range(max_tries):
+    for _ in range(tries):
         m = rng.randrange(lo, hi + 1) & ~1
         if m < lo:
             continue
@@ -318,7 +317,7 @@ def generate_params(bits_p: int, bits_q: int, rng=None, max_tries: int = 0) -> G
         if is_probable_prime(p, rng=rng):
             break
     else:
-        raise GenerationTimeout(f"no prime p found in {max_tries} tries")
+        raise GenerationTimeout(f"no prime p found in {tries} tries")
 
     cofactor = (p - 1) // q
 
@@ -330,12 +329,12 @@ def generate_params(bits_p: int, bits_q: int, rng=None, max_tries: int = 0) -> G
     return validate_params((p, q, g))
 
 
-def _random_prime(bits: int, rng, max_tries: int) -> int:
-    for _ in range(max_tries):
+def _random_prime(bits: int, rng, tries: int) -> int:
+    for _ in range(tries):
         n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
         if is_probable_prime(n, rng=rng):
             return n
-    raise GenerationTimeout(f"no {bits}-bit prime found in {max_tries} tries")
+    raise GenerationTimeout(f"no {bits}-bit prime found in {tries} tries")
 
 
 # -- named parameter sets --------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from . import blind_sdss, blind_signcrypt
-from .blind_sdss import BlindSignature, View
+from .blind_sdss import BlindingSession, BlindSignature, View
 from .blind_signcrypt import BlindSigncryptedText
 from .crypto_suite import CryptoSuite
 from .errors import DegenerateDenominator, HarnessCheckFailed, RngFailure, TagMismatch
@@ -49,7 +49,7 @@ class HarnessContext:
 @dataclass(frozen=True)
 class FullTranscript:
     view: View
-    requester_secrets: blind_sdss.BlindingSession  # the requester's own session: u, alpha, beta, r
+    requester_secrets: BlindingSession  # the requester's session, with its u, alpha, beta, r
     output: BlindSignature | BlindSigncryptedText
     message: bytes
     context: HarnessContext

@@ -11,10 +11,10 @@ import tracemalloc
 import pytest
 
 from blindsigncrypt import cli, sdss
-from blindsigncrypt.blind_sdss import BlindSignature, CommitMsg, RequesterSession
+from blindsigncrypt.blind_sdss import BlindSignature, CommitMsg, RequesterSession, ResponseMsg
 from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
 from blindsigncrypt.cli import _state_key, build_parser, main
-from blindsigncrypt.crypto_suite import std_suite
+from blindsigncrypt.crypto_suite import std_suite, toy_suite
 from blindsigncrypt.errors import (
     BadMagic,
     NonCanonicalInteger,
@@ -211,6 +211,39 @@ class TestBlindSession:
                    "--out", d / "again.sig") == 2
         assert "already unblinded" in capsys.readouterr().err
         assert not (d / "again.sig").exists()
+
+
+class TestWrongResponse:
+    """desk512: at the fixture's 8-bit q a wrong s verifies about once in q tries."""
+
+    def test_finalize_refuses_and_spends_the_state(self, tmp_path, capsys):
+        d = tmp_path
+        (d / "m").write_bytes(b"blindly signed")
+        assert run("--test-mode", "--seed", 2, "keygen", "--params", "desk512",
+                   "--out", d / "a.key", "--pub-out", d / "a.pub") == 0
+        assert run("--test-mode", "--seed", 11, "blind", "commit", "--params", "desk512",
+                   "--key", d / "a.key", "--state-out", d / "a.state",
+                   "--out", d / "commit.wire") == 0
+        assert run("--test-mode", "--seed", 12, "blind", "challenge", "--params", "desk512",
+                   "--signer-pub", d / "a.pub", "--in", d / "m", "--commit", d / "commit.wire",
+                   "--state-out", d / "b.state", "--out", d / "challenge.wire") == 0
+        assert run("--test-mode", "--seed", 11, "blind", "respond", "--params", "desk512",
+                   "--key", d / "a.key", "--state", d / "a.state",
+                   "--challenge", d / "challenge.wire", "--out", d / "response.wire") == 0
+        response, _ = decode(dearmor((d / "response.wire").read_text()))
+        off = ResponseMsg(s_bar=(response.s_bar + 1) % desk512().q)
+        (d / "response.wire").write_text(armor(encode(off, "std-v1")))
+        finalize = ("--test-mode", "--seed", 12, "blind", "finalize", "--params", "desk512",
+                    "--state", d / "b.state", "--response", d / "response.wire",
+                    "--out", d / "final.sig")
+        capsys.readouterr()
+        assert run(*finalize) == 1
+        assert "rejected: unblinded signature failed verification" in capsys.readouterr().err
+        assert not (d / "final.sig").exists()
+        # the spent state was saved before the check
+        assert run(*finalize) == 2
+        assert "already unblinded" in capsys.readouterr().err
+        assert not (d / "final.sig").exists()
 
 
 class TestBscSession:
@@ -658,10 +691,24 @@ class TestStateFiles:
         assert "does not start with BSC1" in capsys.readouterr().err
 
     def test_state_from_other_params_refused(self, setup, capsys):
+        # finalize reads no key file, so the state's own params check refuses
         d = self.commit_and_challenge(setup)
-        assert run("--test-mode", "--seed", 21, "bsc", "respond", "--params", "toy23",
-                   "--key", setup["key_a"], "--state", d / "a.state",
-                   "--challenge", d / "c2.wire", "--out", d / "c3.wire") == 2
+        assert run("--test-mode", "--seed", 22, "bsc", "finalize", "--params", "toy23",
+                   "--state", d / "b.state", "--response", d / "c2.wire",
+                   "--out", d / "out.wire") == 2
+        assert "b.state was made under other group parameters" in capsys.readouterr().err
+        assert not (d / "out.wire").exists()
+
+    @pytest.mark.parametrize("command", ["respond", "finalize"])
+    def test_loading_state_needs_test_mode(self, setup, capsys, command):
+        d = self.commit_and_challenge(setup)
+        flags = {"respond": ("--key", setup["key_a"], "--state", d / "a.state",
+                             "--challenge", d / "c2.wire"),
+                 "finalize": ("--state", d / "b.state", "--response", d / "c2.wire")}[command]
+        assert run("bsc", command, "--params", setup["params"], *flags,
+                   "--out", d / "out.wire") == 2
+        assert "session state files exist only under --test-mode" in capsys.readouterr().err
+        assert not (d / "out.wire").exists()
 
 
 def signer_plaintext(params, k_tilde: bytes, spent: bytes) -> bytes:
@@ -858,6 +905,40 @@ class TestInputLimit:
             tracemalloc.stop()
         assert peak < 64 << 10, f"{peak} bytes allocated to read 300"
 
+    @pytest.fixture
+    def pipe(self):
+        """Makes a path that reads given bytes through a pipe, which reports
+        no size."""
+        fds = []
+
+        def make(data: bytes) -> str:
+            r, w = os.pipe()
+            os.write(w, data)  # fits in the pipe's buffer, so no reader is needed yet
+            os.close(w)
+            fds.append(r)
+            return f"/dev/fd/{r}"
+
+        yield make
+        for fd in fds:
+            os.close(fd)
+
+    def test_pipe_read_allocates_by_the_input(self, pipe):
+        data = random.Random(9).randbytes(300)
+        path = pipe(data)
+        tracemalloc.start()
+        try:
+            assert cli._read_input(path, cli.MAX_MESSAGE_BYTES) == data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak} bytes allocated to read 300 from a pipe"
+
+    def test_pipe_over_limit_is_refused(self, pipe):
+        limit = 10_000
+        with pytest.raises(cli.UsageFailure, match=f"larger than the limit of {limit} bytes"):
+            cli._read_input(pipe(b"p" * (limit + 1)), limit)
+        assert cli._read_input(pipe(b"a" * limit), limit) == b"a" * limit
+
     @pytest.mark.parametrize("reported", [lambda size: 0, lambda size: size - 1],
                              ids=["size-0", "size-1"])
     def test_under_reported_size_reads_on(self, tmp_path, monkeypatch, reported):
@@ -940,6 +1021,31 @@ class TestErrorPaths:
                     "--state-out", d / "b.state", "--out", d / "out")
         assert run(*argv) == 2
         assert f"error: {wire}: unknown suite 'nope-v9'\n" in capsys.readouterr().err
+        assert not (d / "out").exists() and not (d / "b.state").exists()
+
+    @pytest.mark.parametrize("flag", ["--commit", "--sig"])
+    def test_toy_suite_is_refused(self, setup, capsys, flag):
+        # toy-v1 is a library suite; the CLI reads std-v1 only, even where a
+        # toy-v1 message is otherwise valid
+        d = setup["dir"]
+        wire, msg = d / "toy.wire", d / "m"
+        msg.write_bytes(b"x")
+        if flag == "--commit":
+            wire.write_text(armor(encode(CommitMsg(z=2), "toy-v1")))
+            argv = ("--test-mode", "--seed", 5, "bsc", "challenge", "--params", setup["params"],
+                    "--recipient-pub", setup["pub_c"], "--in", msg, "--commit", wire,
+                    "--state-out", d / "b.state", "--out", d / "out")
+        else:
+            params = decode(dearmor(setup["params"].read_text()))[0]
+            key = json.loads(setup["key_a"].read_text())
+            sig = sdss.sign(b"x", sdss.KeyPair(x=key["x"], y=key["y"]), params, toy_suite(),
+                            random.Random(5))
+            assert sdss.verify(b"x", sig, key["y"], params, toy_suite())
+            wire.write_text(armor(encode(sig, "toy-v1")))
+            argv = ("sdss", "verify", "--params", setup["params"], "--pub", setup["pub_a"],
+                    "--in", msg, "--sig", wire)
+        assert run(*argv) == 2
+        assert f"error: {wire}: unknown suite 'toy-v1'\n" in capsys.readouterr().err
         assert not (d / "out").exists() and not (d / "b.state").exists()
 
     def test_invalid_params_validate_exits_1(self, tmp_path):

@@ -492,11 +492,11 @@ class TestGenerateParams:
         b = generate_params(24, 8, random.Random(4))
         assert a == b
 
-    def test_timeout_on_exhausted_budget(self):
-        # single try landing on 129 = 3 * 43: no prime found
-        rng = ScriptRng([129], fallback_seed=0)
-        with pytest.raises(GenerationTimeout):
-            generate_params(16, 8, rng, max_tries=1)
+    def test_timeout_on_exhausted_budget(self, monkeypatch):
+        # no candidate is prime, so q's 200 * bits_p tries run out
+        monkeypatch.setattr(group_math, "is_probable_prime", lambda n, rng=None: False)
+        with pytest.raises(GenerationTimeout, match="no 8-bit prime found in 3200 tries"):
+            generate_params(16, 8, random.Random(1))
 
     def test_desk_scale_within_budget(self):
         import time

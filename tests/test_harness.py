@@ -64,6 +64,12 @@ class TestRunHonestSessions:
         with pytest.raises(ValueError):
             run_honest_sessions(1, "nope", toy, suite, rng)
 
+    @pytest.mark.parametrize("messages", [[b"one"], [b"one", b"two", b"three"]],
+                             ids=["fewer", "more"])
+    def test_message_count_must_match(self, toy, suite, messages):
+        with pytest.raises(ValueError, match="exactly one message per session"):
+            run_honest_sessions(2, "blind_sdss", toy, suite, ScriptRng([]), messages=messages)
+
     def test_degenerate_restarts_are_counted(self, toy, suite):
         # at q=11 roughly one session in eleven restarts; 300 sessions make a
         # zero count astronomically unlikely under this fixed seed
