@@ -8,7 +8,7 @@ blind signcryption protocol (`blind_signcrypt`), with a canonical wire format
 Desk-scale parameters only; nothing here is hardened against side channels.
 """
 
-from .group_math import GroupParams, TOY23, desk512, generate_params, named_params, validate_params
+from .group_math import GroupParams, TOY23, desk512, generate_params, validate_params
 from .crypto_suite import CryptoSuite, SplitKeys, derive_keys, get_suite, std_suite, toy_suite
 from .sdss import KeyPair, SdssSignature, keygen
 from .zheng import SigncryptedText
@@ -18,8 +18,8 @@ from .blind_signcrypt import BlindSigncryptedText
 __version__ = "0.1.0"
 
 __all__ = [
-    "GroupParams", "TOY23", "desk512", "generate_params", "named_params",
-    "validate_params", "CryptoSuite", "SplitKeys", "derive_keys", "get_suite",
+    "GroupParams", "TOY23", "desk512", "generate_params", "validate_params",
+    "CryptoSuite", "SplitKeys", "derive_keys", "get_suite",
     "std_suite", "toy_suite", "KeyPair", "SdssSignature", "keygen",
     "SigncryptedText", "BlindSignature", "ChallengeMsg", "CommitMsg",
     "ResponseMsg", "View", "BlindSigncryptedText",

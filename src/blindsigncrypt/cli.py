@@ -25,7 +25,7 @@ import stat
 import sys
 
 from . import blind_sdss, blind_signcrypt, harness, sdss, wire_codec, zheng
-from .crypto_suite import get_suite, std_suite
+from .crypto_suite import std_suite
 from .errors import (
     ArmorError,
     BadGenerator,
@@ -278,7 +278,7 @@ def cmd_sdss_sign(args) -> int:
     params = _read_params(args.params)
     key = _read_key(args.key, params)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    sig = sdss.sign(m, key, params, get_suite(SUITE_ID), args.rng)
+    sig = sdss.sign(m, key, params, std_suite(), args.rng)
     _write_wire(args.out, sig)
     return 0
 
@@ -291,7 +291,7 @@ def cmd_verify(args) -> int:
     sig = _read_wire(args.sig, args.wire)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     signer_pub = _read_pub(getattr(args, args.pub_dest), params)
-    if not args.lib.verify(m, sig, signer_pub, params, get_suite(SUITE_ID)):
+    if not args.lib.verify(m, sig, signer_pub, params, std_suite()):
         raise VerifyFailure("signature rejected")
     print("signature ok")
     return 0
@@ -303,7 +303,7 @@ def cmd_zheng_seal(args) -> int:
     recipient_pub = _read_pub(args.recipient_pub, params)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     ct = zheng.signcrypt(m, key, recipient_pub, _bind_info(args, recipient_pub),
-                         params, get_suite(SUITE_ID), args.rng)
+                         params, std_suite(), args.rng)
     _write_wire(args.out, ct)
     return 0
 
@@ -314,7 +314,7 @@ def cmd_open(args) -> int:
     key = _read_key(args.key, params)
     ct = _read_wire(args.infile, args.wire)
     m = args.lib.unsigncrypt(ct, key, _read_pub(getattr(args, args.pub_dest), params),
-                             _bind_info(args, key.y), params, get_suite(SUITE_ID))
+                             _bind_info(args, key.y), params, std_suite())
     _write_output(args.out, m)
     print(f"recovered {len(m)} bytes", file=sys.stderr)  # --out may be /dev/stdout
     return 0
@@ -334,7 +334,7 @@ def cmd_blind_challenge(args) -> int:
     commit = _read_wire(args.commit, blind_sdss.CommitMsg)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_sdss.requester_challenge(
-        m, commit.z, _read_pub(args.signer_pub, params), params, get_suite(SUITE_ID), args.rng)
+        m, commit.z, _read_pub(args.signer_pub, params), params, std_suite(), args.rng)
     _save_state(args.state_out, session, args)
     _write_wire(args.out, challenge)
     return 0
@@ -358,7 +358,7 @@ def cmd_blind_finalize(args) -> int:
     sig = blind_sdss.requester_finalize(session, response.s_bar, params)
     m, session.m = session.m, b""  # a spent session's m is never read again
     _save_state(args.state, session, args)
-    if not blind_sdss.verify(m, sig, session.signer_pub, params, get_suite(SUITE_ID)):
+    if not blind_sdss.verify(m, sig, session.signer_pub, params, std_suite()):
         raise VerifyFailure("unblinded signature failed verification")
     _write_wire(args.out, sig)
     return 0
@@ -371,7 +371,7 @@ def cmd_bsc_challenge(args) -> int:
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
     session, challenge = blind_signcrypt.bsc_requester_challenge(
         m, commit.z, recipient_pub, _bind_info(args, recipient_pub), params,
-        get_suite(SUITE_ID), args.rng)
+        std_suite(), args.rng)
     _save_state(args.state_out, session, args)
     _write_wire(args.out, challenge)
     return 0
@@ -391,7 +391,7 @@ def cmd_bsc_finalize(args) -> int:
 def cmd_bench(args) -> int:
     params = _read_params(args.params)
     report = harness.measure_exponentiation_counts(
-        _SCHEME_NAMES[args.scheme], params, get_suite(SUITE_ID), args.rng)
+        _SCHEME_NAMES[args.scheme], params, std_suite(), args.rng)
     for line in report.lines():
         if args.party and line.startswith("party ") and not line.startswith(f"party {args.party}:"):
             continue

@@ -132,9 +132,8 @@ def std_suite() -> CryptoSuite:
 
 
 def get_suite(suite_id: str) -> CryptoSuite:
-    """Resolve a wire-header suite_id to a fresh suite instance."""
+    """Resolve a wire-header suite_id to a fresh suite instance. Only std-v1
+    resolves: toy-v1 is built with toy_suite() by the tests that pin it."""
     if suite_id == "std-v1":
         return std_suite()
-    if suite_id == "toy-v1":
-        return toy_suite()
     raise KeyError(f"unknown suite {suite_id!r}")

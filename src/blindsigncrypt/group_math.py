@@ -368,11 +368,3 @@ def desk512() -> GroupParams:
     hash collisions mod q are not observable in tests.
     """
     return DESK512
-
-
-def named_params(name: str) -> GroupParams:
-    """Resolve a built-in parameter set name (a key of NAMED_PARAMS)."""
-    try:
-        return NAMED_PARAMS[name]
-    except KeyError:
-        raise KeyError(f"unknown parameter set {name!r}") from None

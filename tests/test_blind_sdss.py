@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -16,8 +17,10 @@ from blindsigncrypt.blind_sdss import (
     requester_finalize,
     signer_commit,
     signer_respond,
+    verified_commitment,
     verify,
 )
+from blindsigncrypt.crypto_suite import std_suite
 from blindsigncrypt.errors import (
     BadChallenge,
     BadCommit,
@@ -373,3 +376,61 @@ class TestChosenTagForgery:
         T = pow(signer.y, -1, desk.p) * forger.y % desk.p
         sig = sign(MSG, forger, desk, suite, rng)
         assert not verify(MSG, BlindSignature(r=sig.r, s=sig.s, T=T), signer.y, desk, suite)
+
+
+# Cofactor-2 sets small enough to enumerate every signature on one message,
+# each with its number of signer views and of valid signatures with T in the
+# subgroup and K != 1.
+EXHAUSTIVE = [
+    (GroupParams(p=23, q=11, g=2), 100, 100),
+    (GroupParams(p=47, q=23, g=2), 484, 462),
+    (GroupParams(p=59, q=29, g=4), 784, 756),
+]
+
+
+@functools.cache
+def accepted_signatures(params):
+    """(sig, K) for every (r, s, T) with 0 < r, s < q and 0 < T < p that
+    `verified_commitment` accepts on b"m" under y_A = g^3, K the element it
+    recovers."""
+    p, q = params.p, params.q
+    suite, y = std_suite(), pow(params.g, 3, p)
+    accepted = []
+    for T in range(1, p):
+        for r in range(1, q):
+            for s in range(1, q):
+                sig = BlindSignature(r=r, s=s, T=T)
+                K = verified_commitment(b"m", sig, y, params, suite)
+                if K is not None:
+                    accepted.append((sig, K))
+    return accepted
+
+
+class TestExhaustiveBlindness:
+    """Perfect blindness as a checked statement at toy sizes: every view the
+    signer with x = 3 can see, over every k_tilde and every r_bar, reconciles
+    with every signature on b"m" that verifies with T in the order-q subgroup,
+    so no view links to any signature. K = 1 would need u = 0, which no
+    requester draws. The views include those whose z is 0 mod q (z = 29 at
+    p = 59), which signer_commit never sends."""
+
+    @pytest.mark.parametrize("params, n_views, n_signatures", EXHAUSTIVE,
+                             ids=["p23", "p47", "p59"])
+    def test_every_view_pairs_with_every_signature(self, params, n_views, n_signatures):
+        p, q, g = params.p, params.q, params.g
+        log = {pow(g, e, p): e for e in range(q)}  # the subgroup, with discrete logs
+        views = [View(z=pow(g, k, p), r_bar=r_bar, s_bar=(3 + r_bar * k) % q)
+                 for k in range(1, q) for r_bar in range(1, q)]
+        columns = [(sig, log[K]) for sig, K in accepted_signatures(params)
+                   if sig.T in log and K != 1]
+        assert (len(views), len(columns)) == (n_views, n_signatures)
+        assert all(all(row) for row in pairing_grid(views, columns, params))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="verify does not check that T lies in the order-q subgroup")
+    def test_no_T_outside_the_subgroup_accepted(self):
+        # today 110, 495 and 770 signatures with T outside the subgroup verify
+        outside = [sum(pow(sig.T, params.q, params.p) != 1
+                       for sig, _ in accepted_signatures(params))
+                   for params, _, _ in EXHAUSTIVE]
+        assert outside == [0, 0, 0]

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,10 +160,9 @@ class TestCipherMatchesBytewise:
 class TestRegistry:
     def test_lookup(self):
         assert get_suite("std-v1").suite_id == "std-v1"
-        assert get_suite("toy-v1").suite_id == "toy-v1"
+        with pytest.raises(KeyError):
+            get_suite("toy-v1")  # the toy suite is built directly, never looked up
 
     def test_unknown(self):
-        import pytest
-
         with pytest.raises(KeyError):
             get_suite("nope-v9")

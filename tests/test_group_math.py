@@ -30,6 +30,7 @@ from blindsigncrypt.group_math import (
     DESK512,
     KEY_TABLE_AFTER,
     KEY_TABLES_KEPT,
+    NAMED_PARAMS,
     TOY23,
     USES_KEPT,
     FixedBase,
@@ -42,7 +43,6 @@ from blindsigncrypt.group_math import (
     is_probable_prime,
     modexp,
     modinv,
-    named_params,
     rand_scalar,
     rand_scalar_nonzero,
     validate_params,
@@ -513,12 +513,12 @@ class TestGenerateParams:
         assert validate_params((DESK512.p, DESK512.q, DESK512.g)) == DESK512
 
     def test_named_sets(self, desk):
-        assert named_params("toy23") == TOY23
-        assert named_params("desk512") == desk
+        assert NAMED_PARAMS["toy23"] == TOY23
+        assert NAMED_PARAMS["desk512"] == desk
         assert desk.p.bit_length() == 512
         assert desk.q.bit_length() == 160
         with pytest.raises(KeyError):
-            named_params("nope")
+            NAMED_PARAMS["nope"]
 
 
 class TestPrimality:
