@@ -281,7 +281,7 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
     can equal it, is False in every row and costs no power. Each row keeps
     z^(r + beta) * R_i keyed by the unreduced exponent r + beta, which for
     0 <= r < q is r_bar mod q or r_bar mod q + q, so a cell is one
-    comparison: an n x n grid costs 2n + 1 table powers of g (one checks
+    comparison: an n x n grid costs 2n + 1 powers of g (one checks
     g^q = 1) and, for 0 <= r < q, at most 2n powers of the views' z.
     Raises BadGenerator when g^q != 1 mod p, where the split would be wrong.
     """

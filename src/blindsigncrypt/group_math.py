@@ -1,20 +1,19 @@
 """Modular arithmetic over the order-q subgroup of Z_p*, plus parameter handling.
 
 Scalars are plain ints kept reduced mod q; group elements are plain ints in
-[1, p-1]. Everything here is a pure function, so concurrent use is safe. The
-shared state is `modexp`'s fixed-base tables: one for the generator of each
-built-in set, fixed at import, and a bounded registry for the bases it sees
-most often (public keys, in practice), with the use counts that pick them; a
-lock guards every update of that registry. The optional exponentiation
-counters are per thread.
+[1, p-1]. Everything here is a pure function, so concurrent use is safe.
+Every power, counted (`modexp`) or not (primality and parameter checks), is
+one call of `_power`: OpenSSL's Montgomery exponentiation, reached through
+ctypes in the libcrypto that hashlib has loaded, or pow where that library
+is not available. The only module state is that library handle, fixed at
+import. The optional exponentiation counters are per thread.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import secrets
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -42,10 +41,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class GroupParams:
     """Public triple (p, q, g): prime modulus, prime subgroup order, generator.
 
-    For the built-in sets, TOY23 and DESK512, `modexp` computes g^e mod p
-    from a fixed-base table (built on first use) for every e >= 0 no longer
-    than q in whole bytes. Every other set, generated, validated or decoded,
-    computes g^e with pow.
+    Every set, built-in, generated, validated or decoded, computes its powers
+    the same way, through `modexp`; no set holds precomputed state.
     """
 
     p: int
@@ -94,114 +91,76 @@ def count_exponentiations() -> Iterator[ExpCounter]:
 
 # -- core operations -----------------------------------------------------------
 
-class FixedBase:
-    """base^e mod p for 0 <= e < limit from the radix-2^r table
-    row[t][d] = base^(d * 2^(r*t)) mod p: one multiplication per nonzero
-    r-bit digit of e.
-
-    Lim and Lee's fixed-base method in the form of the Handbook of Applied
-    Cryptography, 14.6.3. The limit is 2 to the bits rounded up to whole
-    bytes. With a 160-bit q and a 512-bit p, radix 2^8 (generators) is 20
-    rows of 256 entries, about 0.5 MB; radix 2^4 (hot keys) is 40 rows of
-    16, about 64 KiB. The table is built on first use into a local and then
-    published, so threads that race to build it each get a full one.
-    """
-
-    def __init__(self, g: GroupElement, p: int, bits: int, radix_bits: int = 8):
-        if radix_bits not in (1, 2, 4, 8):
-            raise ValueError("radix_bits must divide 8")
-        self.g, self.p, self.bits, self.radix_bits = g, p, bits, radix_bits
-        self.width = (bits + 7) // 8  # exponent bytes
-        self.limit = 1 << (8 * self.width)
-        # e's digits come from its little-endian bytes: translation j picks
-        # digit j of every byte, so the digits of e are the translations
-        # joined, and rows are kept in that order.
-        mask = (1 << radix_bits) - 1
-        self._digit_tables = [bytes(b >> (radix_bits * j) & mask for b in range(256))
-                              for j in range(8 // radix_bits)]
-        self._rows: list[list[int]] | None = None
-
-    def _build(self) -> list[list[int]]:
-        p, base, size = self.p, self.g % self.p, 1 << self.radix_bits
-        rows = []  # rows[t] for digit t of e, least significant first
-        for _ in range(self.width * len(self._digit_tables)):
-            row = [1]
-            for _ in range(size - 1):
-                row.append(row[-1] * base % p)
-            rows.append(row)
-            base = row[-1] * base % p  # the next digit's base^(2^(r(t+1)))
-        per_byte = len(self._digit_tables)
-        return [rows[i * per_byte + j] for j in range(per_byte) for i in range(self.width)]
-
-    def power(self, e: Scalar) -> GroupElement:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self._build()
-        digits = e.to_bytes(self.width, "little")
-        if self.radix_bits != 8:  # at radix 2^8 the bytes are the digits
-            digits = b"".join([digits.translate(t) for t in self._digit_tables])
-        p, result = self.p, 1
-        for row, digit in zip(rows, digits):
-            if digit:
-                result = result * row[digit] % p
-        return result
+def _load_libcrypto():
+    """The libcrypto that hashlib links, with the BN functions _power calls
+    declared; None where _hashlib or one of them is missing."""
+    try:
+        import _hashlib
+        lib = ctypes.CDLL(_hashlib.__file__)
+        ptr = ctypes.c_void_p
+        for name, args, res in (
+                ("BN_CTX_new", [], ptr),
+                ("BN_CTX_free", [ptr], None),
+                ("BN_new", [], ptr),
+                ("BN_free", [ptr], None),
+                ("BN_clear_free", [ptr], None),
+                ("BN_bin2bn", [ctypes.c_char_p, ctypes.c_int, ptr], ptr),
+                ("BN_bn2binpad", [ptr, ctypes.c_char_p, ctypes.c_int], ctypes.c_int),
+                ("BN_mod_exp_mont_consttime", [ptr] * 6, ctypes.c_int),
+                ("ERR_clear_error", [], None)):
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = args, res
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
 
 
-# (base, p) -> radix-2^4 table for the bases modexp sees most often: a base
-# gets one on its KEY_TABLE_AFTER-th use in a row of USES_KEPT counted bases,
-# under the p of a built-in set (the width comes from that set's q). A table
-# costs about four pows to build, so a base that lives for one session
-# (z, y * T) never gets one. Both maps drop their least recently used entry.
-KEY_TABLES_KEPT = 16
-KEY_TABLE_AFTER = 8
-KEY_RADIX_BITS = 4
-USES_KEPT = 256
-_key_tables: OrderedDict[tuple[int, int], FixedBase] = OrderedDict()
-_uses: OrderedDict[tuple[int, int], int] = OrderedDict()
-
-# Every update of _key_tables and _uses holds this lock.
-_tables_lock = threading.Lock()
+# Loaded once at import; never written after, so _power keeps no state.
+_libcrypto = _load_libcrypto()
 
 
-def _key_table(base: GroupElement, p: int) -> FixedBase | None:
-    """Count one use of base under p and return its table, if it has one now."""
-    key = (base, p)
-    with _tables_lock:
-        table = _key_tables.get(key)
-        if table is not None:
-            _key_tables.move_to_end(key)
-            return table
-        uses = _uses.pop(key, 0) + 1
-        if uses < KEY_TABLE_AFTER:
-            _uses[key] = uses
-            if len(_uses) > USES_KEPT:
-                _uses.popitem(last=False)
-            return None
-        bits = next((t.bits for (_, mod), t in _generators.items() if mod == p), None)
-        if bits is None:
-            return None
-        table = _key_tables[key] = FixedBase(base, p, bits, KEY_RADIX_BITS)
-        if len(_key_tables) > KEY_TABLES_KEPT:
-            _key_tables.popitem(last=False)
-        return table
+def _bn(lib, n: int):
+    data = int_to_bytes(n)
+    return lib.BN_bin2bn(data, len(data), None)
+
+
+def _power(base: int, exp: int, mod: int) -> int:
+    """base^exp mod mod, uncounted: OpenSSL's BN_mod_exp_mont_consttime
+    (Montgomery multiplication) for 0 <= base, 0 <= exp and an odd mod > 1
+    where libcrypto loaded, else pow. Each call makes and frees its own BN
+    context and numbers; ctypes releases the GIL for every OpenSSL call."""
+    lib = _libcrypto
+    if lib is None or exp < 0 or base < 0 or mod <= 1 or not mod & 1:
+        return pow(base, exp, mod)
+    width = (mod.bit_length() + 7) // 8
+    out = ctypes.create_string_buffer(width)
+    ctx = b = e = m = r = None
+    try:
+        ctx = lib.BN_CTX_new()
+        b = _bn(lib, base)
+        e = _bn(lib, exp)
+        m = _bn(lib, mod)
+        r = lib.BN_new()
+        if (ctx and b and e and m and r
+                and lib.BN_mod_exp_mont_consttime(r, b, e, m, ctx, None) == 1
+                and lib.BN_bn2binpad(r, out, width) == width):
+            return int.from_bytes(out.raw, "big")
+        lib.ERR_clear_error()  # so that hashlib never reads this failure as its own
+        return pow(base, exp, mod)
+    finally:
+        lib.BN_free(b)
+        lib.BN_clear_free(e)
+        lib.BN_free(m)
+        lib.BN_free(r)
+        lib.BN_CTX_free(ctx)
 
 
 def modexp(base: GroupElement, exp: Scalar, p: int) -> GroupElement:
-    """base^exp mod p. The single exponentiation primitive all schemes share.
-
-    A built-in set's generator (see GroupParams) or a hot base (see
-    KEY_TABLE_AFTER) with 0 <= exp < its table's limit goes through the
-    table; everything else through pow. Both give the same element and count
-    as one exponentiation.
-    """
+    """base^exp mod p. The single exponentiation primitive all schemes share:
+    it counts one exponentiation, then computes it with _power."""
     for counter in _active_counters.get():
         counter.count += 1
-    table = _generators.get((base, p))
-    if table is None:
-        table = _key_table(base, p)
-    if table is not None and 0 <= exp < table.limit:
-        return table.power(exp)
-    return pow(base, exp, p)
+    return _power(base, exp, p)
 
 
 def modinv(a: Scalar, q: int) -> Scalar:
@@ -261,7 +220,7 @@ def is_probable_prime(n: int, rng=None) -> bool:
             a = 2 + secrets.randbelow(n - 3)
         else:
             a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = _power(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -286,7 +245,7 @@ def validate_params(candidate: tuple[int, int, int]) -> GroupParams:
         raise OrderMismatch(f"q = {q} does not divide p - 1 = {p - 1}")
     if not 1 < g < p:
         raise BadGenerator(f"g = {g} is outside [2, p-1]")
-    if pow(g, q, p) != 1:
+    if _power(g, q, p) != 1:
         raise BadGenerator(f"g = {g} does not have order dividing q")
     return GroupParams(p=p, q=q, g=g)
 
@@ -322,7 +281,7 @@ def generate_params(bits_p: int, bits_q: int, rng=None) -> GroupParams:
     cofactor = (p - 1) // q
 
     def draw_generator():
-        g = pow(rng.randrange(2, p - 1), cofactor, p)
+        g = _power(rng.randrange(2, p - 1), cofactor, p)
         return g if g != 1 else None
 
     g = retry(draw_generator, GenerationTimeout("no generator found"))
@@ -354,12 +313,6 @@ DESK512 = GroupParams(
 # The built-in sets by name: constants that the tests validate, so a caller
 # may skip validate_params for them.
 NAMED_PARAMS = {"toy23": TOY23, "desk512": DESK512}
-
-# (g, p) -> table for each built-in set, never written after import. A
-# parameter file or a generated set takes a few powers of g per process, far
-# fewer than a table costs to build, so those powers use pow.
-_generators = {(s.g, s.p): FixedBase(s.g, s.p, s.q.bit_length()) for s in NAMED_PARAMS.values()}
-
 
 def desk512() -> GroupParams:
     """512-bit p / 160-bit q set.

@@ -81,10 +81,10 @@ def sign(m: bytes, key: KeyPair, params: GroupParams, suite: CryptoSuite,
 def key_power(y: GroupElement, r: Scalar, e: Scalar, params: GroupParams) -> GroupElement:
     """(y * g^r)^e mod p, the power every verifier and recipient takes.
 
-    Computed as y^e * g^(r*e mod q), still two powers, so that the key y is a
-    base of its own and a hot key gets a table in `modexp`. The split is
-    exact for any y in Z_p* when g has order q, which `validate_params` and
-    the named sets guarantee."""
+    Computed as y^e * g^(r*e mod q): two exact powers, as many as
+    (y * g^r)^e takes, whose exponents stay below q. The split is exact for
+    any y in Z_p* when g has order q, which `validate_params` and the named
+    sets guarantee."""
     p = params.p
     return modexp(y, e, p) * modexp(params.g, r * e % params.q, p) % p
 

@@ -2,7 +2,6 @@ import builtins
 import random
 import sys
 import threading
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -24,17 +23,12 @@ from blindsigncrypt.errors import (
     RngFailure,
     ZeroInverse,
 )
-from blindsigncrypt import group_math, wire_codec
-from blindsigncrypt.crypto_suite import std_suite
+from blindsigncrypt import blind_signcrypt, group_math, wire_codec, zheng
+from blindsigncrypt.crypto_suite import derive_keys, kh_preimage, std_suite, toy_suite
 from blindsigncrypt.group_math import (
     DESK512,
-    KEY_TABLE_AFTER,
-    KEY_TABLES_KEPT,
     NAMED_PARAMS,
     TOY23,
-    USES_KEPT,
-    FixedBase,
-    GroupParams,
     count_exponentiations,
     desk512,
     generate_params,
@@ -47,8 +41,8 @@ from blindsigncrypt.group_math import (
     rand_scalar_nonzero,
     validate_params,
 )
-from blindsigncrypt.harness import run_honest_sessions
-from blindsigncrypt.sdss import keygen, sign, verify
+from blindsigncrypt.harness import measure_exponentiation_counts, run_honest_sessions
+from blindsigncrypt.sdss import KeyPair, keygen, sign, verify
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -132,29 +126,6 @@ class TestModexp:
         assert counts == {n: n for n in sizes}
 
 
-@pytest.fixture
-def key_tables(monkeypatch):
-    """Empty hot-base registries, so that bases heated by earlier tests
-    cannot take the table path; returns the table registry."""
-    monkeypatch.setattr(group_math, "_key_tables", OrderedDict())
-    monkeypatch.setattr(group_math, "_uses", OrderedDict())
-    return group_math._key_tables
-
-
-@pytest.fixture
-def table_calls(monkeypatch, key_tables):
-    """Count the modexp calls that take a fixed-base table path."""
-    calls = []
-    power = FixedBase.power
-
-    def spy(self, e):
-        calls.append(e)
-        return power(self, e)
-
-    monkeypatch.setattr(FixedBase, "power", spy)
-    return calls
-
-
 def run_threads(work, args):
     """work(arg) in one thread per arg, released together, switching often."""
     start = threading.Barrier(len(args))
@@ -171,216 +142,170 @@ def run_threads(work, args):
     assert not any(t.is_alive() for t in threads)
 
 
-class TestFixedBase:
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """Record every builtin pow that group_math calls as a power, leaving out
+    modinv's pow(a, -1, q)."""
+    calls = []
+
+    def spy(base, exp, mod):
+        if exp != -1:
+            calls.append((base, exp, mod))
+        return builtins.pow(base, exp, mod)
+
+    monkeypatch.setattr(group_math, "pow", spy, raising=False)
+    return calls
+
+
+needs_kernel = pytest.mark.skipif(group_math._libcrypto is None,
+                                  reason="libcrypto's modexp did not load here")
+
+GENERATED = generate_params(64, 40, random.Random(11))
+
+
+class TestPower:
+    def test_kernel_loads_on_linux(self):
+        # CI and the benchmark run on Linux: a silent fall back to pow there
+        # would halve the speed with every other test green
+        if sys.platform != "linux":
+            pytest.skip("the kernel is checked on Linux only")
+        pytest.importorskip("_hashlib")
+        assert group_math._libcrypto is not None
+
+    def test_matches_pow_on_every_combination(self):
+        rng = random.Random(16)
+        qs = (11, 23, 29, DESK512.q, GENERATED.q)
+        exps = [0, 1, 2**160 - 1, 2**160, 2**170 - 3] + [e for q in qs for e in (q - 1, q)] + \
+            [rng.randrange(2**bits) for bits in (8, 64, 160, 161, 512, 700)]
+        for p in (23, 47, 59, DESK512.p, GENERATED.p, 2**61 - 1):
+            bases = [0, 1, 2, p - 1, p, p + 1, 2 * p + 1] + [rng.randrange(2 * p) for _ in range(8)]
+            for base in bases:
+                for e in exps:
+                    assert group_math._power(base, e, p) == pow(base, e, p), (base, e, p)
+
     @given(st.integers(min_value=0, max_value=DESK512.q - 1))
     @settings(max_examples=300, deadline=None)
     def test_matches_pow_below_q(self, e):
         assert modexp(DESK512.g, e, DESK512.p) == pow(DESK512.g, e, DESK512.p)
 
-    def test_edge_exponents(self, desk, table_calls):
+    def test_pow_semantics_outside_the_kernel(self, desk, pow_calls):
+        # negative exponents (inverses), negative bases, and moduli that are
+        # even or at most 1 go to pow and give its result, errors included
         g, p, q = desk.g, desk.p, desk.q
-        in_range = [0, 1, q - 1, q, 2**160 - 1]
-        fallback = [2**160, 2**170 - 3, -1, -(q + 5)]
-        for e in in_range + fallback:
-            assert modexp(g, e, p) == pow(g, e, p)
-        assert table_calls == in_range
+        cases = [(g, -1, p), (g, -(q + 5), p), (-g, q - 1, p), (7, 5, 2**64)] + \
+            [(base, e, mod) for mod in (1, 2) for base in (0, 1, 3) for e in (0, 1, 5)]
+        for base, e, mod in cases:
+            assert group_math._power(base, e, mod) == pow(base, e, mod)
+        assert pow_calls == [c for c in cases if c[1] != -1]
+        with pytest.raises(ValueError):
+            group_math._power(p, -1, p)
 
-    def test_toy23_every_exponent_in_range(self, toy, table_calls):
-        # one row of 256 entries covers every exponent below 2^8
-        for e in range(2**8 + 3):
-            assert modexp(toy.g, e, toy.p) == pow(toy.g, e, toy.p)
-        assert table_calls == list(range(2**8))
+    @needs_kernel
+    def test_failed_openssl_call_falls_back(self, desk, monkeypatch, pow_calls):
+        real, cleared = group_math._libcrypto, []
 
-    def test_params_built_directly(self, table_calls):
-        # a 64-bit p / 40-bit q set in no named set: generate_params and
-        # validate_params register nothing, so neither it nor a copy built
-        # directly takes a table, and pow gives every result
-        params = generate_params(64, 40, random.Random(11))
-        assert validate_params((params.p, params.q, params.g)) == params
-        direct = GroupParams(p=params.p, q=params.q, g=params.g)
-        rng = random.Random(12)
-        in_range = [0, 1, direct.q - 1, 2**40 - 1] + [rng.randrange(2**40) for _ in range(200)]
-        for e in in_range + [2**40]:
-            assert modexp(direct.g, e, direct.p) == pow(direct.g, e, direct.p)
-        assert set(group_math._generators) == {(TOY23.g, TOY23.p), (DESK512.g, DESK512.p)}
-        assert table_calls == []
+        class Failing:
+            def __getattr__(self, name):
+                return getattr(real, name)
 
-    def test_table_class_directly(self):
-        # the table itself, independent of which parameter sets are registered
-        table = FixedBase(5, 1_000_003, 20)
-        assert table.limit == 2**24
-        rng = random.Random(13)
-        for e in [0, 1, 255, 256, 2**24 - 1] + [rng.randrange(2**24) for _ in range(500)]:
-            assert table.power(e) == pow(5, e, 1_000_003)
+            def BN_mod_exp_mont_consttime(self, *args):
+                return 0
 
-    def test_non_generator_base_uses_pow(self, desk, table_calls):
-        for base in (desk.g + 1, desk.p - desk.g, 2):
-            for e in (0, 1, desk.q - 1):
-                assert modexp(base, e, desk.p) == pow(base, e, desk.p)
-        # g under another modulus is not the registered pair either
-        assert modexp(desk.g, 12345, desk.p + 2) == pow(desk.g, 12345, desk.p + 2)
-        assert table_calls == []
+            def ERR_clear_error(self):
+                cleared.append(True)
 
-    def test_one_count_per_call_on_both_paths(self, desk, table_calls):
+        monkeypatch.setattr(group_math, "_libcrypto", Failing())
+        assert group_math._power(desk.g, desk.q - 1, desk.p) == pow(desk.g, desk.q - 1, desk.p)
+        assert (cleared, pow_calls) == ([True], [(desk.g, desk.q - 1, desk.p)])
+
+    def test_one_count_per_call_on_both_paths(self, desk, pow_calls):
         with count_exponentiations() as c:
             modexp(desk.g, desk.q - 1, desk.p)
-        assert (c.count, len(table_calls)) == (1, 1)
-        with count_exponentiations() as c:
-            modexp(desk.g, 2**170, desk.p)
             modexp(desk.g + 1, 7, desk.p)
-        assert (c.count, len(table_calls)) == (2, 1)
+        kernel_calls = len(pow_calls)
+        with count_exponentiations() as c2:
+            modexp(desk.g, -(desk.q + 5), desk.p)
+            modexp(3, 5, 2**64)
+        assert (c.count, c2.count) == (2, 2)
+        assert len(pow_calls) == kernel_calls + 2
+        if group_math._libcrypto is not None:
+            assert kernel_calls == 0
 
-    def test_concurrent_first_use(self):
-        # racing threads may each build the table; every one of them must
-        # compute with a complete table and get pow's result
-        table = FixedBase(DESK512.g, DESK512.p, DESK512.q.bit_length())
-        exps = [random.Random(i).randrange(DESK512.q) for i in range(8)]
-        results = {}
-        run_threads(lambda e: results.__setitem__(e, table.power(e)), exps)
-        assert results == {e: pow(DESK512.g, e, DESK512.p) for e in exps}
-        assert len(table._rows) == 20 and all(len(row) == 256 for row in table._rows)
-
-    def test_decoded_params_take_no_table(self, desk, table_calls):
-        # decoding untrusted Params messages leaves the registry as built at
-        # import: the built-in sets keep their tables, nothing else gets one
-        rng = random.Random(15)
-        for _ in range(20):
-            wire_codec.decode(wire_codec.encode(GroupParams(p=rng.getrandbits(64) | 1,
-                                                            q=rng.getrandbits(40) | 1,
-                                                            g=rng.getrandbits(63)), "std-v1"))
-        assert set(group_math._generators) == {(TOY23.g, TOY23.p), (DESK512.g, DESK512.p)}
-        params = generate_params(64, 40, random.Random(11))
-        assert modexp(params.g, 12345, params.p) == pow(params.g, 12345, params.p)
-        assert table_calls == []
-        assert modexp(desk.g, 12345, desk.p) == pow(desk.g, 12345, desk.p)
-        assert table_calls == [12345]
-
-
-def heat(base, p, uses=KEY_TABLE_AFTER):
-    for _ in range(uses):
-        modexp(base, 1, p)
-
-
-class TestKeyTables:
-    def test_matches_pow_at_exponent_edges(self, desk, table_calls, key_tables):
-        y, p = pow(desk.g, 12345, desk.p), desk.p
-        heat(y, p)
-        table = key_tables[(y, p)]
-        assert (table.radix_bits, table.limit) == (4, 2**160)
-        table_calls.clear()
-        rng = random.Random(14)
-        in_range = [0, 1, 15, 16, 255, desk.q - 1, desk.q, table.limit - 1] + \
-            [rng.randrange(desk.q) for _ in range(100)]
-        fallback = [table.limit, 2**170 - 3, -1, -(desk.q + 5)]
-        for e in in_range + fallback:
-            assert modexp(y, e, p) == pow(y, e, p)
-        assert table_calls == in_range
-
-    def test_radix_4_table_directly(self):
-        # toy23's 4-bit q: one exponent byte, so two rows of 16 and a limit of 2^8
-        table = FixedBase(8, 23, TOY23.q.bit_length(), radix_bits=4)
-        assert [table.power(e) for e in range(2**8)] == [pow(8, e, 23) for e in range(2**8)]
-        assert len(table._rows) == 2 and all(len(row) == 16 for row in table._rows)
-        with pytest.raises(ValueError):
-            FixedBase(8, 23, 4, radix_bits=3)
-
-    def test_seventh_use_gets_no_table(self, desk, key_tables):
-        y, p = pow(desk.g, 777, desk.p), desk.p
-        heat(y, p, KEY_TABLE_AFTER - 1)
-        assert (y, p) not in key_tables
-        assert group_math._uses[(y, p)] == KEY_TABLE_AFTER - 1
-        modexp(y, 5, p)
-        assert list(key_tables) == [(y, p)]
-        assert (y, p) not in group_math._uses
-
-    def test_one_harness_session_builds_no_table(self, desk, key_tables):
-        # its fresh bases z and y * T see fewer than KEY_TABLE_AFTER uses
-        t = run_honest_sessions(1, "blind_signcrypt", desk, std_suite(), random.Random(21))[0]
-        blinded = t.context.signer.y * t.output.T % desk.p
-        assert not key_tables
-        assert group_math._uses[(blinded, desk.p)] < KEY_TABLE_AFTER
-        assert group_math._uses[(t.view.z, desk.p)] < KEY_TABLE_AFTER
-
-    def test_forty_hot_bases_leave_sixteen_tables(self, desk, key_tables):
-        bases = [pow(desk.g, i + 2, desk.p) for i in range(40)]
-        for y in bases:
-            heat(y, desk.p)
-        assert KEY_TABLES_KEPT == 16
-        assert list(key_tables) == [(y, desk.p) for y in bases[-16:]]
-
-    def test_least_recently_used_table_goes_first(self, desk, key_tables):
-        bases = [pow(desk.g, i + 2, desk.p) for i in range(KEY_TABLES_KEPT + 1)]
-        for y in bases[:-1]:
-            heat(y, desk.p)
-        modexp(bases[0], 3, desk.p)  # the oldest table is used again
-        heat(bases[-1], desk.p)
-        assert (bases[0], desk.p) in key_tables
-        assert (bases[1], desk.p) not in key_tables
-
-    def test_no_table_without_a_registered_set(self, key_tables):
-        p = 2**61 - 1  # prime; no parameter set in the package or the tests uses it
-        heat(3, p, 3 * KEY_TABLE_AFTER)
-        assert not key_tables
-        assert modexp(3, 2**40 + 1, p) == pow(3, 2**40 + 1, p)
-
-    def test_use_counts_stay_bounded(self, key_tables):
-        for base in range(USES_KEPT + 50):
-            modexp(base, 3, 10**9 + 7)
-        assert len(group_math._uses) == USES_KEPT
-        assert next(iter(group_math._uses)) == (50, 10**9 + 7)
-
-    def test_racing_threads(self, toy, key_tables):
-        # 8 threads draw from all 22 bases of toy23, more than KEY_TABLES_KEPT,
-        # so tables are built and evicted while other threads look them up
+    def test_racing_threads(self, desk):
+        # ctypes drops the GIL in every OpenSSL call, so these powers really
+        # overlap; each call owns its BN context, so none may see another's
         wrong, errors = [], []
 
         def work(k):
             rng = random.Random(k)
             try:
-                for _ in range(12_000):
-                    y, e = rng.randrange(1, toy.p), rng.randrange(toy.q)
-                    if modexp(y, e, toy.p) != pow(y, e, toy.p):
+                for _ in range(2_000):
+                    y, e = rng.randrange(1, desk.p), rng.randrange(desk.q)
+                    if modexp(y, e, desk.p) != pow(y, e, desk.p):
                         wrong.append((y, e))
             except Exception as exc:  # a thread that dies fails the test below
                 errors.append(exc)
 
         run_threads(work, range(8))
         assert (wrong, errors) == ([], [])
-        assert len(key_tables) == KEY_TABLES_KEPT
-        assert len(group_math._uses) <= USES_KEPT
 
-    def test_one_count_per_call_on_every_path(self, desk, key_tables, table_calls):
-        y, p = pow(desk.g, 4242, desk.p), desk.p
-        with count_exponentiations() as c:
-            heat(y, p, KEY_TABLE_AFTER - 1)  # cold: pow
-        assert (c.count, len(table_calls)) == (KEY_TABLE_AFTER - 1, 0)
-        with count_exponentiations() as c:
-            modexp(y, 3, p)  # the use that builds the table
-        assert (c.count, len(table_calls)) == (1, 1)
-        with count_exponentiations() as c:
-            modexp(y, 4, p)  # hot, in range
-            modexp(y, 2**170, p)  # hot, past the table
-            modexp(y, -1, p)
-        assert (c.count, len(table_calls)) == (3, 2)
-
-    def test_verify_under_hot_key_needs_no_pow(self, desk, key_tables, monkeypatch):
+    @needs_kernel
+    def test_sessions_reach_no_pow(self, desk, pow_calls):
+        # a full session of each of the four schemes, verifier and recipient
+        # included, computes every power in the kernel
         rng, suite = random.Random(23), std_suite()
-        key = keygen(desk, rng)
-        signed = [(m, sign(m, key, desk, suite, rng))
-                  for m in (bytes([i]) for i in range(KEY_TABLE_AFTER + 1))]
-        for m, sig in signed[:-1]:  # warm-up: each verify is one use of y
-            assert verify(m, sig, key.y, desk, suite)
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return builtins.pow(*args)
-
-        monkeypatch.setattr(group_math, "pow", spy, raising=False)
-        m, sig = signed[-1]
+        signer, recipient = keygen(desk, rng), keygen(desk, rng)
         with count_exponentiations() as c:
-            assert verify(m, sig, key.y, desk, suite)
-        assert (c.count, calls) == (2, [])
+            assert verify(b"m", sign(b"m", signer, desk, suite, rng), signer.y, desk, suite)
+            ct = zheng.signcrypt(b"m", signer, recipient.y, b"to", desk, suite, rng)
+            assert zheng.unsigncrypt(ct, recipient, signer.y, b"to", desk, suite) == b"m"
+            for scheme in ("blind_sdss", "blind_signcrypt"):
+                run_honest_sessions(1, scheme, desk, suite, rng)
+        assert c.count > 0 and pow_calls == []
+
+
+class TestFallback:
+    """pow in place of the kernel gives the same elements, so the same bytes."""
+
+    M, BIND = b"settle anonymously", b"to-carol"
+
+    def session(self, params, suite, alice, carol, commit_rng, challenge_rng):
+        """One blind signcryption session: its messages, C's shared element
+        and the opened message."""
+        signer, commit = blind_signcrypt.bsc_signer_commit(alice, params, commit_rng)
+        requester, challenge = blind_signcrypt.bsc_requester_challenge(
+            self.M, commit.z, carol.y, self.BIND, params, suite, challenge_rng)
+        response = blind_signcrypt.bsc_signer_respond(signer, challenge.r_bar, alice)
+        ct = blind_signcrypt.bsc_requester_finalize(requester, response.s_bar, params)
+        return ((commit, challenge, response, ct),
+                blind_signcrypt.shared_element(ct, carol, alice.y, params),
+                blind_signcrypt.unsigncrypt(ct, carol, alice.y, self.BIND, params, suite))
+
+    def outputs(self, desk):
+        # the toy23 worked vector of acceptance criterion 1
+        toy = toy_suite()
+        toy.stub_keyed_hash(derive_keys(9, toy).k2, kh_preimage(self.M, self.BIND), 7)
+        (_, challenge, response, ct), shared, opened = self.session(
+            TOY23, toy, KeyPair(x=3, y=8), KeyPair(x=4, y=16), ScriptRng([5]), ScriptRng([4, 2, 6]))
+        toy_vector = (challenge.r_bar, response.s_bar, ct.T, ct.s, ct.r, shared, opened)
+
+        rng = random.Random(31)
+        messages, _, opened = self.session(
+            desk, std_suite(), keygen(desk, rng), keygen(desk, rng), rng, rng)
+        wire = [wire_codec.encode(msg) for msg in messages] + [opened]
+
+        counts = [measure_exponentiation_counts(scheme, desk, std_suite(), random.Random(seed)).counts
+                  for scheme, seed in (("blind_signcrypt", 0xACCE_98), ("blind_sdss", 0xACCE_99))]
+        return toy_vector, wire, counts
+
+    def test_pow_gives_the_kernels_results(self, desk, monkeypatch, pow_calls):
+        kernel = self.outputs(desk)
+        monkeypatch.setattr(group_math, "_libcrypto", None)
+        assert self.outputs(desk) == kernel
+        assert pow_calls
+        assert kernel[0] == (9, 4, 13, 8, 7, 9, self.M)
+        assert kernel[1][-1] == self.M
+        assert kernel[2] == [{"A": 1, "B": 3, "C": 2}, {"A": 1, "B": 3, "verify": 2}]
 
 
 class TestModinv:
