@@ -1,4 +1,5 @@
 import builtins
+import copy
 import random
 import sys
 import threading
@@ -29,6 +30,7 @@ from blindsigncrypt.group_math import (
     DESK512,
     NAMED_PARAMS,
     TOY23,
+    GroupParams,
     count_exponentiations,
     desk512,
     generate_params,
@@ -163,6 +165,29 @@ needs_kernel = pytest.mark.skipif(group_math._libcrypto is None,
 GENERATED = generate_params(64, 40, random.Random(11))
 
 
+def in_kernel(base, exp, mod):
+    """Whether _power computes base^exp mod mod in OpenSSL rather than pow."""
+    return group_math._libcrypto is not None and base >= 0 and exp >= 0 and mod > 1 and mod & 1
+
+
+def pow_expected(calls):
+    """Of these (base, exp, mod) powers, those that reach the pow spy."""
+    return [c for c in calls if c[1] != -1 and not in_kernel(*c)]
+
+
+def module_state():
+    """group_math's namespace, with a copy of every container in it."""
+    return {name: (value, copy.copy(value) if isinstance(value, (dict, list, set)) else None)
+            for name, value in vars(group_math).items()}
+
+
+def assert_state_unchanged(before):
+    after = module_state()
+    assert after.keys() == before.keys()
+    for name, (value, contents) in before.items():
+        assert after[name][0] is value and after[name][1] == contents, name
+
+
 class TestPower:
     def test_kernel_loads_on_linux(self):
         # CI and the benchmark run on Linux: a silent fall back to pow there
@@ -182,11 +207,6 @@ class TestPower:
             for base in bases:
                 for e in exps:
                     assert group_math._power(base, e, p) == pow(base, e, p), (base, e, p)
-
-    @given(st.integers(min_value=0, max_value=DESK512.q - 1))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_pow_below_q(self, e):
-        assert modexp(DESK512.g, e, DESK512.p) == pow(DESK512.g, e, DESK512.p)
 
     def test_pow_semantics_outside_the_kernel(self, desk, pow_calls):
         # negative exponents (inverses), negative bases, and moduli that are
@@ -218,6 +238,58 @@ class TestPower:
         assert group_math._power(desk.g, desk.q - 1, desk.p) == pow(desk.g, desk.q - 1, desk.p)
         assert (cleared, pow_calls) == ([True], [(desk.g, desk.q - 1, desk.p)])
 
+    @needs_kernel
+    def test_sessions_reach_no_pow(self, desk, pow_calls):
+        # a full session of each of the four schemes, verifier and recipient
+        # included, computes every power in the kernel
+        rng, suite = random.Random(23), std_suite()
+        signer, recipient = keygen(desk, rng), keygen(desk, rng)
+        with count_exponentiations() as c:
+            assert verify(b"m", sign(b"m", signer, desk, suite, rng), signer.y, desk, suite)
+            ct = zheng.signcrypt(b"m", signer, recipient.y, b"to", desk, suite, rng)
+            assert zheng.unsigncrypt(ct, recipient, signer.y, b"to", desk, suite) == b"m"
+            for scheme in ("blind_sdss", "blind_signcrypt"):
+                run_honest_sessions(1, scheme, desk, suite, rng)
+        assert c.count > 0 and pow_calls == []
+
+
+class TestFixedBase:
+    """Powers of a parameter set's generator g. They take the same path as
+    any other base: no parameter set, named or not, has a table or an entry
+    in a registry."""
+
+    @given(st.integers(min_value=0, max_value=DESK512.q - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pow_below_q(self, e):
+        assert modexp(DESK512.g, e, DESK512.p) == pow(DESK512.g, e, DESK512.p)
+
+    def test_edge_exponents(self, desk, pow_calls):
+        g, p, q = desk.g, desk.p, desk.q
+        exps = [0, 1, q - 1, q, 2**160 - 1, 2**160, 2**170 - 3, -1, -(q + 5)]
+        for e in exps:
+            assert modexp(g, e, p) == pow(g, e, p)
+        assert pow_calls == pow_expected([(g, e, p) for e in exps])
+
+    def test_toy23_every_exponent_in_range(self, toy, pow_calls):
+        # every exponent of one byte, and a few past it
+        exps = range(2**8 + 3)
+        for e in exps:
+            assert modexp(toy.g, e, toy.p) == pow(toy.g, e, toy.p)
+        assert pow_calls == pow_expected([(toy.g, e, toy.p) for e in exps])
+
+    def test_params_built_directly(self, pow_calls):
+        # a 64-bit p / 40-bit q set in no named set, and a copy built
+        # directly, take the same path as the named sets
+        params = generate_params(64, 40, random.Random(11))
+        assert validate_params((params.p, params.q, params.g)) == params
+        direct = GroupParams(p=params.p, q=params.q, g=params.g)
+        pow_calls.clear()
+        rng = random.Random(12)
+        exps = [0, 1, direct.q - 1, 2**40 - 1, 2**40] + [rng.randrange(2**40) for _ in range(200)]
+        for e in exps:
+            assert modexp(direct.g, e, direct.p) == pow(direct.g, e, direct.p)
+        assert pow_calls == pow_expected([(direct.g, e, direct.p) for e in exps])
+
     def test_one_count_per_call_on_both_paths(self, desk, pow_calls):
         with count_exponentiations() as c:
             modexp(desk.g, desk.q - 1, desk.p)
@@ -230,6 +302,54 @@ class TestPower:
         assert len(pow_calls) == kernel_calls + 2
         if group_math._libcrypto is not None:
             assert kernel_calls == 0
+
+    def test_decoded_params_take_no_table(self, desk):
+        # decoding untrusted Params messages, and powers under them, leave
+        # group_math as it was
+        before = module_state()
+        rng = random.Random(15)
+        for _ in range(20):
+            decoded, _ = wire_codec.decode(wire_codec.encode(GroupParams(p=rng.getrandbits(64) | 1,
+                                                                         q=rng.getrandbits(40) | 1,
+                                                                         g=rng.getrandbits(63)),
+                                                             "std-v1"))
+            assert modexp(decoded.g, 12345, decoded.p) == pow(decoded.g, 12345, decoded.p)
+        assert modexp(desk.g, 12345, desk.p) == pow(desk.g, 12345, desk.p)
+        assert_state_unchanged(before)
+
+
+class TestKeyTables:
+    """Powers of public keys y. Every use of a key, the first or the
+    hundredth, takes the same path and leaves no state: there are no
+    per-key tables."""
+
+    def test_matches_pow_at_exponent_edges(self, desk, pow_calls):
+        y, p = pow(desk.g, 12345, desk.p), desk.p
+        for _ in range(7):  # a key used often
+            modexp(y, 1, p)
+        pow_calls.clear()
+        rng = random.Random(14)
+        exps = [0, 1, 15, 16, 255, desk.q - 1, desk.q, 2**160 - 1, 2**160, 2**170 - 3,
+                -1, -(desk.q + 5)] + [rng.randrange(desk.q) for _ in range(100)]
+        for e in exps:
+            assert modexp(y, e, p) == pow(y, e, p)
+        assert pow_calls == pow_expected([(y, e, p) for e in exps])
+
+    def test_one_harness_session_builds_no_table(self, desk):
+        # its fresh bases z and y * T, and its keys, leave group_math as it was
+        before = module_state()
+        with count_exponentiations() as c:
+            run_honest_sessions(1, "blind_signcrypt", desk, std_suite(), random.Random(21))
+        assert c.count > 0
+        assert_state_unchanged(before)
+
+    def test_no_table_without_a_registered_set(self, pow_calls):
+        # a modulus that no parameter set uses takes the same path as desk512's
+        p = 2**61 - 1  # prime
+        calls = [(3, 1, p)] * 21 + [(3, 2**40 + 1, p)]
+        for base, e, mod in calls:
+            assert modexp(base, e, mod) == pow(base, e, mod)
+        assert pow_calls == pow_expected(calls)
 
     def test_racing_threads(self, desk):
         # ctypes drops the GIL in every OpenSSL call, so these powers really
@@ -249,19 +369,30 @@ class TestPower:
         run_threads(work, range(8))
         assert (wrong, errors) == ([], [])
 
-    @needs_kernel
-    def test_sessions_reach_no_pow(self, desk, pow_calls):
-        # a full session of each of the four schemes, verifier and recipient
-        # included, computes every power in the kernel
-        rng, suite = random.Random(23), std_suite()
-        signer, recipient = keygen(desk, rng), keygen(desk, rng)
+    def test_one_count_per_call_on_every_path(self, desk, pow_calls):
+        y, p = pow(desk.g, 4242, desk.p), desk.p
         with count_exponentiations() as c:
-            assert verify(b"m", sign(b"m", signer, desk, suite, rng), signer.y, desk, suite)
-            ct = zheng.signcrypt(b"m", signer, recipient.y, b"to", desk, suite, rng)
-            assert zheng.unsigncrypt(ct, recipient, signer.y, b"to", desk, suite) == b"m"
-            for scheme in ("blind_sdss", "blind_signcrypt"):
-                run_honest_sessions(1, scheme, desk, suite, rng)
-        assert c.count > 0 and pow_calls == []
+            for _ in range(6):  # a key's first uses
+                modexp(y, 3, p)
+        assert c.count == 6
+        with count_exponentiations() as c:
+            modexp(y, 4, p)
+            modexp(y, 2**170, p)  # an exponent longer than q
+            modexp(y, -1, p)  # an inverse, in pow
+        assert c.count == 3
+        assert pow_calls == pow_expected([(y, 3, p)] * 6 + [(y, 4, p), (y, 2**170, p)])
+
+    @needs_kernel
+    def test_verify_under_hot_key_needs_no_pow(self, desk, pow_calls):
+        # each verify, under a key used once or many times, is two kernel powers
+        rng, suite = random.Random(23), std_suite()
+        key = keygen(desk, rng)
+        signed = [(m, sign(m, key, desk, suite, rng)) for m in (bytes([i]) for i in range(8))]
+        for m, sig in signed:
+            with count_exponentiations() as c:
+                assert verify(m, sig, key.y, desk, suite)
+            assert c.count == 2
+        assert pow_calls == []
 
 
 class TestFallback:
