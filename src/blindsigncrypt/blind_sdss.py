@@ -216,13 +216,19 @@ def recover_commitment(sig: BlindSignature, signer_pub: GroupElement,
     return sdss_recover_commitment(sig, signer_pub * sig.T % params.p, params)
 
 
+def one_time_key(signer_pub: GroupElement, T: GroupElement,
+                 params: GroupParams) -> GroupElement | None:
+    """y * T mod p, the key (r, s, T) is checked under; None for T outside
+    [1, p-1]. The verifier and the blind-signcryption recipient call it."""
+    return signer_pub * T % params.p if 0 < T < params.p else None
+
+
 def verified_commitment(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
                         params: GroupParams, suite: CryptoSuite) -> GroupElement | None:
     """K = (y * T * g^r)^s mod p when (r, s, T) verifies on m, else None; for
     an honest signature K = g^u mod p."""
-    if not 0 < sig.T < params.p:
-        return None
-    return sdss_verified_commitment(m, sig, signer_pub * sig.T % params.p, params, suite)
+    key = one_time_key(signer_pub, sig.T, params)
+    return None if key is None else sdss_verified_commitment(m, sig, key, params, suite)
 
 
 def verify(m: bytes, sig: BlindSignature, signer_pub: GroupElement,

@@ -1,19 +1,19 @@
 """Blind signcryption: signer A blindly signs what requester B encrypts to C.
 
 B runs the blind-SDSS session against A, but derives r from a keyed hash
-instead of a plain hash: B picks u, computes the shared element y_C^u mod p,
-splits it into cipher/MAC keys, encrypts m under k1, and sets
-r = KH_k2(m, bind_info) mod q. A never sees m, c, or r - only the blinded
-challenge r_bar. The delivered text is (c, r, s, T).
+instead of a plain hash: B draws u and seals m under y_C^u mod p with Zheng's
+`seal` (c = E_k1(m), r = KH_k2(m, bind_info) mod q). A never sees m, c, or r -
+only the blinded challenge r_bar. The delivered text is (c, r, s, T).
 
-Recipient C rebuilds the shared element as (y_A * T * g^r)^(s * x_C) mod p
-(the signature check and the key agreement are the same exponentiation),
-decrypts, and accepts only if the keyed hash reduces back to r.
+Recipient C takes y_A * T from `blind_sdss.one_time_key`, rebuilds the shared
+element as (y_A * T * g^r)^(s * x_C) mod p (the signature check and the key
+agreement are the same exponentiation), decrypts, and accepts only if the
+keyed hash reduces back to r.
 
 Both halves of the session are the blind-SDSS ones: the signer half is
 shared outright (`bsc_signer_commit` / `bsc_signer_respond` are aliases), and
 the requester runs the same core (`blind_sdss.blind_challenge` and
-`blind_sdss.unblind`) with the keyed hash in place of the plain one. The
+`blind_sdss.unblind`) with Zheng's seal in place of the plain hash. The
 recipient's open path is Zheng's, with y_A * T in place of y_A.
 """
 
@@ -26,11 +26,12 @@ from .blind_sdss import (
     BlindingSession,
     ChallengeMsg,
     blind_challenge,
+    one_time_key,
     signer_commit as bsc_signer_commit,
     signer_respond as bsc_signer_respond,
     unblind,
 )
-from .crypto_suite import CryptoSuite, derive_keys, keyed_hash_to_scalar
+from .crypto_suite import CryptoSuite
 from .errors import TagMismatch
 from .group_math import GroupElement, GroupParams, Scalar, modexp
 from .sdss import KeyPair
@@ -71,9 +72,8 @@ def bsc_requester_challenge(m: bytes, z: GroupElement,
     fresh r); a zero r_bar forces a fresh beta.
     """
     def derive_r(u):
-        keys = derive_keys(modexp(recipient_pub, u, params.p), suite)
-        r = keyed_hash_to_scalar(keys.k2, m, bind_info, params.q, suite)
-        return r, {"c": suite.cipher_encrypt(keys.k1, m)}
+        r, c = zheng.seal(modexp(recipient_pub, u, params.p), m, bind_info, params, suite)
+        return r, {"c": c}
 
     return blind_challenge(BscRequesterSession, z, derive_r, params, rng)
 
@@ -94,13 +94,13 @@ def shared_element(ct: BlindSigncryptedText, recipient: KeyPair,
 def open_sealed(ct: BlindSigncryptedText, recipient: KeyPair,
                 signer_pub: GroupElement, bind_info: bytes, params: GroupParams,
                 suite: CryptoSuite) -> tuple[bytes, GroupElement]:
-    """The recipient's move: range-check T, then Zheng's open with y_A * T.
+    """The recipient's move: Zheng's open under `one_time_key`'s y_A * T.
     Returns the message and the shared element (y_C^u mod p for an honest
     text), or raises TagMismatch and exposes neither."""
-    if not 0 < ct.T < params.p:
-        raise TagMismatch("T out of range")  # rejects T+p style re-encodings
-    return zheng.open_sealed(ct, recipient, signer_pub * ct.T % params.p, bind_info,
-                             params, suite)
+    key = one_time_key(signer_pub, ct.T, params)
+    if key is None:
+        raise TagMismatch("T out of range")
+    return zheng.open_sealed(ct, recipient, key, bind_info, params, suite)
 
 
 def unsigncrypt(ct: BlindSigncryptedText, recipient: KeyPair,

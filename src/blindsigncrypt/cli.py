@@ -25,7 +25,7 @@ import stat
 import sys
 
 from . import blind_sdss, blind_signcrypt, harness, sdss, wire_codec, zheng
-from .crypto_suite import std_suite
+from .crypto_suite import CryptoSuite, std_suite
 from .errors import (
     ArmorError,
     BadGenerator,
@@ -42,7 +42,7 @@ _STATE_LABEL = b"blindsigncrypt-state-v1:"
 # The suite of every message the CLI reads or writes. The only other suite,
 # toy-v1, exists for pinning hash outputs in library tests, which a CLI run
 # cannot do.
-SUITE_ID = "std-v1"
+SUITE_ID = CryptoSuite.suite_id
 
 _SCHEME_NAMES = {"blind": "blind_sdss", "bsc": "blind_signcrypt"}
 

@@ -134,6 +134,6 @@ def std_suite() -> CryptoSuite:
 def get_suite(suite_id: str) -> CryptoSuite:
     """Resolve a wire-header suite_id to a fresh suite instance. Only std-v1
     resolves: toy-v1 is built with toy_suite() by the tests that pin it."""
-    if suite_id == "std-v1":
+    if suite_id == CryptoSuite.suite_id:
         return std_suite()
     raise KeyError(f"unknown suite {suite_id!r}")

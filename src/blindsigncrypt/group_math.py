@@ -59,10 +59,6 @@ def int_to_bytes(n: int) -> bytes:
     return n.to_bytes((n.bit_length() + 7) // 8, "big")
 
 
-def int_from_bytes(b: bytes) -> int:
-    return int.from_bytes(b, "big")
-
-
 # -- instrumentation -----------------------------------------------------------
 
 class ExpCounter:

@@ -1,5 +1,6 @@
 """Shortened DSS signatures: r = h(g^k mod p || m), s = k / (r + x) mod q.
 
+The nonce k comes from the caller's rng only; a test pins k by scripting the rng.
 Verification recomputes K = (y * g^r)^s mod p, which equals g^k mod p for an
 honest signature, and checks that hashing K with the message reproduces r.
 """
@@ -50,18 +51,6 @@ def commitment_hash(element: GroupElement, m: bytes, params: GroupParams,
     return hash_to_scalar(int_to_bytes(element) + m, params.q, suite)
 
 
-def sign_with_nonce(m: bytes, key: KeyPair, k: Scalar, params: GroupParams,
-                    suite: CryptoSuite) -> SdssSignature | None:
-    """One signing attempt with a fixed nonce.
-
-    Returns None when r = 0 or r + x = 0 mod q, in which case the caller must
-    retry with a fresh nonce. Split out so tests can drive known nonces.
-    """
-    r = commitment_hash(modexp(params.g, k, params.p), m, params, suite)
-    s = s_from_nonce(k, r, key.x, params.q)
-    return None if s is None else SdssSignature(r=r, s=s)
-
-
 def s_from_nonce(k: Scalar, r: Scalar, x: Scalar, q: int) -> Scalar | None:
     """s = k / (r + x) mod q, or None when r = 0 or r + x = 0 mod q. Zheng
     signcryption shares it; blind unblinding uses it with x = s_bar + alpha."""
@@ -73,9 +62,15 @@ def s_from_nonce(k: Scalar, r: Scalar, x: Scalar, q: int) -> Scalar | None:
 
 def sign(m: bytes, key: KeyPair, params: GroupParams, suite: CryptoSuite,
          rng) -> SdssSignature:
-    return retry(
-        lambda: sign_with_nonce(m, key, rand_scalar_nonzero(rng, params.q), params, suite),
-        RngFailure("signing kept hitting degenerate r; suspect rng or hash stub"))
+    """Sign with a nonce k from rng; r = 0 or r + x = 0 mod q draws a fresh k."""
+    def attempt():
+        k = rand_scalar_nonzero(rng, params.q)
+        r = commitment_hash(modexp(params.g, k, params.p), m, params, suite)
+        s = s_from_nonce(k, r, key.x, params.q)
+        return None if s is None else SdssSignature(r=r, s=s)
+
+    return retry(attempt,
+                 RngFailure("signing kept hitting degenerate r; suspect rng or hash stub"))
 
 
 def key_power(y: GroupElement, r: Scalar, e: Scalar, params: GroupParams) -> GroupElement:

@@ -50,6 +50,7 @@ from .blind_sdss import (
     SignerSession,
 )
 from .blind_signcrypt import BlindSigncryptedText, BscRequesterSession
+from .crypto_suite import CryptoSuite
 from .errors import (
     ArmorError,
     BadMagic,
@@ -58,7 +59,7 @@ from .errors import (
     Truncated,
     UnknownType,
 )
-from .group_math import GroupParams, int_from_bytes, int_to_bytes
+from .group_math import GroupParams, int_to_bytes
 from .sdss import SdssSignature
 from .zheng import SigncryptedText
 
@@ -95,7 +96,7 @@ _TYPES: dict[int, tuple[type, tuple[tuple[str, str], ...]]] = {
 _CLASS_TO_TYPE = {cls: code for code, (cls, _) in _TYPES.items()}
 
 
-def encode(value, suite_id: str = "std-v1") -> bytes:
+def encode(value, suite_id: str = CryptoSuite.suite_id) -> bytes:
     """Canonical bytes for any wire type; same value, same bytes."""
     try:
         code = _CLASS_TO_TYPE[type(value)]
@@ -155,13 +156,13 @@ def _take_int(data: bytes, offset: int, name: str) -> tuple[int, int]:
     payload, offset = _take_prefixed(data, offset, 2, name)
     if payload[:1] == b"\x00":
         raise NonCanonicalInteger(f"field {name} has a leading zero byte")
-    return int_from_bytes(payload), offset
+    return int.from_bytes(payload, "big"), offset
 
 
 def _take_prefixed(data: bytes, offset: int, prefix_len: int, name: str) -> tuple[bytes, int]:
     if offset + prefix_len > len(data):
         raise Truncated(f"length prefix of {name} cut short")
-    length = int_from_bytes(data[offset:offset + prefix_len])
+    length = int.from_bytes(data[offset:offset + prefix_len], "big")
     offset += prefix_len
     if offset + length > len(data):
         raise Truncated(f"field {name} declares {length} bytes but fewer remain")

@@ -1,9 +1,9 @@
 """Zheng-style signcryption: one pass gives encryption plus an SDSS-shaped tag.
 
-Sender A, holding the recipient's public key y_B, picks a nonce k and derives
-cipher/MAC keys from the shared element y_B^k mod p. The recipient rebuilds
-the same element as (y_A * g^r)^(s * x_B) mod p, decrypts, and accepts only if
-the keyed hash of (message, bind_info) reduces back to r.
+Sender A draws a nonce k from its rng and `seal`s m under the shared element
+y_B^k mod p: cipher/MAC keys, keyed-hash r, ciphertext c. The recipient
+rebuilds the element as (y_A * g^r)^(s * x_B) mod p, decrypts, and accepts only
+if the keyed hash of (message, bind_info) reduces back to r.
 """
 
 from __future__ import annotations
@@ -30,31 +30,27 @@ class SigncryptedText:
     s: Scalar
 
 
-def signcrypt_with_nonce(m: bytes, sender: KeyPair, recipient_pub: GroupElement,
-                         bind_info: bytes, k: Scalar, params: GroupParams,
-                         suite: CryptoSuite) -> SigncryptedText | None:
-    """One signcryption attempt with a fixed nonce; None when r is degenerate.
-
-    Split out so tests can drive known nonces and check the key agreement.
-    """
-    p, q = params.p, params.q
-    shared = modexp(recipient_pub, k, p)
+def seal(shared: GroupElement, m: bytes, bind_info: bytes, params: GroupParams,
+         suite: CryptoSuite) -> tuple[Scalar, bytes]:
+    """Split shared into k1 and k2, then r = KH_k2(m, bind_info) mod q and
+    c = E_k1(m). The senders of both signcryption schemes seal through here."""
     keys = derive_keys(shared, suite)
-    r = keyed_hash_to_scalar(keys.k2, m, bind_info, q, suite)
-    s = s_from_nonce(k, r, sender.x, q)
-    if s is None:
-        return None
-    return SigncryptedText(c=suite.cipher_encrypt(keys.k1, m), r=r, s=s)
+    r = keyed_hash_to_scalar(keys.k2, m, bind_info, params.q, suite)
+    return r, suite.cipher_encrypt(keys.k1, m)
 
 
 def signcrypt(m: bytes, sender: KeyPair, recipient_pub: GroupElement,
               bind_info: bytes, params: GroupParams, suite: CryptoSuite,
               rng) -> SigncryptedText:
-    # degenerate r: a fresh k gives fresh keys, hence a fresh r
-    return retry(
-        lambda: signcrypt_with_nonce(m, sender, recipient_pub, bind_info,
-                                     rand_scalar_nonzero(rng, params.q), params, suite),
-        RngFailure("signcrypt kept hitting degenerate r; suspect rng or hash stub"))
+    """Seal with a nonce k from rng; a degenerate r draws a fresh k, hence fresh keys."""
+    def attempt():
+        k = rand_scalar_nonzero(rng, params.q)
+        r, c = seal(modexp(recipient_pub, k, params.p), m, bind_info, params, suite)
+        s = s_from_nonce(k, r, sender.x, params.q)
+        return None if s is None else SigncryptedText(c=c, r=r, s=s)
+
+    return retry(attempt,
+                 RngFailure("signcrypt kept hitting degenerate r; suspect rng or hash stub"))
 
 
 def shared_element(ct, recipient: KeyPair, signer_part: GroupElement,

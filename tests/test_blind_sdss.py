@@ -361,6 +361,26 @@ class TestVerifyRejection:
         assert not verify(m, BlindSignature(r=sig.r, s=0, T=sig.T), key.y, desk, suite)
 
 
+class TestSubgroupAttacks:
+    """A commitment times p - 1, an element of order 2, gives
+    T = (-1)^r_bar * z^r_bar * g^alpha: whether the published T lies in the
+    subgroup tells the signer the parity of r_bar, which links the signature
+    to its session."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="not checked to lie in the order-q subgroup (ROADMAP item 1)")
+    def test_negated_commitment_refused(self, desk, suite):
+        rng = random.Random(13)
+        key = keygen(desk, rng)
+        _, commit = signer_commit(key, desk, rng)
+        try:
+            requester_challenge(MSG, desk.p - commit.z, key.y, desk, suite, rng)
+            refused = False
+        except BadCommit:
+            refused = True
+        assert refused, "requester_challenge accepted p - z"
+
+
 class TestChosenTagForgery:
     """Anyone can pick t, set T = y_A^-1 * g^t mod p and sign with secret t:
     verification uses the key y_A * T = g^t, so the signature verifies under

@@ -22,7 +22,7 @@ from blindsigncrypt.errors import (
 )
 from blindsigncrypt.group_math import modexp
 from blindsigncrypt.sdss import KeyPair, keygen
-from blindsigncrypt.zheng import signcrypt
+from blindsigncrypt.zheng import seal, signcrypt
 
 MSG = b"settle anonymously"
 BIND = b"to-carol"
@@ -241,3 +241,54 @@ class TestChosenTagForgery:
         except TagMismatch:
             opened = None
         assert opened is None, f"a text sealed under a chosen T opened as {opened!r}"
+
+
+NOT_IN_SUBGROUP = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="not checked to lie in the order-q subgroup (ROADMAP item 1)")
+
+
+class TestSubgroupAttacks:
+    """T times p - 1, an element of order 2, multiplies C's shared element by
+    (-1)^(s * x_C mod q): the text opens iff s * x_C mod q is even."""
+
+    @NOT_IN_SUBGROUP
+    def test_negated_T_rejected(self, desk, suite):
+        rng = random.Random(5)
+        signer, recipient = keygen(desk, rng), keygen(desk, rng)
+        opened = 0
+        for _ in range(40):
+            _, ct = complete_bsc(signer, recipient, MSG, BIND, desk, suite, rng)
+            bad = BlindSigncryptedText(c=ct.c, r=ct.r, s=ct.s, T=desk.p - ct.T)
+            try:
+                unsigncrypt(bad, recipient, signer.y, BIND, desk, suite)
+                opened += 1
+            except TagMismatch:
+                pass
+        assert opened == 0, f"{opened} of 40 honest texts opened with p - T"
+
+    @NOT_IN_SUBGROUP
+    def test_parity_oracle_rejected(self, desk, suite):
+        # Seal under y_C^k, pick s = 2^i and t = k * s^-1 - r mod q, so that
+        # T = y_A^-1 * g^t opens honestly; T * (p - 1) then opens iff
+        # 2^i * x_C mod q is even, whose answers for i = 1..160 are the binary
+        # digits of x_C / q (Alexi-Chor-Goldreich-Schnorr).
+        p, q, g = desk.p, desk.q, desk.g
+        rng = random.Random(7)
+        signer, recipient = keygen(desk, rng), keygen(desk, rng)
+        k = rng.randrange(1, q)
+        r, c = seal(modexp(recipient.y, k, p), MSG, BIND, desk, suite)
+        digits = 0
+        for i in range(1, 161):
+            s = pow(2, i, q)
+            T = pow(signer.y, -1, p) * modexp(g, (k * pow(s, -1, q) - r) % q, p) % p
+            try:
+                unsigncrypt(BlindSigncryptedText(c=c, r=r, s=s, T=p - T), recipient,
+                            signer.y, BIND, desk, suite)
+                digits <<= 1
+            except TagMismatch:
+                digits = digits << 1 | 1
+        accepted = 160 - bin(digits).count("1")
+        recovered = -(-digits * q >> 160)  # ceil(q * 0.d1..d160), exact since q < 2^160
+        assert accepted == 0, (f"{accepted} of 160 queries opened; the answers "
+                               f"{'give' if recovered == recipient.x else 'miss'} x_C")

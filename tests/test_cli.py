@@ -1106,6 +1106,27 @@ class TestPubKeyRange:
         assert f"{tmp_path / 'y.pub'}: public y is outside [2, p-1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="not checked to lie in the order-q subgroup (ROADMAP item 1)")
+    def test_zheng_open_refuses_negated_sender_key(self, tmp_path, capsys):
+        # y * (p - 1) opens a text iff s * x_C mod q is even: the exit code
+        # would answer one parity query about the recipient's secret key
+        key_a, pub_a, key_c, pub_c = (tmp_path / n for n in ("a.key", "a.pub", "c.key", "c.pub"))
+        msg, ct, out = tmp_path / "m", tmp_path / "m.ct", tmp_path / "m.out"
+        for seed, key, pub in ((2, key_a, pub_a), (3, key_c, pub_c)):
+            assert run("--test-mode", "--seed", seed, "keygen", "--params", "desk512",
+                       "--out", key, "--pub-out", pub) == 0
+        msg.write_bytes(b"x")
+        assert run("--test-mode", "--seed", 4, "zheng", "seal", "--params", "desk512",
+                   "--key", key_a, "--recipient-pub", pub_c, "--in", msg, "--out", ct) == 0
+        negated = desk512().p - decode(dearmor(pub_a.read_text()))[0].y
+        bad = self.write(tmp_path / "neg.pub", PubKeyMsg(y=negated))
+        capsys.readouterr()
+        assert run("zheng", "open", "--params", "desk512", "--key", key_c,
+                   "--sender-pub", bad, "--in", ct, "--out", out) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWrongScheme:
     """sdss and blind verify share one body, as do zheng and bsc open; each

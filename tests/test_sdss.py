@@ -1,10 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ScriptRng, flip_bit, two_step_commitment, two_step_shared_element
 from blindsigncrypt import blind_sdss, blind_signcrypt, zheng
+from blindsigncrypt.errors import RngFailure
 from blindsigncrypt.group_math import DESK512, TOY23, GroupParams, int_to_bytes, modexp
 from blindsigncrypt.sdss import (
     KeyPair,
@@ -12,7 +14,6 @@ from blindsigncrypt.sdss import (
     keygen,
     recover_commitment,
     sign,
-    sign_with_nonce,
     verify,
 )
 
@@ -60,8 +61,10 @@ class TestSign:
         assert sig.r != 0
 
     def test_sign_with_nonce_reports_degenerate(self, toy, stub_suite):
+        # k = 5 is degenerate, so sign draws again and finds the script spent
         suite = stubbed(stub_suite, 5, toy, MSG, 8)
-        assert sign_with_nonce(MSG, KeyPair(x=3, y=8), 5, toy, suite) is None
+        with pytest.raises(RngFailure):
+            sign(MSG, KeyPair(x=3, y=8), toy, suite, ScriptRng([5]))
 
 
 class TestVerify:
@@ -83,9 +86,10 @@ class TestVerify:
         # for an honest signature, verification sees exactly g^k mod p
         key = keygen(toy, random.Random(4))
         for k in range(1, toy.q):
-            sig = sign_with_nonce(MSG, key, k, toy, suite)
-            if sig is None:
-                continue
+            try:
+                sig = sign(MSG, key, toy, suite, ScriptRng([k]))
+            except RngFailure:
+                continue  # k is degenerate
             assert recover_commitment(sig, key.y, toy) == modexp(toy.g, k, toy.p)
 
 

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from helpers import ScriptRng, flip_bit
 from blindsigncrypt.crypto_suite import derive_keys, kh_preimage, std_suite
-from blindsigncrypt.errors import TagMismatch
+from blindsigncrypt.errors import RngFailure, TagMismatch
 from blindsigncrypt.group_math import TOY23, modexp
 from blindsigncrypt.sdss import KeyPair, keygen
-from blindsigncrypt.zheng import SigncryptedText, signcrypt, signcrypt_with_nonce, unsigncrypt
+from blindsigncrypt.zheng import SigncryptedText, signcrypt, unsigncrypt
 
 MSG = b"wire the funds"
 BIND = b"account-B"
@@ -77,10 +77,10 @@ class TestKeyAgreement:
             sender = keygen(toy, rng)
             recipient = keygen(toy, rng)
             k = rng.randrange(1, toy.q)
-            result = signcrypt_with_nonce(MSG, sender, recipient.y, BIND, k, toy, suite)
-            if result is None:
-                continue
-            ct = result
+            try:
+                ct = signcrypt(MSG, sender, recipient.y, BIND, toy, suite, ScriptRng([k]))
+            except RngFailure:
+                continue  # k is degenerate
             lhs = modexp(recipient.y, k, toy.p)
             base = sender.y * modexp(toy.g, ct.r, toy.p) % toy.p
             assert lhs == modexp(base, ct.s * recipient.x % toy.q, toy.p)
@@ -91,8 +91,8 @@ class TestKeyAgreement:
         recipient = keygen(desk, rng)
         for _ in range(50):
             k = rng.randrange(1, desk.q)
-            ct = signcrypt_with_nonce(MSG, sender, recipient.y, BIND, k, desk, suite)
-            assert ct is not None  # degenerate r is negligible at 160-bit q
+            # degenerate r is negligible at 160-bit q; it would raise RngFailure
+            ct = signcrypt(MSG, sender, recipient.y, BIND, desk, suite, ScriptRng([k]))
             lhs = modexp(recipient.y, k, desk.p)
             base = sender.y * modexp(desk.g, ct.r, desk.p) % desk.p
             assert lhs == modexp(base, ct.s * recipient.x % desk.q, desk.p)
