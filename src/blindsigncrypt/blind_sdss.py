@@ -48,11 +48,8 @@ from .group_math import (
     rand_scalar_nonzero,
     retry,
 )
-from .sdss import KeyPair, commitment_hash, s_from_nonce
-from .sdss import (
-    recover_commitment as sdss_recover_commitment,
-    verified_commitment as sdss_verified_commitment,
-)
+from .sdss import KeyPair, commitment_hash, key_power, s_from_nonce
+from .sdss import verified_commitment as sdss_verified_commitment
 
 
 # protocol messages (serialized by wire_codec)
@@ -213,7 +210,7 @@ def requester_finalize(session: RequesterSession, s_bar: Scalar,
 def recover_commitment(sig: BlindSignature, signer_pub: GroupElement,
                        params: GroupParams) -> GroupElement:
     """K = (y * T * g^r)^s mod p; equals g^u mod p for an honest signature."""
-    return sdss_recover_commitment(sig, signer_pub * sig.T % params.p, params)
+    return key_power(signer_pub * sig.T % params.p, sig.r, sig.s, params)
 
 
 def one_time_key(signer_pub: GroupElement, T: GroupElement,

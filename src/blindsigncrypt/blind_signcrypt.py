@@ -34,7 +34,7 @@ from .blind_sdss import (
 from .crypto_suite import CryptoSuite
 from .errors import TagMismatch
 from .group_math import GroupElement, GroupParams, Scalar, modexp
-from .sdss import KeyPair
+from .sdss import KeyPair, key_power
 
 __all__ = [
     "BlindSigncryptedText",
@@ -88,7 +88,7 @@ def bsc_requester_finalize(session: BscRequesterSession, s_bar: Scalar,
 def shared_element(ct: BlindSigncryptedText, recipient: KeyPair,
                    signer_pub: GroupElement, params: GroupParams) -> GroupElement:
     """(y_A * T * g^r)^(s * x_C) mod p; equals y_C^u mod p for honest texts."""
-    return zheng.shared_element(ct, recipient, signer_pub * ct.T % params.p, params)
+    return key_power(signer_pub * ct.T % params.p, ct.r, ct.s * recipient.x % params.q, params)
 
 
 def open_sealed(ct: BlindSigncryptedText, recipient: KeyPair,

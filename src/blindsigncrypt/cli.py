@@ -213,7 +213,7 @@ def _save_state(path: str, session, args) -> None:
         raise UsageFailure(
             "session state files exist only under --test-mode; in normal mode "
             "run the whole session in one process")
-    key = _state_key(args.seed or 0)
+    key = _state_key(args.seed)
     suite = std_suite()
     ct = suite.cipher_encrypt(key, wire_codec.encode(session, SUITE_ID))
     tag = suite.keyed_hash(key, ct)
@@ -225,7 +225,7 @@ def _load_state(path: str, args, session_cls: type, params: GroupParams):
     if not args.test_mode:
         raise UsageFailure("session state files exist only under --test-mode")
     blob = _read_armor(path)
-    key = _state_key(args.seed or 0)
+    key = _state_key(args.seed)
     suite = std_suite()
     tag, ct = blob[:32], blob[32:]
     if not hmac.compare_digest(tag, suite.keyed_hash(key, ct)):
@@ -392,6 +392,9 @@ def cmd_bench(args) -> int:
     params = _read_params(args.params)
     report = harness.measure_exponentiation_counts(
         _SCHEME_NAMES[args.scheme], params, std_suite(), args.rng)
+    if args.party and args.party not in report.counts:
+        raise UsageFailure(f"scheme {args.scheme} has no party {args.party}; "
+                           f"its parties are {', '.join(report.counts)}")
     for line in report.lines():
         if args.party and line.startswith("party ") and not line.startswith(f"party {args.party}:"):
             continue
@@ -411,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--test-mode", action="store_true",
                         help="deterministic seeded RNG and persistable session state")
     parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (requires --test-mode)")
+                        help="RNG seed (requires --test-mode; default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     psub = _group(sub, "params", "group parameter handling")
@@ -493,6 +496,8 @@ def main(argv=None) -> int:
     if args.seed is not None and not args.test_mode:
         print("error: --seed requires --test-mode", file=sys.stderr)
         return 2
+    if args.test_mode and args.seed is None:
+        args.seed = 0  # the seed the rng and the state-file key both use
     args.rng = random.Random(args.seed) if args.test_mode else secrets.SystemRandom()
 
     try:

@@ -42,7 +42,7 @@ class GroupParams:
     """Public triple (p, q, g): prime modulus, prime subgroup order, generator.
 
     Every set, built-in, generated, validated or decoded, computes its powers
-    the same way, through `modexp`; no set holds precomputed state.
+    the same way, through `modexp`.
     """
 
     p: int

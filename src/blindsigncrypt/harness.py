@@ -349,7 +349,7 @@ def measure_exponentiation_counts(scheme: str, params: GroupParams,
 
     Expected with the naive strategy, for blind signcryption:
     A: 1 (z = g^k_tilde), B: 3 (y_C^u, z^r_bar, g^alpha),
-    C: 2 ((y_A * T)^e and g^(r*e) for e = s * x_C). Key generation is excluded.
+    C: 2 (g^r and (y_A * T * g^r)^e for e = s * x_C). Key generation is excluded.
     For blind_sdss the verifier replaces C and also costs 2.
     """
     transcript = run_honest_sessions(1, scheme, params, suite, rng,

@@ -74,21 +74,12 @@ def sign(m: bytes, key: KeyPair, params: GroupParams, suite: CryptoSuite,
 
 
 def key_power(y: GroupElement, r: Scalar, e: Scalar, params: GroupParams) -> GroupElement:
-    """(y * g^r)^e mod p, the power every verifier and recipient takes.
-
-    Computed as y^e * g^(r*e mod q): two exact powers, as many as
-    (y * g^r)^e takes, whose exponents stay below q. The split is exact for
-    any y in Z_p* when g has order q, which `validate_params` and the named
-    sets guarantee."""
+    """(y * g^r)^e mod p, the one power every verifier and recipient takes:
+    e = s for SDSS verification, e = s * x_B mod q for Zheng's open, and y * T
+    in place of y in the blind schemes. It counts two powers, g^r and the
+    power e of the product."""
     p = params.p
-    return modexp(y, e, p) * modexp(params.g, r * e % params.q, p) % p
-
-
-def recover_commitment(sig: SdssSignature, signer_pub: GroupElement,
-                       params: GroupParams) -> GroupElement:
-    """K = (y * g^r)^s mod p; equals g^k mod p for an honest signature.
-    Blind SDSS recovers and verifies through here with y * T as the key."""
-    return key_power(signer_pub, sig.r, sig.s, params)
+    return modexp(y * modexp(params.g, r, p) % p, e, p)
 
 
 def verified_commitment(m: bytes, sig: SdssSignature, signer_pub: GroupElement,
@@ -97,7 +88,7 @@ def verified_commitment(m: bytes, sig: SdssSignature, signer_pub: GroupElement,
     range checks and hashing K with m has reproduced r; None otherwise."""
     if not (0 < sig.r < params.q and 0 < sig.s < params.q):
         return None
-    k_element = recover_commitment(sig, signer_pub, params)
+    k_element = key_power(signer_pub, sig.r, sig.s, params)
     return k_element if commitment_hash(k_element, m, params, suite) == sig.r else None
 
 

@@ -53,24 +53,18 @@ def signcrypt(m: bytes, sender: KeyPair, recipient_pub: GroupElement,
                  RngFailure("signcrypt kept hitting degenerate r; suspect rng or hash stub"))
 
 
-def shared_element(ct, recipient: KeyPair, signer_part: GroupElement,
-                   params: GroupParams) -> GroupElement:
-    """(signer_part * g^r)^(s * x_B) mod p for a text carrying r and s;
-    signer_part is y_A here and y_A * T in blind signcryption."""
-    return key_power(signer_part, ct.r, ct.s * recipient.x % params.q, params)
-
-
 def open_sealed(ct, recipient: KeyPair, signer_part: GroupElement, bind_info: bytes,
                 params: GroupParams, suite: CryptoSuite) -> tuple[bytes, GroupElement]:
     """The recipient path both signcryption schemes share: range-check r and
-    s, rebuild the shared element, decrypt (the stream cipher is its own
+    s, rebuild the shared element with `key_power` (signer_part is y_A here
+    and y_A * T in blind signcryption), decrypt (the stream cipher is its own
     inverse), and accept only if the keyed hash reduces back to r.
 
     Returns the message and the shared element, the one place the recipient
     computes it; a rejected text raises TagMismatch and exposes neither."""
     if not (0 < ct.r < params.q and 0 < ct.s < params.q):
         raise TagMismatch("scalar out of range")  # rejects s+q style re-encodings
-    shared = shared_element(ct, recipient, signer_part, params)
+    shared = key_power(signer_part, ct.r, ct.s * recipient.x % params.q, params)
     keys = derive_keys(shared, suite)
     m = suite.cipher_encrypt(keys.k1, ct.c)
     if keyed_hash_to_scalar(keys.k2, m, bind_info, params.q, suite) != ct.r:

@@ -143,15 +143,16 @@ def three_power_outcome(view, sig, u, params):
 
 
 def two_step_commitment(r, s, key, params):
-    """K = (key * g^r)^s mod p as first written, one product and then one
-    power (oracle for sdss.recover_commitment's y^s * g^(r*s mod q))."""
+    """K = (key * g^r)^s mod p with builtin pow, one product and then one
+    power (oracle for sdss.key_power, which takes its powers in the
+    group_math kernel)."""
     p = params.p
     return pow(key * pow(params.g, r, p) % p, s, p)
 
 
 def two_step_shared_element(r, s, x, signer_part, params):
-    """(signer_part * g^r)^(s * x mod q) mod p as first written (oracle for
-    zheng.shared_element's signer_part^e * g^(r*e mod q))."""
+    """(signer_part * g^r)^(s * x mod q) mod p with builtin pow (oracle for
+    the recipient's sdss.key_power with e = s * x mod q)."""
     return two_step_commitment(r, s * x % params.q, signer_part, params)
 
 

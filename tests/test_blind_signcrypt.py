@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 
 import pytest
@@ -13,14 +15,14 @@ from blindsigncrypt.blind_signcrypt import (
     shared_element,
     unsigncrypt,
 )
-from blindsigncrypt.crypto_suite import derive_keys, kh_preimage
+from blindsigncrypt.crypto_suite import derive_keys, kh_preimage, std_suite
 from blindsigncrypt.errors import (
     BadCommit,
     DegenerateDenominator,
     InvalidState,
     TagMismatch,
 )
-from blindsigncrypt.group_math import modexp
+from blindsigncrypt.group_math import TOY23, modexp, validate_params
 from blindsigncrypt.sdss import KeyPair, keygen
 from blindsigncrypt.zheng import seal, signcrypt
 
@@ -292,3 +294,48 @@ class TestSubgroupAttacks:
         recovered = -(-digits * q >> 160)  # ceil(q * 0.d1..d160), exact since q < 2^160
         assert accepted == 0, (f"{accepted} of 160 queries opened; the answers "
                                f"{'give' if recovered == recipient.x else 'miss'} x_C")
+
+
+# q = 11 in both; 23 - 1 = 2 * 11 and 67 - 1 = 6 * 11, so Z_67* also holds
+# elements of order 3 and 6
+EVERY_T_PARAMS = {"p23": TOY23, "p67": validate_params((67, 11, 64))}
+
+
+@functools.cache
+def opened_by_every_T(name):
+    """For 8 seeded honest texts, each text's T and the set of T in Z_p* under
+    which the text, otherwise unchanged, opens."""
+    params, suite = EVERY_T_PARAMS[name], std_suite()
+    rng = random.Random(params.p)
+    signer, recipient = keygen(params, rng), keygen(params, rng)
+    results = []
+    for _ in range(8):
+        _, ct = complete_bsc(signer, recipient, MSG, BIND, params, suite, rng)
+        opened = set()
+        for T in range(1, params.p):
+            try:
+                unsigncrypt(dataclasses.replace(ct, T=T), recipient, signer.y, BIND,
+                            params, suite)
+                opened.add(T)
+            except TagMismatch:
+                pass
+        results.append((ct.T, opened))
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_T_PARAMS))
+class TestEveryT:
+    """Every T in Z_p* against honest texts. Inside the order-q subgroup a T
+    other than the honest one opens a text only by a keyed-hash collision mod
+    q, which at q = 11 happens for about one T in 11."""
+
+    def test_honest_T_opens(self, name):
+        for honest_T, opened in opened_by_every_T(name):
+            assert honest_T in opened
+
+    @NOT_IN_SUBGROUP
+    def test_no_T_outside_the_subgroup_opens(self, name):
+        p, q = EVERY_T_PARAMS[name].p, EVERY_T_PARAMS[name].q
+        outside = [sum(pow(T, q, p) != 1 for T in opened)
+                   for _, opened in opened_by_every_T(name)]
+        assert sum(outside) == 0, f"T outside the subgroup opened texts: {outside}"

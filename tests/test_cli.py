@@ -70,6 +70,13 @@ class TestParams:
             "--bits-p", 16, "--bits-q", 8, "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seedless_test_mode_uses_seed_0(self, tmp_path):
+        keys = [tmp_path / name for name in ("a.key", "b.key", "zero.key")]
+        for key, seed in zip(keys, ([], [], ["--seed", 0])):
+            assert run("--test-mode", *seed, "keygen", "--params", "desk512",
+                       "--out", key) == 0
+        assert keys[0].read_bytes() == keys[1].read_bytes() == keys[2].read_bytes()
+
     def test_seed_requires_test_mode(self, tmp_path):
         assert run("--seed", 1, "params", "validate", "--params", "toy23") == 2
 
@@ -604,6 +611,13 @@ class TestBench:
         out = capsys.readouterr().out
         assert "party B: 3 modexp" in out
         assert "party A" not in out
+
+    def test_party_the_scheme_lacks_refused(self, capsys):
+        assert run("--test-mode", "--seed", 1, "bench", "--scheme", "bsc",
+                   "--params", "toy23", "--party", "verify") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scheme bsc has no party verify; its parties are A, B, C" in captured.err
 
     def test_blind_scheme(self, capsys):
         assert run("--test-mode", "--seed", 1, "bench", "--scheme", "blind",

@@ -9,6 +9,7 @@ only; tests/test_cli.py covers each command's options and refusals in one
 process at toy sizes.
 """
 
+import dataclasses
 import os
 import random
 import shutil
@@ -20,8 +21,12 @@ from pathlib import Path
 import pytest
 
 import blindsigncrypt
+from blindsigncrypt import blind_signcrypt
 from blindsigncrypt.blind_sdss import CommitMsg
-from blindsigncrypt.cli import MAX_MESSAGE_BYTES
+from blindsigncrypt.cli import MAX_MESSAGE_BYTES, _read_key
+from blindsigncrypt.crypto_suite import std_suite
+from blindsigncrypt.errors import TagMismatch
+from blindsigncrypt.group_math import DESK512, int_to_bytes
 from blindsigncrypt.wire_codec import armor, encode
 
 # the directory the package was imported from, so the child processes import
@@ -189,3 +194,37 @@ def test_readme_sdss_and_a_toy_suite_refused(work):
                    "--commit", "toy.wire", "--state-out", "bob.state", out="challenge.wire")
     assert b"toy.wire: unknown suite 'toy-v1'" in proc.stderr
     assert not (work / "bob.state").exists()
+
+
+def negated_T_text(alice, carol, message, seed):
+    """A seeded in-process bsc session from alice to carol at desk512, with
+    its T replaced by p - T, an element outside the order-q subgroup."""
+    rng, suite = random.Random(seed), std_suite()
+    bind = int_to_bytes(carol.y)  # the CLI's default bind_info
+    signer, commit = blind_signcrypt.bsc_signer_commit(alice, DESK512, rng)
+    requester, challenge = blind_signcrypt.bsc_requester_challenge(
+        message, commit.z, carol.y, bind, DESK512, suite, rng)
+    response = blind_signcrypt.bsc_signer_respond(signer, challenge.r_bar, alice)
+    ct = blind_signcrypt.bsc_requester_finalize(requester, response.s_bar, DESK512)
+    return dataclasses.replace(ct, T=DESK512.p - ct.T), bind
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="not checked to lie in the order-q subgroup (ROADMAP item 1)")
+def test_bsc_open_refuses_negated_T(desk_keys, tmp_path):
+    copy_files(desk_keys, tmp_path)
+    alice, carol = (_read_key(str(tmp_path / f"{name}.key"), DESK512)
+                    for name in ("alice", "carol"))
+    message = b"pay bob 10"
+    # the first seeded session whose p - T text the library opens; once T is
+    # checked none opens, and the last text probes the CLI as well
+    for seed in range(40):
+        text, bind = negated_T_text(alice, carol, message, seed)
+        try:
+            blind_signcrypt.unsigncrypt(text, carol, alice.y, bind, DESK512, std_suite())
+            break
+        except TagMismatch:
+            continue
+    (tmp_path / "negated.wire").write_text(armor(encode(text)))
+    refused(tmp_path, 1, "bsc", "open", "--params", "desk512", "--key", "carol.key",
+            "--signer-pub", "alice.pub", "--in", "negated.wire", out="negated.out")

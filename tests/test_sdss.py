@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ScriptRng, flip_bit, two_step_commitment, two_step_shared_element
-from blindsigncrypt import blind_sdss, blind_signcrypt, zheng
+from blindsigncrypt import blind_sdss, blind_signcrypt
 from blindsigncrypt.errors import RngFailure
 from blindsigncrypt.group_math import DESK512, TOY23, GroupParams, int_to_bytes, modexp
 from blindsigncrypt.sdss import (
     KeyPair,
     SdssSignature,
+    key_power,
     keygen,
-    recover_commitment,
     sign,
     verify,
 )
@@ -71,7 +71,7 @@ class TestVerify:
     def test_worked_vector(self, toy, stub_suite):
         # K = (8 * 2^7)^6 = 12^6 = 9 = g^5 mod 23
         suite = stubbed(stub_suite, 5, toy, MSG, 7)
-        assert recover_commitment(SdssSignature(r=7, s=6), 8, toy) == 9
+        assert key_power(8, 7, 6, toy) == 9
         assert verify(MSG, SdssSignature(r=7, s=6), 8, toy, suite)
 
     def test_flipped_message_rejected(self, toy, stub_suite):
@@ -90,7 +90,7 @@ class TestVerify:
                 sig = sign(MSG, key, toy, suite, ScriptRng([k]))
             except RngFailure:
                 continue  # k is degenerate
-            assert recover_commitment(sig, key.y, toy) == modexp(toy.g, k, toy.p)
+            assert key_power(key.y, sig.r, sig.s, toy) == modexp(toy.g, k, toy.p)
 
 
 class TestRoundtrip:
@@ -154,15 +154,15 @@ def verifier_inputs(draw):
 
 
 class TestSplitFormula:
-    """The verifiers compute (y * g^r)^s as y^s * g^(r*s mod q): exact for
-    every y in Z_p*, inside the order-q subgroup or not, when g has order q."""
+    """Every verifier and recipient power, sdss.key_power and the blind
+    schemes' recover_commitment and shared_element, agrees with builtin pow
+    for every y and T in Z_p*, inside the order-q subgroup or not."""
 
     @settings(max_examples=300, deadline=None)
     @given(verifier_inputs())
     def test_recover_commitment_equals_two_step(self, inputs):
         params, r, s, _, y, T = inputs
-        assert recover_commitment(SdssSignature(r=r, s=s), y, params) == \
-            two_step_commitment(r, s, y, params)
+        assert key_power(y, r, s, params) == two_step_commitment(r, s, y, params)
         assert blind_sdss.recover_commitment(blind_sdss.BlindSignature(r=r, s=s, T=T), y,
                                              params) == \
             two_step_commitment(r, s, y * T % params.p, params)
@@ -172,8 +172,8 @@ class TestSplitFormula:
     def test_shared_element_equals_two_step(self, inputs):
         params, r, s, x, y, T = inputs
         recipient = KeyPair(x=x, y=pow(params.g, x, params.p))
-        assert zheng.shared_element(zheng.SigncryptedText(c=b"", r=r, s=s), recipient, y,
-                                    params) == two_step_shared_element(r, s, x, y, params)
+        assert key_power(y, r, s * x % params.q, params) == \
+            two_step_shared_element(r, s, x, y, params)
         text = blind_signcrypt.BlindSigncryptedText(c=b"", r=r, s=s, T=T)
         assert blind_signcrypt.shared_element(text, recipient, y, params) == \
             two_step_shared_element(r, s, x, y * T % params.p, params)

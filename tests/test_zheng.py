@@ -9,7 +9,7 @@ from blindsigncrypt.crypto_suite import derive_keys, kh_preimage, std_suite
 from blindsigncrypt.errors import RngFailure, TagMismatch
 from blindsigncrypt.group_math import TOY23, modexp
 from blindsigncrypt.sdss import KeyPair, keygen
-from blindsigncrypt.zheng import SigncryptedText, signcrypt, unsigncrypt
+from blindsigncrypt.zheng import SigncryptedText, seal, signcrypt, unsigncrypt
 
 MSG = b"wire the funds"
 BIND = b"account-B"
@@ -140,3 +140,37 @@ class TestRejection:
                     SigncryptedText(c=ct.c, r=ct.r, s=0)):
             with pytest.raises(TagMismatch):
                 unsigncrypt(bad, recipient, sender.y, BIND, desk, suite)
+
+
+class TestSubgroupAttacks:
+    """A sender key g^x * (p - 1), with p - 1 of order 2, multiplies C's
+    shared element by (-1)^(s * x_C mod q): the text opens iff s * x_C mod q
+    is even."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="not checked to lie in the order-q subgroup (ROADMAP item 1)")
+    def test_parity_oracle_rejected(self, desk, suite):
+        # Seal under y_C^k, pick s = 2^i and x = k * s^-1 - r mod q, so that
+        # g^x is a sender key under which (c, r, s) opens honestly; the key
+        # g^x * (p - 1) then opens it iff 2^i * x_C mod q is even, whose
+        # answers for i = 1..160 are the binary digits of x_C / q
+        # (Alexi-Chor-Goldreich-Schnorr).
+        p, q, g = desk.p, desk.q, desk.g
+        rng = random.Random(7)
+        recipient = keygen(desk, rng)
+        k = rng.randrange(1, q)
+        r, c = seal(modexp(recipient.y, k, p), MSG, BIND, desk, suite)
+        digits = 0
+        for i in range(1, 161):
+            s = pow(2, i, q)
+            sender_pub = modexp(g, (k * pow(s, -1, q) - r) % q, p) * (p - 1) % p
+            try:
+                unsigncrypt(SigncryptedText(c=c, r=r, s=s), recipient, sender_pub, BIND,
+                            desk, suite)
+                digits <<= 1
+            except TagMismatch:
+                digits = digits << 1 | 1
+        accepted = 160 - bin(digits).count("1")
+        recovered = -(-digits * q >> 160)  # ceil(q * 0.d1..d160), exact since q < 2^160
+        assert accepted == 0, (f"{accepted} of 160 queries opened; the answers "
+                               f"{'give' if recovered == recipient.x else 'miss'} x_C")
