@@ -5,8 +5,9 @@ Scalars are plain ints kept reduced mod q; group elements are plain ints in
 Every power, counted (`modexp`) or not (primality and parameter checks), is
 one call of `_power`: OpenSSL's Montgomery exponentiation, reached through
 ctypes in the libcrypto that hashlib has loaded, or pow where that library
-is not available. The only module state is that library handle, fixed at
-import. The optional exponentiation counters are per thread.
+is not available. The only module state is fixed at import: that library
+handle, and each built-in set's modulus with its Montgomery context, which
+_power only reads. The optional exponentiation counters are per thread.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class GroupParams:
     """Public triple (p, q, g): prime modulus, prime subgroup order, generator.
 
     Every set, built-in, generated, validated or decoded, computes its powers
-    the same way, through `modexp`.
+    through `modexp`. A set whose p is a built-in set's p reuses that
+    modulus's Montgomery context, kept since import; any other set has one
+    built for each power.
     """
 
     p: int
@@ -103,6 +106,9 @@ def _load_libcrypto():
                 ("BN_bin2bn", [ctypes.c_char_p, ctypes.c_int, ptr], ptr),
                 ("BN_bn2binpad", [ptr, ctypes.c_char_p, ctypes.c_int], ctypes.c_int),
                 ("BN_mod_exp_mont_consttime", [ptr] * 6, ctypes.c_int),
+                ("BN_MONT_CTX_new", [], ptr),
+                ("BN_MONT_CTX_set", [ptr, ptr, ptr], ctypes.c_int),
+                ("BN_MONT_CTX_free", [ptr], None),
                 ("ERR_clear_error", [], None)):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = args, res
@@ -123,22 +129,25 @@ def _bn(lib, n: int):
 def _power(base: int, exp: int, mod: int) -> int:
     """base^exp mod mod, uncounted: OpenSSL's BN_mod_exp_mont_consttime
     (Montgomery multiplication) for 0 <= base, 0 <= exp and an odd mod > 1
-    where libcrypto loaded, else pow. Each call makes and frees its own BN
-    context and numbers; ctypes releases the GIL for every OpenSSL call."""
+    where libcrypto loaded, else pow. A modulus in _KEPT_MODULI brings its
+    kept Montgomery context; OpenSSL builds one within the call for any
+    other. Each call makes and frees its own BN context and other numbers;
+    ctypes releases the GIL for every OpenSSL call."""
     lib = _libcrypto
     if lib is None or exp < 0 or base < 0 or mod <= 1 or not mod & 1:
         return pow(base, exp, mod)
     width = (mod.bit_length() + 7) // 8
     out = ctypes.create_string_buffer(width)
+    kept = _KEPT_MODULI.get(mod)
     ctx = b = e = m = r = None
     try:
         ctx = lib.BN_CTX_new()
         b = _bn(lib, base)
         e = _bn(lib, exp)
-        m = _bn(lib, mod)
+        m, mont = kept or (_bn(lib, mod), None)
         r = lib.BN_new()
         if (ctx and b and e and m and r
-                and lib.BN_mod_exp_mont_consttime(r, b, e, m, ctx, None) == 1
+                and lib.BN_mod_exp_mont_consttime(r, b, e, m, ctx, mont) == 1
                 and lib.BN_bn2binpad(r, out, width) == width):
             return int.from_bytes(out.raw, "big")
         lib.ERR_clear_error()  # so that hashlib never reads this failure as its own
@@ -146,7 +155,8 @@ def _power(base: int, exp: int, mod: int) -> int:
     finally:
         lib.BN_free(b)
         lib.BN_clear_free(e)
-        lib.BN_free(m)
+        if not kept:
+            lib.BN_free(m)
         lib.BN_free(r)
         lib.BN_CTX_free(ctx)
 
@@ -309,6 +319,30 @@ DESK512 = GroupParams(
 # The built-in sets by name: constants that the tests validate, so a caller
 # may skip validate_params for them.
 NAMED_PARAMS = {"toy23": TOY23, "desk512": DESK512}
+
+
+def _keep_moduli(lib, moduli) -> dict[int, tuple[int, int]]:
+    """Each of these odd moduli as (BIGNUM, Montgomery context), built once
+    for _power; a modulus whose build fails is left out, and so takes the
+    per-call path. Empty where libcrypto did not load."""
+    if lib is None:
+        return {}
+    kept, ctx = {}, lib.BN_CTX_new()
+    for p in moduli:
+        m, mont = _bn(lib, p), lib.BN_MONT_CTX_new()
+        if ctx and m and mont and lib.BN_MONT_CTX_set(mont, m, ctx) == 1:
+            kept[p] = (m, mont)
+        else:
+            lib.ERR_clear_error()
+            lib.BN_free(m)
+            lib.BN_MONT_CTX_free(mont)
+    lib.BN_CTX_free(ctx)
+    return kept
+
+
+# Built once at import and never written after, as _libcrypto is.
+_KEPT_MODULI = _keep_moduli(_libcrypto, [params.p for params in NAMED_PARAMS.values()])
+
 
 def desk512() -> GroupParams:
     """512-bit p / 160-bit q set.

@@ -187,6 +187,22 @@ def assert_state_unchanged(before):
         assert after[name][0] is value and after[name][1] == contents, name
 
 
+def failing_libcrypto(name, cleared):
+    """The loaded libcrypto, but its function name returns 0 (failure) and
+    ERR_clear_error appends True to cleared."""
+    real = group_math._libcrypto
+
+    class Failing:
+        def __getattr__(self, attr):
+            return getattr(real, attr)
+
+        def ERR_clear_error(self):
+            cleared.append(True)
+
+    setattr(Failing, name, lambda self, *args: 0)
+    return Failing()
+
+
 class TestPower:
     def test_kernel_loads_on_linux(self):
         # CI and the benchmark run on Linux: a silent fall back to pow there
@@ -219,23 +235,31 @@ class TestPower:
         with pytest.raises(ValueError):
             group_math._power(p, -1, p)
 
+    def test_built_in_sets_keep_their_context(self):
+        # a lost context costs about a sixth of every desk512 power with
+        # every other test green, as a silent fall back to pow would
+        if sys.platform != "linux":
+            pytest.skip("the kernel is checked on Linux only")
+        pytest.importorskip("_hashlib")
+        kept = group_math._KEPT_MODULI
+        assert set(kept) == {params.p for params in NAMED_PARAMS.values()}
+        assert all(m and mont for m, mont in kept.values())
+
     @needs_kernel
     def test_failed_openssl_call_falls_back(self, desk, monkeypatch, pow_calls):
-        real, cleared = group_math._libcrypto, []
-
-        class Failing:
-            def __getattr__(self, name):
-                return getattr(real, name)
-
-            def BN_mod_exp_mont_consttime(self, *args):
-                return 0
-
-            def ERR_clear_error(self):
-                cleared.append(True)
-
-        monkeypatch.setattr(group_math, "_libcrypto", Failing())
+        cleared = []
+        monkeypatch.setattr(group_math, "_libcrypto",
+                            failing_libcrypto("BN_mod_exp_mont_consttime", cleared))
         assert group_math._power(desk.g, desk.q - 1, desk.p) == pow(desk.g, desk.q - 1, desk.p)
         assert (cleared, pow_calls) == ([True], [(desk.g, desk.q - 1, desk.p)])
+
+    @needs_kernel
+    def test_failed_context_build_keeps_nothing(self):
+        cleared = []
+        lib = failing_libcrypto("BN_MONT_CTX_set", cleared)
+        assert group_math._keep_moduli(lib, [TOY23.p, DESK512.p]) == {}
+        assert cleared == [True, True]
+        assert group_math._keep_moduli(None, [DESK512.p]) == {}
 
     @needs_kernel
     def test_sessions_reach_no_pow(self, desk, pow_calls):
@@ -254,8 +278,9 @@ class TestPower:
 
 class TestFixedBase:
     """Powers of a parameter set's generator g. They take the same path as
-    any other base: no parameter set, named or not, has a table or an entry
-    in a registry."""
+    any other base: no parameter set, named or not, has a table. A built-in
+    set's modulus keeps its Montgomery context from import, for every base
+    alike."""
 
     @given(st.integers(min_value=0, max_value=DESK512.q - 1))
     @settings(max_examples=300, deadline=None)
@@ -352,7 +377,8 @@ class TestKeyTables:
 
     def test_racing_threads(self, desk):
         # ctypes drops the GIL in every OpenSSL call, so these powers really
-        # overlap; each call owns its BN context, so none may see another's
+        # overlap; each call owns its BN context, so none may see another's,
+        # and all of them only read desk512's kept Montgomery context
         wrong, errors = [], []
 
         def work(k):
