@@ -92,7 +92,9 @@ def count_exponentiations() -> Iterator[ExpCounter]:
 
 def _load_libcrypto():
     """The libcrypto that hashlib links, with the BN functions _power calls
-    declared; None where _hashlib or one of them is missing."""
+    declared; None where _hashlib or one of them is missing. crypto_suite
+    declares its X9.63 KDF on this same handle for the std-v1 keystream; a
+    libcrypto without that KDF keeps the handle here."""
     try:
         import _hashlib
         lib = ctypes.CDLL(_hashlib.__file__)

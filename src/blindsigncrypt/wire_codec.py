@@ -110,7 +110,8 @@ def encode(value, suite_id: str = CryptoSuite.suite_id) -> bytes:
     for name, kind in layout:
         raw = getattr(value, name)
         if kind == "bytes":
-            out += len(raw).to_bytes(4, "big") + raw
+            out += len(raw).to_bytes(4, "big")
+            out += raw  # not joined to its prefix first: that copies a whole ciphertext
             continue
         for n in (raw.p, raw.q, raw.g) if kind == "params" else (raw,):
             payload = int_to_bytes(n)

@@ -1,8 +1,11 @@
-"""Shared test utilities: scripted RNG, brute-force oracles, chi-square checks."""
+"""Shared test utilities: scripted RNG, brute-force oracles, chi-square checks,
+libcrypto doubles."""
 
 import hashlib
 import math
 import random
+
+from blindsigncrypt import group_math
 
 
 class ScriptRng:
@@ -166,3 +169,19 @@ def bytewise_keystream_xor(key, data):
         out += hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
         counter += 1
     return bytes(a ^ b for a, b in zip(data, out))
+
+
+def failing_libcrypto(name, cleared):
+    """The loaded libcrypto, but its function name returns 0 (failure) and
+    ERR_clear_error appends True to cleared."""
+    real = group_math._libcrypto
+
+    class Failing:
+        def __getattr__(self, attr):
+            return getattr(real, attr)
+
+        def ERR_clear_error(self):
+            cleared.append(True)
+
+    setattr(Failing, name, lambda self, *args: 0)
+    return Failing()

@@ -1,12 +1,20 @@
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bytewise_keystream_xor, chi_square_critical, chi_square_stat
+from helpers import (
+    bytewise_keystream_xor,
+    chi_square_critical,
+    chi_square_stat,
+    failing_libcrypto,
+)
+from blindsigncrypt import crypto_suite, group_math
 from blindsigncrypt.crypto_suite import (
+    KDF_MIN_BYTES,
     derive_keys,
     get_suite,
     hash_to_scalar,
@@ -155,6 +163,66 @@ class TestCipherMatchesBytewise:
         ct = suite.cipher_encrypt(self.KEY, m)
         assert ct == bytewise_keystream_xor(self.KEY, m)
         assert suite.cipher_encrypt(self.KEY, ct) == m
+
+
+needs_kdf = pytest.mark.skipif(crypto_suite._libcrypto is None,
+                               reason="libcrypto's X9.63 KDF did not load here")
+
+
+class TestKdfKeystream:
+    """The X9.63 KDF path of the std-v1 keystream, from KDF_MIN_BYTES on, and
+    its fall back to the hashlib loop."""
+
+    KEY = bytes(range(32))
+
+    def test_kdf_loads_on_linux(self):
+        # CI and the benchmark run on Linux: a silent fall back to the loop
+        # there would cost about 2.4x on bulk_seal with every other test green
+        if sys.platform != "linux":
+            pytest.skip("the KDF is checked on Linux only")
+        pytest.importorskip("_hashlib")
+        assert crypto_suite._libcrypto is not None
+
+    def test_matches_oracle_around_cutoff_and_block_edges(self, suite):
+        rng = random.Random(22)
+        edges = [KDF_MIN_BYTES - 1, KDF_MIN_BYTES, KDF_MIN_BYTES + 1] + \
+            [32 * blocks + d for blocks in (12, 13, 128, 4096) for d in (-1, 0, 1)]
+        for key in (b"", b"\x01", bytes(range(64))):
+            for n in edges:
+                m = rng.randbytes(n)
+                assert suite.cipher_encrypt(key, m) == bytewise_keystream_xor(key, m), (key, n)
+
+    @needs_kdf
+    def test_kdf_runs_from_the_cutoff_on(self, suite, monkeypatch):
+        # each call that reaches the failing KDF clears the error queue once
+        cleared = []
+        monkeypatch.setattr(crypto_suite, "_libcrypto",
+                            failing_libcrypto("ECDH_KDF_X9_62", cleared))
+        for n in (KDF_MIN_BYTES - 1, KDF_MIN_BYTES, KDF_MIN_BYTES + 1):
+            suite.cipher_encrypt(self.KEY, bytes(n))
+        assert cleared == [True, True]
+
+    @needs_kdf
+    def test_failed_kdf_call_falls_back(self, suite, monkeypatch):
+        cleared = []
+        monkeypatch.setattr(crypto_suite, "_libcrypto",
+                            failing_libcrypto("ECDH_KDF_X9_62", cleared))
+        m = random.Random(8).randbytes(4097)
+        assert suite.cipher_encrypt(self.KEY, m) == bytewise_keystream_xor(self.KEY, m)
+        assert cleared == [True]
+
+    def test_missing_kdf_takes_the_loop(self, suite, monkeypatch):
+        class WithoutKdf:
+            def __getattr__(self, attr):
+                if attr == "ECDH_KDF_X9_62":
+                    raise AttributeError(attr)
+                return getattr(group_math._libcrypto, attr)
+
+        assert crypto_suite._declare_kdf(WithoutKdf()) is None
+        assert crypto_suite._declare_kdf(None) is None
+        monkeypatch.setattr(crypto_suite, "_libcrypto", None)
+        m = random.Random(9).randbytes(4097)
+        assert suite.cipher_encrypt(self.KEY, m) == bytewise_keystream_xor(self.KEY, m)
 
 
 class TestRegistry:

@@ -14,6 +14,7 @@ from helpers import (
     chi_square_critical,
     chi_square_stat,
     egcd_inverse,
+    failing_libcrypto,
     naive_modexp,
 )
 from blindsigncrypt.errors import (
@@ -185,22 +186,6 @@ def assert_state_unchanged(before):
     assert after.keys() == before.keys()
     for name, (value, contents) in before.items():
         assert after[name][0] is value and after[name][1] == contents, name
-
-
-def failing_libcrypto(name, cleared):
-    """The loaded libcrypto, but its function name returns 0 (failure) and
-    ERR_clear_error appends True to cleared."""
-    real = group_math._libcrypto
-
-    class Failing:
-        def __getattr__(self, attr):
-            return getattr(real, attr)
-
-        def ERR_clear_error(self):
-            cleared.append(True)
-
-    setattr(Failing, name, lambda self, *args: 0)
-    return Failing()
 
 
 class TestPower:
