@@ -37,6 +37,7 @@ from .errors import (
     InconsistentPair,
     InvalidState,
     RngFailure,
+    int_text,
 )
 from .group_math import (
     GroupElement,
@@ -139,9 +140,9 @@ def blind_challenge(session_cls: type, z: GroupElement, derive_r,
     session_cls that the scheme adds."""
     p, q = params.p, params.q
     if not 0 < z < p:
-        raise BadCommit(f"commitment z = {z} is outside [1, p-1]")
+        raise BadCommit(f"commitment z = {int_text(z)} is outside [1, p-1]")
     if z % q == 0:
-        raise BadCommit(f"commitment z = {z} is divisible by q")
+        raise BadCommit(f"commitment z = {int_text(z)} is divisible by q")
 
     def draw_u():
         u = rand_scalar_nonzero(rng, q)
@@ -290,7 +291,7 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
     """
     p, q, g = params.p, params.q, params.g
     if modexp(g, q, p) != 1:
-        raise BadGenerator(f"g = {g} does not have order dividing q")
+        raise BadGenerator(f"g = {int_text(g)} does not have order dividing q")
     cols = []
     for sig, u in columns:
         a = _column_exponent(sig, u, q)

@@ -107,7 +107,7 @@ class CryptoSuite:
         return hashlib.sha256(data).digest()
 
     def keyed_hash(self, key: bytes, message: bytes) -> bytes:
-        return hmac.new(key, message, hashlib.sha256).digest()
+        return hmac.digest(key, message, "sha256")
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def hash_to_scalar(digest_input: bytes, q: int, suite: CryptoSuite) -> Scalar:
 
 def kh_preimage(message: bytes, bind_info: bytes) -> bytes:
     """Injective (message, bind_info) encoding for the keyed hash."""
-    return len(message).to_bytes(8, "big") + message + bind_info
+    return b"".join((len(message).to_bytes(8, "big"), message, bind_info))
 
 
 def keyed_hash_to_scalar(

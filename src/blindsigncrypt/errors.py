@@ -1,5 +1,14 @@
 """Exception hierarchy shared by every module in the package."""
 
+# Python 3.11+ refuses to write an int of more than 4300 decimal digits
+# (sys.get_int_max_str_digits), so a message names a wider value by its size.
+DECIMAL_MAX_BITS = 1024
+
+
+def int_text(n: int) -> str:
+    """n in decimal for a message, or its bit length past DECIMAL_MAX_BITS."""
+    return str(n) if n.bit_length() <= DECIMAL_MAX_BITS else f"a {n.bit_length()}-bit integer"
+
 
 class ProtocolError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,7 +30,7 @@ class NotPrime(ProtocolError):
     def __init__(self, which: str, value: int):
         self.which = which
         self.value = value
-        super().__init__(f"{which} = {value} failed the primality test")
+        super().__init__(f"{which} = {int_text(value)} failed the primality test")
 
 
 class OrderMismatch(ProtocolError):

@@ -27,6 +27,7 @@ from .errors import (
     ProtocolError,
     RngFailure,
     ZeroInverse,
+    int_text,
 )
 
 # Type aliases for readability; invariants are enforced at the boundaries.
@@ -175,7 +176,7 @@ def modinv(a: Scalar, q: int) -> Scalar:
     """a^-1 mod q. Raises ZeroInverse when a = 0 mod q."""
     a %= q
     if a == 0:
-        raise ZeroInverse(f"no inverse of 0 mod {q}")
+        raise ZeroInverse(f"no inverse of 0 mod {int_text(q)}")
     return pow(a, -1, q)
 
 
@@ -223,12 +224,10 @@ def is_probable_prime(n: int, rng=None) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
+    if rng is None:
+        rng = secrets.SystemRandom()
     for _ in range(MILLER_RABIN_ROUNDS):
-        if rng is None:
-            a = 2 + secrets.randbelow(n - 3)
-        else:
-            a = rng.randrange(2, n - 1)
-        x = _power(a, d, n)
+        x = _power(rng.randrange(2, n - 1), d, n)
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -250,11 +249,11 @@ def validate_params(candidate: tuple[int, int, int]) -> GroupParams:
     if not is_probable_prime(q):
         raise NotPrime("q", q)
     if (p - 1) % q != 0:
-        raise OrderMismatch(f"q = {q} does not divide p - 1 = {p - 1}")
+        raise OrderMismatch(f"q = {int_text(q)} does not divide p - 1 = {int_text(p - 1)}")
     if not 1 < g < p:
-        raise BadGenerator(f"g = {g} is outside [2, p-1]")
+        raise BadGenerator(f"g = {int_text(g)} is outside [2, p-1]")
     if _power(g, q, p) != 1:
-        raise BadGenerator(f"g = {g} does not have order dividing q")
+        raise BadGenerator(f"g = {int_text(g)} does not have order dividing q")
     return GroupParams(p=p, q=q, g=g)
 
 

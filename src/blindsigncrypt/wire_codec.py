@@ -58,6 +58,7 @@ from .errors import (
     TrailingBytes,
     Truncated,
     UnknownType,
+    int_text,
 )
 from .group_math import GroupParams, int_to_bytes
 from .sdss import SdssSignature
@@ -146,7 +147,7 @@ def decode(data: bytes):
         else:
             n, offset = _take_int(data, offset, name)
             if kind == "bool" and n > 1:
-                raise NonCanonicalInteger(f"field {name} must be 0 or 1, not {n}")
+                raise NonCanonicalInteger(f"field {name} must be 0 or 1, not {int_text(n)}")
             values[name] = bool(n) if kind == "bool" else n
     if offset != len(data):
         raise TrailingBytes(f"{len(data) - offset} bytes after the last field")

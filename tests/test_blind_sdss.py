@@ -115,6 +115,16 @@ class TestGuards:
             with pytest.raises(BadCommit):
                 requester_challenge(MSG, z, ALICE.y, toy, suite, random.Random(0))
 
+    @pytest.mark.parametrize("p, q, z, message", [
+        (23, 11, 1 << 20000, "commitment z = a 20001-bit integer is outside [1, p-1]"),
+        ((1 << 20000) + 1, 11, 11 << 19996, "commitment z = a 20000-bit integer is divisible by q"),
+    ], ids=["outside", "divisible"])
+    def test_wide_commit_named_by_its_size(self, suite, p, q, z, message):
+        # str(z) raises ValueError past 4300 digits (Python 3.11+)
+        with pytest.raises(BadCommit) as exc:
+            requester_challenge(MSG, z, ALICE.y, GroupParams(p, q, 2), suite, random.Random(0))
+        assert str(exc.value) == message
+
     def test_beta_redrawn_until_challenge_nonzero(self, toy, stub_suite):
         # r=7 and beta=4 give r_bar = 0 mod 11: redraw
         suite = pin_blind_hash(stub_suite, 4, toy, MSG, 7)

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from blindsigncrypt import cli, sdss
+from blindsigncrypt import cli, group_math, sdss, zheng
 from blindsigncrypt.blind_sdss import BlindSignature, CommitMsg, RequesterSession, ResponseMsg
 from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
 from blindsigncrypt.cli import _state_key, build_parser, main
@@ -115,6 +115,23 @@ class TestZhengCli:
         assert run("zheng", "open", "--params", setup["params"], "--key", setup["key_c"],
                    "--sender-pub", setup["pub_a"], "--in", ct, "--out", out) == 0
         assert out.read_bytes() == b"sealed orders"
+
+    def test_bind_info_is_the_arguments_bytes(self, setup):
+        # "\udcff" is how Python passes the argv byte 0xff, which is not UTF-8
+        msg, ct, out = (setup["dir"] / n for n in ("z.msg", "z.ct", "z.out"))
+        msg.write_bytes(b"sealed orders")
+        assert run("--test-mode", "--seed", 5, "zheng", "seal", "--params", setup["params"],
+                   "--key", setup["key_a"], "--recipient-pub", setup["pub_c"],
+                   "--in", msg, "--out", ct, "--bind-info", "\udcff") == 0
+        assert run("zheng", "open", "--params", setup["params"], "--key", setup["key_c"],
+                   "--sender-pub", setup["pub_a"], "--in", ct, "--out", out,
+                   "--bind-info", "\udcff") == 0
+        assert out.read_bytes() == b"sealed orders"
+        params = cli._read_params(str(setup["params"]))
+        sealed = zheng.signcrypt(b"sealed orders", cli._read_key(str(setup["key_a"]), params),
+                                 cli._read_pub(str(setup["pub_c"]), params), b"\xff", params,
+                                 std_suite(), random.Random(5))
+        assert dearmor(ct.read_text()) == encode(sealed)
 
     def test_tampered_ciphertext_exits_1(self, setup):
         msg, ct, out = (setup["dir"] / n for n in ("z.msg", "z.ct", "z.out"))
@@ -626,6 +643,21 @@ class TestBench:
         assert "party A: 1 modexp" in out
         assert "party verify: 2 modexp" in out
 
+    @pytest.mark.parametrize("scheme, name, receiver", [("bsc", "blind_signcrypt", "C"),
+                                                        ("blind", "blind_sdss", "verify")])
+    @pytest.mark.parametrize("party", [None, "A", "B", "receiver"])
+    def test_output_bytes(self, capsys, scheme, name, receiver, party):
+        party = receiver if party == "receiver" else party
+        lines = {"A": "party A: 1 modexp", "B": "party B: 3 modexp",
+                 receiver: f"party {receiver}: 2 modexp"}
+        assert run("--test-mode", "--seed", 1, "bench", "--scheme", scheme, "--params", "toy23",
+                   *(["--party", party] if party else [])) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in (
+            f"scheme: {name}",
+            "multi-exponentiation strategy: naive: every power counted separately "
+            "(no multi-exponentiation)",
+            *([lines[party]] if party else lines.values())))
+
 
 class TestKeyFiles:
     @pytest.mark.parametrize("content, reason", [
@@ -833,6 +865,41 @@ class TestParamFiles:
         path = tmp_path / "bad.params"
         path.write_text(armor(encode(params, "std-v1")))
         return path
+
+    @pytest.fixture
+    def no_primality_test(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a primality test ran")
+        monkeypatch.setattr(group_math, "is_probable_prime", refuse)
+
+    def test_wide_p_refused_before_any_primality_test(self, tmp_path, capsys, no_primality_test):
+        bad = self.write(tmp_path, GroupParams(p=(1 << cli.MAX_P_BITS) + 1, q=11, g=2))
+        assert run("params", "validate", "--params", bad) == 2
+        assert (f"{bad}: p has {cli.MAX_P_BITS + 1} bits, above the limit of {cli.MAX_P_BITS}"
+                in capsys.readouterr().err)
+
+    def test_p_at_the_limit_is_tested(self, tmp_path, capsys, monkeypatch):
+        tested = []
+        monkeypatch.setattr(group_math, "is_probable_prime", lambda n, rng=None: tested.append(n))
+        p = (1 << cli.MAX_P_BITS) - 1
+        assert run("params", "validate", "--params", self.write(tmp_path, GroupParams(p, 11, 2))) == 1
+        assert tested == [p]
+        assert f"invalid: p = a {cli.MAX_P_BITS}-bit integer failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", [0, 1, 23, 1 << 9000], ids=["0", "1", "p", "wide"])
+    def test_q_outside_the_group_refused_before_any_primality_test(self, tmp_path, capsys,
+                                                                   no_primality_test, q):
+        bad = self.write(tmp_path, GroupParams(p=23, q=q, g=2))
+        assert run("keygen", "--params", bad, "--out", tmp_path / "a.key") == 2
+        assert f"{bad}: q is outside [2, p-1]" in capsys.readouterr().err
+        assert not (tmp_path / "a.key").exists()
+
+    def test_gen_refuses_wide_p(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_params", None)  # any call fails the test
+        out = tmp_path / "p.params"
+        assert run("params", "gen", "--bits-p", cli.MAX_P_BITS + 1, "--out", out) == 2
+        assert f"--bits-p {cli.MAX_P_BITS + 1} is above the limit" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("params, reason", BAD)
     def test_keygen_refuses(self, tmp_path, capsys, params, reason):
@@ -1184,6 +1251,19 @@ class TestParserCache:
 
     def test_built_once(self):
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["sdss", "verify", "--params", "p", "--pub", "a", "--in", "i", "--sig", "s"],
+        ["blind", "verify", "--params", "p", "--signer-pub", "a", "--in", "i", "--sig", "s"],
+        ["zheng", "open", "--params", "p", "--key", "k", "--sender-pub", "a", "--in", "i",
+         "--out", "o"],
+        ["bsc", "open", "--params", "p", "--key", "k", "--signer-pub", "a", "--in", "i",
+         "--out", "o"],
+        ["blind", "challenge", "--params", "p", "--signer-pub", "a", "--in", "i",
+         "--commit", "c", "--state-out", "s", "--out", "o"],
+    ], ids=["sdss-verify", "blind-verify", "zheng-open", "bsc-open", "blind-challenge"])
+    def test_signer_key_has_one_dest(self, argv):
+        assert build_parser().parse_args(argv).signer_pub == "a"
 
     def test_shared_parser_parses_like_a_fresh_one(self):
         # the same namespaces, with nothing carried over between commands

@@ -18,12 +18,14 @@ from helpers import (
     naive_modexp,
 )
 from blindsigncrypt.errors import (
+    DECIMAL_MAX_BITS,
     BadGenerator,
     GenerationTimeout,
     NotPrime,
     OrderMismatch,
     RngFailure,
     ZeroInverse,
+    int_text,
 )
 from blindsigncrypt import blind_signcrypt, group_math, wire_codec, zheng
 from blindsigncrypt.crypto_suite import derive_keys, kh_preimage, std_suite, toy_suite
@@ -538,6 +540,39 @@ class TestValidateParams:
             validate_params((23, 11, 0))
         with pytest.raises(BadGenerator):
             validate_params((23, 11, 23))
+
+
+# 20001 bits: 6021 decimal digits, past the 4300 that Python 3.11+ writes
+WIDE = (1 << 20000) + 1
+
+
+class TestWideValuesInErrors:
+    """A named error shows a value wider than DECIMAL_MAX_BITS by its bit
+    length, where str() would raise ValueError (Python 3.11+)."""
+
+    def test_decimal_up_to_the_limit(self):
+        assert int_text((1 << DECIMAL_MAX_BITS) - 1) == str((1 << DECIMAL_MAX_BITS) - 1)
+        assert int_text(1 << DECIMAL_MAX_BITS) == f"a {DECIMAL_MAX_BITS + 1}-bit integer"
+
+    def test_not_prime(self):
+        with pytest.raises(NotPrime, match="^p = a 20001-bit integer failed the primality test$"):
+            validate_params((WIDE + 1, 11, 2))
+
+    @pytest.mark.parametrize("candidate, error, message", [
+        ((WIDE, 7, 2), OrderMismatch, "q = 7 does not divide p - 1 = a 20001-bit integer"),
+        ((WIDE, 2, WIDE + 1), BadGenerator, "g = a 20001-bit integer is outside [2, p-1]"),
+        ((WIDE, 2, WIDE - 2), BadGenerator,
+         "g = a 20000-bit integer does not have order dividing q"),
+    ], ids=["order-mismatch", "generator-range", "generator-order"])
+    def test_validate_params(self, monkeypatch, candidate, error, message):
+        monkeypatch.setattr(group_math, "is_probable_prime", lambda n, rng=None: True)
+        with pytest.raises(error) as exc:
+            validate_params(candidate)
+        assert str(exc.value) == message
+
+    def test_zero_inverse(self):
+        with pytest.raises(ZeroInverse, match="^no inverse of 0 mod a 20001-bit integer$"):
+            modinv(WIDE, WIDE)
 
 
 class TestGenerateParams:

@@ -113,6 +113,7 @@ class TestSessionCost:
         assert t.context.degenerate_retries == 1
         assert (t.output.r, t.output.s, t.output.T) == (7, 8, 13)
         assert counter.count == 10 + 4
+        assert t.modexp_counts == {"A": 1, "B": 3, "C": 2}  # the restart's powers are not in it
 
     @pytest.mark.parametrize("scheme", ["blind_sdss", "blind_signcrypt"])
     def test_wrong_commitment_is_caught(self, desk, suite, scheme):
@@ -281,6 +282,13 @@ class TestCrossPairingGrid:
             pairing_grid([t.view for t in transcripts],
                          [(t.signature(), t.requester_secrets.u) for t in transcripts], bad)
 
+    def test_wide_generator_named_by_its_size(self):
+        # g^2 = (-2)^2 = 4 mod p; str(g) raises ValueError past 4300 digits (Python 3.11+)
+        p = (1 << 20000) + 1
+        with pytest.raises(BadGenerator,
+                           match="^g = a 20000-bit integer does not have order dividing q$"):
+            pairing_grid([], [], GroupParams(p=p, q=2, g=p - 2))
+
     def test_mixed_parameter_sets_rejected(self, toy, desk, suite):
         transcripts = (run_honest_sessions(2, "blind_sdss", desk, suite, random.Random(44))
                        + run_honest_sessions(2, "blind_sdss", toy, suite, random.Random(45)))
@@ -348,6 +356,28 @@ class TestBench:
         lines = report.lines()
         assert any("strategy" in line for line in lines)
         assert any(line.startswith("party A: 1") for line in lines)
+
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_receiver_moves_once(self, desk, suite, rng, scheme, monkeypatch):
+        # the counts are the checked session's own; no second, unchecked open
+        opened = []
+        real_open = harness._open
+        monkeypatch.setattr(harness, "_open", lambda t: opened.append(t) or real_open(t))
+        report = measure_exponentiation_counts(scheme, desk, suite, rng)
+        assert len(opened) == 1
+        assert report.counts == opened[0].modexp_counts
+
+    @pytest.mark.parametrize("scheme, receiver", [("blind_sdss", "verify"),
+                                                  ("blind_signcrypt", "C")])
+    def test_every_transcript_counts_the_receiver(self, toy, suite, scheme, receiver):
+        # at q = 11 sessions restart, and B redraws u when r = 0 mod q, one
+        # more power per redrawn u; A and the receiver are exact
+        transcripts = run_honest_sessions(300, scheme, toy, suite, random.Random(3))
+        assert transcripts[0].context.degenerate_retries >= 1
+        for t in transcripts:
+            assert list(t.modexp_counts) == ["A", "B", receiver]
+            assert (t.modexp_counts["A"], t.modexp_counts[receiver]) == (1, 2)
+            assert t.modexp_counts["B"] >= 3
 
 
 class TestMarginalsSmoke:

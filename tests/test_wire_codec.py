@@ -113,6 +113,14 @@ class TestNamedErrors:
         with pytest.raises(NonCanonicalInteger, match="spent"):
             decode(data[:-1] + b"\x02")
 
+    def test_wide_bool_named_by_its_size(self):
+        # spent holding 2001 bytes; str() of it raises ValueError (Python 3.11+)
+        data = encode(SignerSession(GroupParams(23, 11, 4), k_tilde=7, spent=True), "x")
+        wide = data[:-3] + (2001).to_bytes(2, "big") + b"\x01" + bytes(2000)
+        with pytest.raises(NonCanonicalInteger,
+                           match="^field spent must be 0 or 1, not a 16001-bit integer$"):
+            decode(wide)
+
     def test_non_canonical_integer_inside_params(self):
         # SignerSession: params p, q, g, then k_tilde and spent (0 is empty)
         head = b"BSC1" + b"\x0a" + b"\x00\x01" + b"x"
