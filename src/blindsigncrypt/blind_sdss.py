@@ -49,7 +49,7 @@ from .group_math import (
     rand_scalar_nonzero,
     retry,
 )
-from .sdss import KeyPair, commitment_hash, key_power, s_from_nonce
+from .sdss import KeyPair, commitment_hash, s_from_nonce
 from .sdss import verified_commitment as sdss_verified_commitment
 
 
@@ -208,16 +208,10 @@ def requester_finalize(session: RequesterSession, s_bar: Scalar,
     return BlindSignature(r=session.r, s=unblind(session, s_bar, params.q), T=session.T)
 
 
-def recover_commitment(sig: BlindSignature, signer_pub: GroupElement,
-                       params: GroupParams) -> GroupElement:
-    """K = (y * T * g^r)^s mod p; equals g^u mod p for an honest signature."""
-    return key_power(signer_pub * sig.T % params.p, sig.r, sig.s, params)
-
-
 def one_time_key(signer_pub: GroupElement, T: GroupElement,
                  params: GroupParams) -> GroupElement | None:
     """y * T mod p, the key (r, s, T) is checked under; None for T outside
-    [1, p-1]. The verifier and the blind-signcryption recipient call it."""
+    [1, p-1]. The verifier, the recipient and the harness call it."""
     return signer_pub * T % params.p if 0 < T < params.p else None
 
 
@@ -235,13 +229,13 @@ def verify(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
     return verified_commitment(m, sig, signer_pub, params, suite) is not None
 
 
-def _column_exponent(sig: BlindSignature, u: Scalar, q: int) -> Scalar | None:
-    """a = s^-1 * u - r mod q, the part of alpha = a - s_bar that depends on
-    the signature alone, or None when the s-equation fails for every view.
+def one_time_exponent(sig: BlindSignature, u: Scalar, q: int) -> Scalar | None:
+    """a = s^-1 * u - r mod q, or None when the s-equation fails for every view.
 
-    alpha is defined so that r + s_bar + alpha = s^-1 * u (mod q), so
-    s_from_nonce(u, r, s_bar + alpha, q) returns s exactly when r != 0,
-    u != 0 (mod q) and 0 < s < q; s = 0 (mod q) has no inverse at all.
+    Unblinding fixes s_bar + alpha = a (mod q), so an honest signature's
+    one-time key y * T = g^(s_bar + alpha) is g^a mod p. With
+    alpha = a - s_bar, s_from_nonce(u, r, s_bar + alpha, q) returns s exactly
+    when r != 0, u != 0 (mod q) and 0 < s < q; s = 0 (mod q) has no inverse.
     """
     if sig.r == 0 or u % q == 0 or not 0 < sig.s < q:
         return None
@@ -256,13 +250,13 @@ def recover_blinding_factors(view: View, sig: BlindSignature, u: Scalar,
       alpha = s^-1 * u - (r + s_bar) mod q
 
     and re-assert both defining equations, s = u / (r + s_bar + alpha) mod q
-    (see `_column_exponent`) and T = z^r * z^beta * g^alpha mod p. The T check
+    (see `one_time_exponent`) and T = z^r * z^beta * g^alpha mod p. The T check
     takes two powers: z^(r + beta) with the unreduced integer exponent, which
     equals z^r * z^beta for every z in Z_p*, and g^alpha.
     Raises InconsistentPair for a dishonest view or an invalid signature.
     """
     p, q = params.p, params.q
-    a = _column_exponent(sig, u, q)
+    a = one_time_exponent(sig, u, q)
     if a is None:
         raise InconsistentPair("s does not match u / (r + s_bar + alpha)")
     beta = (view.r_bar - sig.r) % q
@@ -278,7 +272,7 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
     succeeds for columns[j] = (sig, u), from O(n) powers instead of two per cell.
 
     With g of order q, g^alpha = g^a_j * R_i mod p for a_j from
-    `_column_exponent` and R_i = g^(-s_bar_i) per row, so the T equation
+    `one_time_exponent` and R_i = g^(-s_bar_i) per row, so the T equation
     z^(r + beta) * R_i * g^a_j = T (mod p) reads z^(r + beta) * R_i = D_j with
     the column's target D_j = T_j * g^(-a_j) mod p. A column whose
     s-equation fails, or whose T lies outside [0, p) where no reduced product
@@ -294,7 +288,7 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
         raise BadGenerator(f"g = {int_text(g)} does not have order dividing q")
     cols = []
     for sig, u in columns:
-        a = _column_exponent(sig, u, q)
+        a = one_time_exponent(sig, u, q)
         ok = a is not None and 0 <= sig.T < p
         cols.append((sig.r, sig.T * modexp(g, -a % q, p) % p) if ok else None)
 

@@ -12,7 +12,6 @@ from blindsigncrypt.blind_sdss import (
     View,
     pairing_grid,
     recover_blinding_factors,
-    recover_commitment,
     requester_challenge,
     requester_finalize,
     signer_commit,
@@ -84,7 +83,7 @@ class TestWorkedVectors:
     def test_verify(self, toy, stub_suite):
         # K = (8 * 13 * 2^7)^8 = 18^8 = 16 = g^4 = g^u mod 23
         _, requester, sig, suite = run_toy_session(toy, stub_suite)
-        assert recover_commitment(sig, ALICE.y, toy) == 16
+        assert verified_commitment(MSG, sig, ALICE.y, toy, suite) == 16
         assert verify(MSG, sig, ALICE.y, toy, suite)
 
     def test_recover_blinding_factors(self, toy, stub_suite):
@@ -197,7 +196,8 @@ class TestCompleteness:
             _, requester, _, sig = complete_session(key, m, toy, suite, rng)
             assert verify(m, sig, key.y, toy, suite)
             # the recovered commitment is g^u
-            assert recover_commitment(sig, key.y, toy) == modexp(toy.g, requester.u, toy.p)
+            K = verified_commitment(m, sig, key.y, toy, suite)
+            assert K == modexp(toy.g, requester.u, toy.p)
 
     def test_thousand_desk_sessions(self, desk, suite):
         rng = random.Random(8)
@@ -206,7 +206,8 @@ class TestCompleteness:
             m = rng.randbytes(rng.randrange(48))
             _, requester, _, sig = complete_session(key, m, desk, suite, rng)
             assert verify(m, sig, key.y, desk, suite)
-            assert recover_commitment(sig, key.y, desk) == modexp(desk.g, requester.u, desk.p)
+            K = verified_commitment(m, sig, key.y, desk, suite)
+            assert K == modexp(desk.g, requester.u, desk.p)
 
 
 class TestBlindness:

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from helpers import ScriptRng, flip_bit
-from blindsigncrypt.blind_sdss import BlindSignature, recover_commitment
 from blindsigncrypt.blind_signcrypt import (
     BlindSigncryptedText,
     bsc_requester_challenge,
@@ -23,7 +22,7 @@ from blindsigncrypt.errors import (
     TagMismatch,
 )
 from blindsigncrypt.group_math import TOY23, modexp, validate_params
-from blindsigncrypt.sdss import KeyPair, keygen
+from blindsigncrypt.sdss import KeyPair, key_power, keygen
 from blindsigncrypt.zheng import seal, signcrypt
 
 MSG = b"settle anonymously"
@@ -167,8 +166,7 @@ class TestAlgebra:
         for _ in range(50):
             requester, ct = complete_bsc(signer, recipient, rng.randbytes(16),
                                          BIND, desk, suite, rng)
-            sig = BlindSignature(r=ct.r, s=ct.s, T=ct.T)
-            assert recover_commitment(sig, signer.y, desk) == modexp(
+            assert key_power(signer.y * ct.T % desk.p, ct.r, ct.s, desk) == modexp(
                 desk.g, requester.u, desk.p)
 
 

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from helpers import ConstantRng, ScriptRng, marginals_smoke_test, three_power_outcome
-from blindsigncrypt import blind_sdss, harness
+from helpers import ConstantRng, ScriptRng, flip_bit, marginals_smoke_test, three_power_outcome
+from blindsigncrypt import blind_sdss, group_math, harness
 from blindsigncrypt.blind_sdss import (
     BlindSignature,
     pairing_grid,
@@ -91,7 +91,7 @@ class TestSessionCost:
     """Every group element a harness check needs is compared with the one the
     receiving party's move computes, never computed a second time."""
 
-    @pytest.mark.parametrize("scheme, powers", [("blind_sdss", 7), ("blind_signcrypt", 10)])
+    @pytest.mark.parametrize("scheme, powers", [("blind_sdss", 7), ("blind_signcrypt", 8)])
     def test_exact_powers_per_session(self, desk, suite, scheme, powers):
         rng = random.Random(50)
         signer, recipient = keygen(desk, rng), keygen(desk, rng)
@@ -112,7 +112,7 @@ class TestSessionCost:
                 signer=KeyPair(x=3, y=8), recipient=KeyPair(x=4, y=16))[0]
         assert t.context.degenerate_retries == 1
         assert (t.output.r, t.output.s, t.output.T) == (7, 8, 13)
-        assert counter.count == 10 + 4
+        assert counter.count == 8 + 4
         assert t.modexp_counts == {"A": 1, "B": 3, "C": 2}  # the restart's powers are not in it
 
     @pytest.mark.parametrize("scheme", ["blind_sdss", "blind_signcrypt"])
@@ -136,6 +136,42 @@ class TestSessionCost:
         forged = dataclasses.replace(t, context=dataclasses.replace(ctx, recipient=wrong))
         with pytest.raises(HarnessCheckFailed, match="key agreement"):
             harness._check_consistent(forged)
+
+    def test_rejected_text_fails_the_check(self, desk, suite):
+        # the recipient's TagMismatch once escaped as itself, not as a failed check
+        t = run_honest_sessions(1, "blind_signcrypt", desk, suite, random.Random(53),
+                                messages=[b"a message to flip"])[0]
+        forged = dataclasses.replace(t, output=dataclasses.replace(
+            t.output, c=flip_bit(t.output.c, 5)))
+        with pytest.raises(HarnessCheckFailed, match="unsigncrypt recovers the message"):
+            harness._check_consistent(forged)
+
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_no_check_retakes_a_receiver_power(self, desk, suite, scheme, monkeypatch):
+        # every (base, exponent, modulus) handed to _power, split by whether
+        # the receiving party's move took it
+        rng = random.Random(54)
+        signer, recipient = keygen(desk, rng), keygen(desk, rng)
+        power, open_move = group_math._power, harness._open
+        receiver, elsewhere = set(), set()
+        taken = [elsewhere]
+
+        def spy_power(*args):
+            taken[0].add(args)
+            return power(*args)
+
+        def spy_open(t):
+            taken[0] = receiver
+            try:
+                return open_move(t)
+            finally:
+                taken[0] = elsewhere
+
+        monkeypatch.setattr(group_math, "_power", spy_power)
+        monkeypatch.setattr(harness, "_open", spy_open)
+        run_honest_sessions(1, scheme, desk, suite, rng, signer=signer, recipient=recipient)
+        assert len(receiver) == 2
+        assert receiver.isdisjoint(elsewhere)
 
 
 class TestCrossPairing:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ScriptRng, flip_bit, two_step_commitment, two_step_shared_element
-from blindsigncrypt import blind_sdss, blind_signcrypt
+from blindsigncrypt import blind_signcrypt
 from blindsigncrypt.errors import RngFailure
 from blindsigncrypt.group_math import DESK512, TOY23, GroupParams, int_to_bytes, modexp
 from blindsigncrypt.sdss import (
@@ -154,17 +154,16 @@ def verifier_inputs(draw):
 
 
 class TestSplitFormula:
-    """Every verifier and recipient power, sdss.key_power and the blind
-    schemes' recover_commitment and shared_element, agrees with builtin pow
-    for every y and T in Z_p*, inside the order-q subgroup or not."""
+    """Every verifier and recipient power, sdss.key_power under y or the one-time
+    key y * T and blind_signcrypt.shared_element, agrees with builtin pow for
+    every y and T in Z_p*, inside the order-q subgroup or not."""
 
     @settings(max_examples=300, deadline=None)
     @given(verifier_inputs())
     def test_recover_commitment_equals_two_step(self, inputs):
         params, r, s, _, y, T = inputs
         assert key_power(y, r, s, params) == two_step_commitment(r, s, y, params)
-        assert blind_sdss.recover_commitment(blind_sdss.BlindSignature(r=r, s=s, T=T), y,
-                                             params) == \
+        assert key_power(y * T % params.p, r, s, params) == \
             two_step_commitment(r, s, y * T % params.p, params)
 
     @settings(max_examples=300, deadline=None)
