@@ -50,7 +50,7 @@ from .group_math import (
     retry,
 )
 from .sdss import KeyPair, commitment_hash, s_from_nonce
-from .sdss import verified_commitment as sdss_verified_commitment
+from .sdss import verify as sdss_verify
 
 
 # protocol messages (serialized by wire_codec)
@@ -215,18 +215,12 @@ def one_time_key(signer_pub: GroupElement, T: GroupElement,
     return signer_pub * T % params.p if 0 < T < params.p else None
 
 
-def verified_commitment(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
-                        params: GroupParams, suite: CryptoSuite) -> GroupElement | None:
-    """K = (y * T * g^r)^s mod p when (r, s, T) verifies on m, else None; for
-    an honest signature K = g^u mod p."""
-    key = one_time_key(signer_pub, sig.T, params)
-    return None if key is None else sdss_verified_commitment(m, sig, key, params, suite)
-
-
 def verify(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
            params: GroupParams, suite: CryptoSuite) -> bool:
-    """(r, s, T) is valid iff (r, s) is an SDSS signature under the key y * T."""
-    return verified_commitment(m, sig, signer_pub, params, suite) is not None
+    """(r, s, T) is valid iff (r, s) is an SDSS signature under the key y * T;
+    for an honest signature K = (y * T * g^r)^s = g^u mod p."""
+    key = one_time_key(signer_pub, sig.T, params)
+    return key is not None and sdss_verify(m, sig, key, params, suite)
 
 
 def one_time_exponent(sig: BlindSignature, u: Scalar, q: int) -> Scalar | None:

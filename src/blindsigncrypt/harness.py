@@ -8,10 +8,12 @@ exponentiation-count benchmark.
 The blindness check is structural, not statistical: every (view, output)
 pairing across independent sessions must admit consistent blinding factors,
 which makes any view compatible with any signature. The consistency checks
-raise HarnessCheckFailed, so they hold under `python -O` too. Each compares
-one power of an element the secrets predict with what the receiving party
-computes, and retakes no power of that party's move, so a session costs 7
-counted powers (blind SDSS) or 8 (blind signcryption), the protocol's 6 included.
+raise HarnessCheckFailed, so they hold under `python -O` too. Both schemes
+check the one-time key y_A * T against g^a, the power the secrets predict;
+then blind SDSS asserts that the verifier accepts, and blind signcryption
+compares y_C^u with the recipient's shared element. No check retakes a power
+of the receiving party's move, so a session costs 7 counted powers (blind
+SDSS) or 8 (blind signcryption), the protocol's 6 included.
 """
 
 from __future__ import annotations
@@ -156,18 +158,18 @@ def _check(ok: bool, what: str) -> None:
         raise HarnessCheckFailed(f"harness check failed: {what}")
 
 
-def _open(t: FullTranscript) -> GroupElement:
+def _open(t: FullTranscript) -> GroupElement | None:
     """The receiving party's move: verify the signature or unsigncrypt the
-    text, counted in t.modexp_counts under "verify" or "C". Returns the
-    element that move computed, K = g^u (verifier) or y_C^u (recipient) for
-    an honest transcript; a rejection raises HarnessCheckFailed."""
+    text, counted in t.modexp_counts under "verify" or "C". The verifier
+    returns None; the recipient returns the element its move computed,
+    y_C^u for an honest transcript. A rejection raises HarnessCheckFailed."""
     ctx = t.context
     with _counted(t.modexp_counts, "verify" if ctx.scheme == "blind_sdss" else "C"):
         if ctx.scheme == "blind_sdss":
-            k_element = blind_sdss.verified_commitment(t.message, t.signature(), ctx.signer.y,
-                                                       ctx.params, ctx.suite)
-            _check(k_element is not None, "blind signature verifies")
-            return k_element
+            _check(blind_sdss.verify(t.message, t.signature(), ctx.signer.y,
+                                     ctx.params, ctx.suite),
+                   "blind signature verifies")
+            return None
         try:
             recovered, shared = blind_signcrypt.open_sealed(
                 t.output, ctx.recipient, ctx.signer.y, ctx.bind_info, ctx.params, ctx.suite)
@@ -180,11 +182,12 @@ def _open(t: FullTranscript) -> GroupElement:
 def _check_consistent(t: FullTranscript) -> None:
     """Check an honest transcript against the secrets that produced it.
 
-    The scalar equations come first, then one power per element the secrets
-    predict: g^u against the verifier's K (blind_sdss, 7 counted powers with
-    the protocol's 6), or g^a against the one-time key y_A * T, which implies
-    K = g^u (`blind_sdss.one_time_exponent`), and y_C^u against the
-    recipient's shared element (blind_signcrypt, 8 counted powers).
+    The scalar equations come first. Then, for both schemes, one power of g
+    checks the one-time key y_A * T against g^a (`blind_sdss.one_time_exponent`),
+    which implies that the signature recovers K = g^u. Last the receiving
+    party's move runs: the verifier must accept (blind_sdss, 7 counted powers
+    with the protocol's 6), or y_C^u must equal the recipient's shared
+    element (blind_signcrypt, 8 counted powers).
     """
     ctx = t.context
     p, q, g = ctx.params.p, ctx.params.q, ctx.params.g
@@ -193,15 +196,14 @@ def _check_consistent(t: FullTranscript) -> None:
     _check(t.view.s_bar == (ctx.signer.x + t.view.r_bar * t.view.k_tilde) % q,
            "s_bar = x + r_bar * k_tilde")
     _check(t.view.r_bar == (sec.r + sec.beta) % q, "r_bar = r + beta")
-    if ctx.scheme == "blind_sdss":
-        _check(_open(t) == modexp(g, sec.u, p), "the signature recovers the commitment g^u")
-        return
     a = blind_sdss.one_time_exponent(t.signature(), sec.u, q)
     _check(a is not None and
            blind_sdss.one_time_key(ctx.signer.y, t.output.T, ctx.params) == modexp(g, a, p),
            "y_A * T = g^(s^-1 * u - r), so the signature recovers the commitment g^u")
-    y_c_u = modexp(ctx.recipient.y, sec.u, p)
-    _check(_open(t) == y_c_u, "key agreement y_C^u = (y_A * T * g^r)^(s * x_C)")
+    shared = _open(t)
+    if ctx.scheme == "blind_signcrypt":
+        _check(shared == modexp(ctx.recipient.y, sec.u, p),
+               "key agreement y_C^u = (y_A * T * g^r)^(s * x_C)")
 
 
 # -- cross-pairing blindness check ----------------------------------------------

@@ -82,16 +82,10 @@ def key_power(y: GroupElement, r: Scalar, e: Scalar, params: GroupParams) -> Gro
     return modexp(y * modexp(params.g, r, p) % p, e, p)
 
 
-def verified_commitment(m: bytes, sig: SdssSignature, signer_pub: GroupElement,
-                        params: GroupParams, suite: CryptoSuite) -> GroupElement | None:
-    """The verifier's move: K = (y * g^r)^s mod p once (r, s) has passed the
-    range checks and hashing K with m has reproduced r; None otherwise."""
-    if not (0 < sig.r < params.q and 0 < sig.s < params.q):
-        return None
-    k_element = key_power(signer_pub, sig.r, sig.s, params)
-    return k_element if commitment_hash(k_element, m, params, suite) == sig.r else None
-
-
 def verify(m: bytes, sig: SdssSignature, signer_pub: GroupElement,
            params: GroupParams, suite: CryptoSuite) -> bool:
-    return verified_commitment(m, sig, signer_pub, params, suite) is not None
+    """The verifier's move: accept iff 0 < r, s < q and hashing
+    K = (y * g^r)^s mod p with m reproduces r."""
+    if not (0 < sig.r < params.q and 0 < sig.s < params.q):
+        return False
+    return commitment_hash(key_power(signer_pub, sig.r, sig.s, params), m, params, suite) == sig.r

@@ -16,7 +16,6 @@ from blindsigncrypt.blind_sdss import (
     requester_finalize,
     signer_commit,
     signer_respond,
-    verified_commitment,
     verify,
 )
 from blindsigncrypt.crypto_suite import std_suite
@@ -28,7 +27,7 @@ from blindsigncrypt.errors import (
     InvalidState,
 )
 from blindsigncrypt.group_math import GroupParams, count_exponentiations, int_to_bytes, modexp
-from blindsigncrypt.sdss import KeyPair, keygen, sign
+from blindsigncrypt.sdss import KeyPair, key_power, keygen, sign
 
 MSG = b"unlinkable payment order"
 ALICE = KeyPair(x=3, y=8)
@@ -83,7 +82,7 @@ class TestWorkedVectors:
     def test_verify(self, toy, stub_suite):
         # K = (8 * 13 * 2^7)^8 = 18^8 = 16 = g^4 = g^u mod 23
         _, requester, sig, suite = run_toy_session(toy, stub_suite)
-        assert verified_commitment(MSG, sig, ALICE.y, toy, suite) == 16
+        assert key_power(ALICE.y * sig.T % toy.p, sig.r, sig.s, toy) == 16
         assert verify(MSG, sig, ALICE.y, toy, suite)
 
     def test_recover_blinding_factors(self, toy, stub_suite):
@@ -196,7 +195,7 @@ class TestCompleteness:
             _, requester, _, sig = complete_session(key, m, toy, suite, rng)
             assert verify(m, sig, key.y, toy, suite)
             # the recovered commitment is g^u
-            K = verified_commitment(m, sig, key.y, toy, suite)
+            K = key_power(key.y * sig.T % toy.p, sig.r, sig.s, toy)
             assert K == modexp(toy.g, requester.u, toy.p)
 
     def test_thousand_desk_sessions(self, desk, suite):
@@ -206,7 +205,7 @@ class TestCompleteness:
             m = rng.randbytes(rng.randrange(48))
             _, requester, _, sig = complete_session(key, m, desk, suite, rng)
             assert verify(m, sig, key.y, desk, suite)
-            K = verified_commitment(m, sig, key.y, desk, suite)
+            K = key_power(key.y * sig.T % desk.p, sig.r, sig.s, desk)
             assert K == modexp(desk.g, requester.u, desk.p)
 
 
@@ -409,21 +408,23 @@ class TestChosenTagForgery:
         assert not verify(MSG, BlindSignature(r=sig.r, s=sig.s, T=T), signer.y, desk, suite)
 
 
-# Cofactor-2 sets small enough to enumerate every signature on one message,
-# each with its number of signer views and of valid signatures with T in the
-# subgroup and K != 1.
+# Sets small enough to enumerate every signature on one message, each with
+# its number of signer views and of valid signatures with T in the subgroup
+# and K != 1. The first three have cofactor 2; p = 67 has cofactor 6, so Z_67*
+# holds an element of order 3 outside the subgroup.
 EXHAUSTIVE = [
     (GroupParams(p=23, q=11, g=2), 100, 100),
     (GroupParams(p=47, q=23, g=2), 484, 462),
     (GroupParams(p=59, q=29, g=4), 784, 756),
+    (GroupParams(p=67, q=11, g=64), 100, 100),
 ]
 
 
 @functools.cache
 def accepted_signatures(params):
     """(sig, K) for every (r, s, T) with 0 < r, s < q and 0 < T < p that
-    `verified_commitment` accepts on b"m" under y_A = g^3, K the element it
-    recovers."""
+    `verify` accepts on b"m" under y_A = g^3, K = (y_A * T * g^r)^s mod p the
+    element its hash check recovers."""
     p, q = params.p, params.q
     suite, y = std_suite(), pow(params.g, 3, p)
     accepted = []
@@ -431,10 +432,22 @@ def accepted_signatures(params):
         for r in range(1, q):
             for s in range(1, q):
                 sig = BlindSignature(r=r, s=s, T=T)
-                K = verified_commitment(b"m", sig, y, params, suite)
-                if K is not None:
-                    accepted.append((sig, K))
+                if verify(b"m", sig, y, params, suite):
+                    accepted.append((sig, key_power(y * T % p, r, s, params)))
     return accepted
+
+
+def exhaustive_pairs(params):
+    """Every view the signer with x = 3 can see, over every k_tilde and every
+    r_bar, and every (sig, u) column whose signature `accepted_signatures`
+    holds with T in the order-q subgroup and K = g^u != 1."""
+    p, q, g = params.p, params.q, params.g
+    log = {pow(g, e, p): e for e in range(q)}  # the subgroup, with discrete logs
+    views = [View(z=pow(g, k, p), r_bar=r_bar, s_bar=(3 + r_bar * k) % q)
+             for k in range(1, q) for r_bar in range(1, q)]
+    columns = [(sig, log[K]) for sig, K in accepted_signatures(params)
+               if sig.T in log and K != 1]
+    return views, columns
 
 
 class TestExhaustiveBlindness:
@@ -446,22 +459,35 @@ class TestExhaustiveBlindness:
     p = 59), which signer_commit never sends."""
 
     @pytest.mark.parametrize("params, n_views, n_signatures", EXHAUSTIVE,
-                             ids=["p23", "p47", "p59"])
+                             ids=["p23", "p47", "p59", "p67"])
     def test_every_view_pairs_with_every_signature(self, params, n_views, n_signatures):
-        p, q, g = params.p, params.q, params.g
-        log = {pow(g, e, p): e for e in range(q)}  # the subgroup, with discrete logs
-        views = [View(z=pow(g, k, p), r_bar=r_bar, s_bar=(3 + r_bar * k) % q)
-                 for k in range(1, q) for r_bar in range(1, q)]
-        columns = [(sig, log[K]) for sig, K in accepted_signatures(params)
-                   if sig.T in log and K != 1]
+        views, columns = exhaustive_pairs(params)
         assert (len(views), len(columns)) == (n_views, n_signatures)
         assert all(all(row) for row in pairing_grid(views, columns, params))
+
+    @pytest.mark.parametrize("params", [EXHAUSTIVE[0][0], EXHAUSTIVE[3][0]],
+                             ids=["p23", "p67"])
+    def test_exactly_one_blinding_pair(self, params):
+        # counted from the three defining equations, not through pairing_grid
+        # or recover_blinding_factors. beta appears only in r_bar = r + beta and
+        # alpha only in s = u / (r + s_bar + alpha), so each is enumerated over
+        # Z_q on its own and T = z^(r + beta) * g^alpha is tried on every pair
+        p, q, g = params.p, params.q, params.g
+        views, columns = exhaustive_pairs(params)
+        for view in views:
+            for sig, u in columns:
+                betas = [b for b in range(q) if view.r_bar == (sig.r + b) % q]
+                alphas = [a for a in range(q) if (sig.r + view.s_bar + a) % q != 0
+                          and sig.s == u * pow(sig.r + view.s_bar + a, -1, q) % q]
+                count = sum(pow(view.z, sig.r + b, p) * pow(g, a, p) % p == sig.T
+                            for a in alphas for b in betas)
+                assert count == 1, (view, sig, u)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="verify does not check that T lies in the order-q subgroup")
     def test_no_T_outside_the_subgroup_accepted(self):
-        # today 110, 495 and 770 signatures with T outside the subgroup verify
+        # today 110, 495, 770 and 536 signatures with T outside the subgroup verify
         outside = [sum(pow(sig.T, params.q, params.p) != 1
                        for sig, _ in accepted_signatures(params))
                    for params, _, _ in EXHAUSTIVE]
-        assert outside == [0, 0, 0]
+        assert outside == [0, 0, 0, 0]

@@ -117,8 +117,8 @@ class TestSessionCost:
 
     @pytest.mark.parametrize("scheme", ["blind_sdss", "blind_signcrypt"])
     def test_wrong_commitment_is_caught(self, desk, suite, scheme):
-        # another u leaves the output valid, so only the comparison of g^u
-        # with the K the signature recovers can catch it
+        # another u leaves the output valid, so only the one-time-key identity
+        # y_A * T = g^(s^-1 * u - r) can catch it
         t = run_honest_sessions(1, scheme, desk, suite, random.Random(52))[0]
         sec = t.requester_secrets
         forged = dataclasses.replace(
