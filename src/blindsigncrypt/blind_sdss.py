@@ -12,7 +12,8 @@ Flow between signer A (keypair x, y) and requester B holding message m:
      is (r, s, T); T is carried because verification needs it.
 
 Verification recomputes K = (y * T * g^r)^s mod p and accepts iff
-h(K || m) = r; for honest runs K = g^u mod p.
+h(K || m) = r; for honest runs K = g^u mod p. `sdss.verify` under y * T takes
+K as (y * T)^s * g^(r * s mod q), exact for y * T outside the subgroup too.
 
 Blindness is mechanically checkable: for ANY signer view (z, r_bar, s_bar)
 and ANY valid signature, `recover_blinding_factors` finds the unique

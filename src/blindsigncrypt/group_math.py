@@ -2,12 +2,15 @@
 
 Scalars are plain ints kept reduced mod q; group elements are plain ints in
 [1, p-1]. Everything here is a pure function, so concurrent use is safe.
-Every power, counted (`modexp`) or not (primality and parameter checks), is
-one call of `_power`: OpenSSL's Montgomery exponentiation, reached through
-ctypes in the libcrypto that hashlib has loaded, or pow where that library
-is not available. The only module state is fixed at import: that library
-handle, and each built-in set's modulus with its Montgomery context, which
-_power only reads. The optional exponentiation counters are per thread.
+Every power is one call of a kernel, OpenSSL's Montgomery exponentiation
+reached through ctypes in the libcrypto that hashlib has loaded, or pow where
+that library is not available. `_power` takes one power in constant time,
+counted (`modexp`) or not (primality and parameter checks). `_power2` takes
+b1^e1 * b2^e2 in one call counted as two (`modexp2`); its time depends on its
+exponents, so it serves public ones only: the verifiers' s and r * s. The
+only module state is fixed at import: that library handle, and each built-in
+set's modulus with its Montgomery context, which the kernels only read. The
+optional exponentiation counters are per thread.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ class GroupParams:
     """Public triple (p, q, g): prime modulus, prime subgroup order, generator.
 
     Every set, built-in, generated, validated or decoded, computes its powers
-    through `modexp`. A set whose p is a built-in set's p reuses that
-    modulus's Montgomery context, kept since import; any other set has one
-    built for each power.
+    through `modexp` and `modexp2`. A set whose p is a built-in set's p
+    reuses that modulus's Montgomery context, kept since import; any other
+    set has one built for each call.
     """
 
     p: int
@@ -92,8 +95,8 @@ def count_exponentiations() -> Iterator[ExpCounter]:
 # -- core operations -----------------------------------------------------------
 
 def _load_libcrypto():
-    """The libcrypto that hashlib links, with the BN functions _power calls
-    declared; None where _hashlib or one of them is missing. crypto_suite
+    """The libcrypto that hashlib links, with the BN functions the kernels
+    call declared; None where _hashlib or one of them is missing. crypto_suite
     declares its X9.63 KDF on this same handle for the std-v1 keystream; a
     libcrypto without that KDF keeps the handle here."""
     try:
@@ -109,6 +112,7 @@ def _load_libcrypto():
                 ("BN_bin2bn", [ctypes.c_char_p, ctypes.c_int, ptr], ptr),
                 ("BN_bn2binpad", [ptr, ctypes.c_char_p, ctypes.c_int], ctypes.c_int),
                 ("BN_mod_exp_mont_consttime", [ptr] * 6, ctypes.c_int),
+                ("BN_mod_exp2_mont", [ptr] * 8, ctypes.c_int),
                 ("BN_MONT_CTX_new", [], ptr),
                 ("BN_MONT_CTX_set", [ptr, ptr, ptr], ctypes.c_int),
                 ("BN_MONT_CTX_free", [ptr], None),
@@ -120,7 +124,7 @@ def _load_libcrypto():
     return lib
 
 
-# Loaded once at import; never written after, so _power keeps no state.
+# Loaded once at import; never written after, so the kernels keep no state.
 _libcrypto = _load_libcrypto()
 
 
@@ -129,47 +133,78 @@ def _bn(lib, n: int):
     return lib.BN_bin2bn(data, len(data), None)
 
 
-def _power(base: int, exp: int, mod: int) -> int:
-    """base^exp mod mod, uncounted: OpenSSL's BN_mod_exp_mont_consttime
-    (Montgomery multiplication) for 0 <= base, 0 <= exp and an odd mod > 1
-    where libcrypto loaded, else pow. A modulus in _KEPT_MODULI brings its
-    kept Montgomery context; OpenSSL builds one within the call for any
-    other. Each call makes and frees its own BN context and other numbers;
-    ctypes releases the GIL for every OpenSSL call."""
-    lib = _libcrypto
-    if lib is None or exp < 0 or base < 0 or mod <= 1 or not mod & 1:
-        return pow(base, exp, mod)
+def _openssl(lib, kernel, mod: int, numbers: tuple[int, ...]) -> int | None:
+    """kernel(r, *numbers, m, ctx, mont) on BIGNUM copies, read back from r,
+    or None when a step fails. mont is mod's context kept in _KEPT_MODULI, or
+    NULL for OpenSSL to build one within the call. Each call makes and frees
+    its own BN context and numbers; ctypes releases the GIL for every call."""
     width = (mod.bit_length() + 7) // 8
-    out = ctypes.create_string_buffer(width)
+    out = (ctypes.c_char * width)()
     kept = _KEPT_MODULI.get(mod)
-    ctx = b = e = m = r = None
+    ctx = m = r = None
+    bns = []
     try:
         ctx = lib.BN_CTX_new()
-        b = _bn(lib, base)
-        e = _bn(lib, exp)
+        for n in numbers:  # _bn inlined, as it runs for every power
+            data = n.to_bytes((n.bit_length() + 7) // 8, "big")
+            bns.append(lib.BN_bin2bn(data, len(data), None))
         m, mont = kept or (_bn(lib, mod), None)
         r = lib.BN_new()
-        if (ctx and b and e and m and r
-                and lib.BN_mod_exp_mont_consttime(r, b, e, m, ctx, mont) == 1
+        if (ctx and all(bns) and m and r and kernel(r, *bns, m, ctx, mont) == 1
                 and lib.BN_bn2binpad(r, out, width) == width):
             return int.from_bytes(out.raw, "big")
         lib.ERR_clear_error()  # so that hashlib never reads this failure as its own
-        return pow(base, exp, mod)
+        return None
     finally:
-        lib.BN_free(b)
-        lib.BN_clear_free(e)
+        for bn in bns:
+            lib.BN_clear_free(bn)
         if not kept:
             lib.BN_free(m)
         lib.BN_free(r)
         lib.BN_CTX_free(ctx)
 
 
+def _power(base: int, exp: int, mod: int) -> int:
+    """base^exp mod mod, uncounted, in constant time: OpenSSL's
+    BN_mod_exp_mont_consttime for 0 <= base, 0 <= exp and an odd mod > 1
+    where libcrypto loaded; else, and after a failed call, pow."""
+    lib = _libcrypto
+    if lib is None or exp < 0 or base < 0 or mod <= 1 or not mod & 1:
+        return pow(base, exp, mod)
+    result = _openssl(lib, lib.BN_mod_exp_mont_consttime, mod, (base, exp))
+    return pow(base, exp, mod) if result is None else result
+
+
+def _power2(b1: int, e1: int, b2: int, e2: int, mod: int) -> int:
+    """b1^e1 * b2^e2 mod mod, uncounted, in one BN_mod_exp2_mont call
+    (Shamir's trick; Handbook of Applied Cryptography, Alg. 14.88), whose
+    time depends on e1 and e2. _power twice for what it cannot take: no
+    libcrypto, a negative input, an even mod or one <= 1, a failed call, and
+    a base = 0 mod mod, for which it gives 0 whatever that base's exponent."""
+    lib = _libcrypto
+    if (lib is not None and min(b1, e1, b2, e2) >= 0 and mod > 1 and mod & 1
+            and b1 % mod and b2 % mod):
+        result = _openssl(lib, lib.BN_mod_exp2_mont, mod, (b1, e1, b2, e2))
+        if result is not None:
+            return result
+    return _power(b1, e1, mod) * _power(b2, e2, mod) % mod
+
+
 def modexp(base: GroupElement, exp: Scalar, p: int) -> GroupElement:
-    """base^exp mod p. The single exponentiation primitive all schemes share:
-    it counts one exponentiation, then computes it with _power."""
+    """base^exp mod p. The exponentiation primitive all schemes share: it
+    counts one exponentiation, then computes it in constant time with _power."""
     for counter in _active_counters.get():
         counter.count += 1
     return _power(base, exp, p)
+
+
+def modexp2(b1: GroupElement, e1: Scalar, b2: GroupElement, e2: Scalar,
+            p: int) -> GroupElement:
+    """b1^e1 * b2^e2 mod p, counted as the two powers it stands for, in one
+    variable-time call of _power2: never pass it a secret exponent."""
+    for counter in _active_counters.get():
+        counter.count += 2
+    return _power2(b1, e1, b2, e2, p)
 
 
 def modinv(a: Scalar, q: int) -> Scalar:
@@ -324,7 +359,7 @@ NAMED_PARAMS = {"toy23": TOY23, "desk512": DESK512}
 
 def _keep_moduli(lib, moduli) -> dict[int, tuple[int, int]]:
     """Each of these odd moduli as (BIGNUM, Montgomery context), built once
-    for _power; a modulus whose build fails is left out, and so takes the
+    for the kernels; a modulus whose build fails is left out, and so takes the
     per-call path. Empty where libcrypto did not load."""
     if lib is None:
         return {}

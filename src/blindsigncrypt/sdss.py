@@ -3,6 +3,8 @@
 The nonce k comes from the caller's rng only; a test pins k by scripting the rng.
 Verification recomputes K = (y * g^r)^s mod p, which equals g^k mod p for an
 honest signature, and checks that hashing K with the message reproduces r.
+As s and r are public, K is taken as y^s * g^(r * s mod q) in one `modexp2`
+call, exact for any y in Z_p* because g has order q (`validate_params`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .group_math import (
     Scalar,
     int_to_bytes,
     modexp,
+    modexp2,
     modinv,
     rand_scalar_nonzero,
     retry,
@@ -74,10 +77,10 @@ def sign(m: bytes, key: KeyPair, params: GroupParams, suite: CryptoSuite,
 
 
 def key_power(y: GroupElement, r: Scalar, e: Scalar, params: GroupParams) -> GroupElement:
-    """(y * g^r)^e mod p, the one power every verifier and recipient takes:
-    e = s for SDSS verification, e = s * x_B mod q for Zheng's open, and y * T
-    in place of y in the blind schemes. It counts two powers, g^r and the
-    power e of the product."""
+    """(y * g^r)^e mod p, the power both signcryption opens take: e = s * x_B
+    mod q in Zheng's, and y * T in place of y in blind signcryption's. It
+    counts two constant-time powers, g^r and the power e of the product,
+    because e is secret; `verify`, whose e = s is public, takes one modexp2."""
     p = params.p
     return modexp(y * modexp(params.g, r, p) % p, e, p)
 
@@ -85,7 +88,8 @@ def key_power(y: GroupElement, r: Scalar, e: Scalar, params: GroupParams) -> Gro
 def verify(m: bytes, sig: SdssSignature, signer_pub: GroupElement,
            params: GroupParams, suite: CryptoSuite) -> bool:
     """The verifier's move: accept iff 0 < r, s < q and hashing
-    K = (y * g^r)^s mod p with m reproduces r."""
+    K = (y * g^r)^s = y^s * g^(r * s mod q) mod p with m reproduces r."""
     if not (0 < sig.r < params.q and 0 < sig.s < params.q):
         return False
-    return commitment_hash(key_power(signer_pub, sig.r, sig.s, params), m, params, suite) == sig.r
+    K = modexp2(signer_pub, sig.s, params.g, sig.r * sig.s % params.q, params.p)
+    return commitment_hash(K, m, params, suite) == sig.r

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ScriptRng, three_power_outcome, three_power_t_check
+from blindsigncrypt import blind_signcrypt, sdss, zheng
 from blindsigncrypt.blind_sdss import (
     BlindSignature,
     View,
@@ -25,9 +26,10 @@ from blindsigncrypt.errors import (
     DegenerateDenominator,
     InconsistentPair,
     InvalidState,
+    TagMismatch,
 )
 from blindsigncrypt.group_math import GroupParams, count_exponentiations, int_to_bytes, modexp
-from blindsigncrypt.sdss import KeyPair, key_power, keygen, sign
+from blindsigncrypt.sdss import KeyPair, SdssSignature, commitment_hash, key_power, keygen, sign
 
 MSG = b"unlinkable payment order"
 ALICE = KeyPair(x=3, y=8)
@@ -369,6 +371,35 @@ class TestVerifyRejection:
         assert not verify(m, BlindSignature(r=sig.r + desk.q, s=sig.s, T=sig.T), key.y, desk, suite)
         assert not verify(m, BlindSignature(r=sig.r, s=sig.s, T=sig.T + desk.p), key.y, desk, suite)
         assert not verify(m, BlindSignature(r=sig.r, s=0, T=sig.T), key.y, desk, suite)
+
+
+class TestKeylessForgeries:
+    """Signatures anyone can make without a key, which only the range checks
+    refuse. Under a key y of order q, s = q gives K = y^q * g^(r * q mod q)
+    = 1 and s = 0 gives K = 1 too, so r = h(1 || m) would verify; T = p or
+    T = 0 makes the one-time key y * T = 0, so K = 0 and r = h(0 || m)
+    would verify, and a text sealed under the shared element 0 would open."""
+
+    M, BIND = b"never signed", b"to-carol"
+
+    def test_scalar_boundaries_refused(self, desk, suite):
+        key = keygen(desk, random.Random(62))
+        q, forged_r = desk.q, commitment_hash(1, self.M, desk, suite)
+        assert pow(key.y * pow(desk.g, forged_r, desk.p) % desk.p, q, desk.p) == 1
+        for r, s in ((forged_r, q), (forged_r, 0), (q, q)):
+            assert not sdss.verify(self.M, SdssSignature(r=r, s=s), key.y, desk, suite), (r, s)
+            assert not verify(self.M, BlindSignature(r=r, s=s, T=1), key.y, desk, suite), (r, s)
+
+    def test_T_boundaries_refused(self, desk, suite):
+        rng = random.Random(63)
+        signer, recipient = keygen(desk, rng), keygen(desk, rng)
+        r = commitment_hash(0, self.M, desk, suite)
+        sealed_r, c = zheng.seal(0, self.M, self.BIND, desk, suite)
+        for T in (desk.p, 0):
+            assert not verify(self.M, BlindSignature(r=r, s=1, T=T), signer.y, desk, suite), T
+            text = blind_signcrypt.BlindSigncryptedText(c=c, r=sealed_r, s=1, T=T)
+            with pytest.raises(TagMismatch):
+                blind_signcrypt.unsigncrypt(text, recipient, signer.y, self.BIND, desk, suite)
 
 
 class TestSubgroupAttacks:

@@ -27,7 +27,7 @@ from blindsigncrypt.errors import (
     ZeroInverse,
     int_text,
 )
-from blindsigncrypt import blind_signcrypt, group_math, wire_codec, zheng
+from blindsigncrypt import blind_sdss, blind_signcrypt, group_math, wire_codec, zheng
 from blindsigncrypt.crypto_suite import derive_keys, kh_preimage, std_suite, toy_suite
 from blindsigncrypt.group_math import (
     DESK512,
@@ -40,6 +40,7 @@ from blindsigncrypt.group_math import (
     int_to_bytes,
     is_probable_prime,
     modexp,
+    modexp2,
     modinv,
     rand_scalar,
     rand_scalar_nonzero,
@@ -86,7 +87,8 @@ class TestModexp:
             modexp(2, 3, 23)
             with count_exponentiations() as inner:
                 modexp(2, 3, 23)
-        assert (outer.count, inner.count) == (2, 1)
+                modexp2(2, 3, 3, 4, 23)
+        assert (outer.count, inner.count) == (4, 3)
 
     def test_counters_closed_out_of_order(self):
         first, second = count_exponentiations(), count_exponentiations()
@@ -159,6 +161,20 @@ def pow_calls(monkeypatch):
 
     monkeypatch.setattr(group_math, "pow", spy, raising=False)
     return calls
+
+
+class RecordingRng(random.Random):
+    """A seeded random.Random that keeps every randrange draw, which covers
+    every secret scalar the library draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def randrange(self, *args):
+        draw = super().randrange(*args)
+        self.draws.append(draw)
+        return draw
 
 
 needs_kernel = pytest.mark.skipif(group_math._libcrypto is None,
@@ -239,6 +255,88 @@ class TestPower:
                             failing_libcrypto("BN_mod_exp_mont_consttime", cleared))
         assert group_math._power(desk.g, desk.q - 1, desk.p) == pow(desk.g, desk.q - 1, desk.p)
         assert (cleared, pow_calls) == ([True], [(desk.g, desk.q - 1, desk.p)])
+
+    def test_two_base_matches_pow_on_every_combination(self):
+        # BN_mod_exp2_mont alone gives 0 for a base = 0 mod p even when that
+        # base's exponent is 0, where the product of the powers is the other
+        # base's power
+        for p, q in ((23, 11), (47, 23), (59, 29), (DESK512.p, DESK512.q),
+                     (GENERATED.p, GENERATED.q), (2**61 - 1, DESK512.q)):
+            terms = [(base, e) for base in (0, 1, p - 1, p, p + 1, 2 * p + 1)
+                     for e in (0, 1, q - 1, q, 2**160, 2**170 - 3)]
+            for b1, e1 in terms:
+                for b2, e2 in terms:
+                    assert group_math._power2(b1, e1, b2, e2, p) == \
+                        pow(b1, e1, p) * pow(b2, e2, p) % p, (b1, e1, b2, e2, p)
+
+    @needs_kernel
+    def test_failed_two_base_call_falls_back(self, desk, monkeypatch, pow_calls):
+        # to _power's two constant-time powers, which still run in OpenSSL
+        cleared = []
+        monkeypatch.setattr(group_math, "_libcrypto",
+                            failing_libcrypto("BN_mod_exp2_mont", cleared))
+        y = pow(desk.g, 12345, desk.p)
+        assert group_math._power2(y, desk.q - 1, desk.g, 2**160, desk.p) == \
+            pow(y, desk.q - 1, desk.p) * pow(desk.g, 2**160, desk.p) % desk.p
+        assert (cleared, pow_calls) == ([True], [])
+
+    def test_no_secret_reaches_the_two_base_kernel(self, desk, monkeypatch):
+        # _power2's time depends on its exponents: over one session of each
+        # scheme and of each harness scheme, no exponent it takes is a
+        # scalar drawn from the rng (x, k, k_tilde, u, alpha, beta) or a
+        # recipient's s * x_C, and neither signcryption open calls it
+        rng, suite = RecordingRng(26), std_suite()
+        exponents, opens_entered, from_open = [], [0], []
+        power2 = group_math._power2
+
+        def spy_power2(b1, e1, b2, e2, mod):
+            exponents.extend((e1, e2))
+            from_open.append(opens_entered[0] > 0)
+            return power2(b1, e1, b2, e2, mod)
+
+        def flag(open_move):
+            def flagged(*args):
+                opens_entered[0] += 1
+                try:
+                    return open_move(*args)
+                finally:
+                    opens_entered[0] -= 1
+            return flagged
+
+        monkeypatch.setattr(group_math, "_power2", spy_power2)
+        monkeypatch.setattr(zheng, "open_sealed", flag(zheng.open_sealed))
+        monkeypatch.setattr(blind_signcrypt, "open_sealed", flag(blind_signcrypt.open_sealed))
+
+        signer, recipient = keygen(desk, rng), keygen(desk, rng)
+        assert verify(b"m", sign(b"m", signer, desk, suite, rng), signer.y, desk, suite)
+        zheng_text = zheng.signcrypt(b"m", signer, recipient.y, b"to", desk, suite, rng)
+        assert zheng.unsigncrypt(zheng_text, recipient, signer.y, b"to", desk, suite) == b"m"
+
+        session, commit = blind_sdss.signer_commit(signer, desk, rng)
+        requester, challenge = blind_sdss.requester_challenge(
+            b"m", commit.z, signer.y, desk, suite, rng)
+        response = blind_sdss.signer_respond(session, challenge.r_bar, signer)
+        sig = blind_sdss.requester_finalize(requester, response.s_bar, desk)
+        assert blind_sdss.verify(b"m", sig, signer.y, desk, suite)
+
+        session, commit = blind_signcrypt.bsc_signer_commit(signer, desk, rng)
+        requester, challenge = blind_signcrypt.bsc_requester_challenge(
+            b"m", commit.z, recipient.y, b"to", desk, suite, rng)
+        response = blind_signcrypt.bsc_signer_respond(session, challenge.r_bar, signer)
+        bsc_text = blind_signcrypt.bsc_requester_finalize(requester, response.s_bar, desk)
+        assert blind_signcrypt.unsigncrypt(bsc_text, recipient, signer.y, b"to",
+                                           desk, suite) == b"m"
+
+        run_honest_sessions(1, "blind_sdss", desk, suite, rng, signer=signer)
+        harness_text = run_honest_sessions(1, "blind_signcrypt", desk, suite, rng,
+                                           signer=signer, recipient=recipient)[0].output
+
+        q = desk.q
+        secrets = {draw % q for draw in rng.draws} | \
+            {text.s * recipient.x % q for text in (zheng_text, bsc_text, harness_text)}
+        # sdss, blind SDSS and the harness's blind SDSS verify, two each
+        assert len(exponents) == 6 and not any(from_open)
+        assert secrets.isdisjoint(e % q for e in exponents)
 
     @needs_kernel
     def test_failed_context_build_keeps_nothing(self):

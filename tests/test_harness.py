@@ -148,17 +148,22 @@ class TestSessionCost:
 
     @pytest.mark.parametrize("scheme", harness.SCHEMES)
     def test_no_check_retakes_a_receiver_power(self, desk, suite, scheme, monkeypatch):
-        # every (base, exponent, modulus) handed to _power, split by whether
-        # the receiving party's move took it
+        # every (base, exponent, modulus) handed to either kernel, each of
+        # _power2's two powers on its own, split by whether the receiving
+        # party's move took it
         rng = random.Random(54)
         signer, recipient = keygen(desk, rng), keygen(desk, rng)
-        power, open_move = group_math._power, harness._open
+        power, power2, open_move = group_math._power, group_math._power2, harness._open
         receiver, elsewhere = set(), set()
         taken = [elsewhere]
 
         def spy_power(*args):
             taken[0].add(args)
             return power(*args)
+
+        def spy_power2(b1, e1, b2, e2, mod):
+            taken[0].update({(b1, e1, mod), (b2, e2, mod)})
+            return power2(b1, e1, b2, e2, mod)
 
         def spy_open(t):
             taken[0] = receiver
@@ -168,6 +173,7 @@ class TestSessionCost:
                 taken[0] = elsewhere
 
         monkeypatch.setattr(group_math, "_power", spy_power)
+        monkeypatch.setattr(group_math, "_power2", spy_power2)
         monkeypatch.setattr(harness, "_open", spy_open)
         run_honest_sessions(1, scheme, desk, suite, rng, signer=signer, recipient=recipient)
         assert len(receiver) == 2

@@ -1,11 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ScriptRng, flip_bit, two_step_commitment, two_step_shared_element
-from blindsigncrypt import blind_signcrypt
+from blindsigncrypt import blind_sdss, blind_signcrypt, sdss
 from blindsigncrypt.errors import RngFailure
 from blindsigncrypt.group_math import DESK512, TOY23, GroupParams, int_to_bytes, modexp
 from blindsigncrypt.sdss import (
@@ -153,18 +154,32 @@ def verifier_inputs(draw):
     return params, draw(scalar), draw(scalar), draw(scalar), y, T
 
 
+def hashed_commitments(verifier, sig, key, params):
+    """Every K that verifier hashes while checking sig under key, read by a
+    spy in place of the signature hash."""
+    hashed = []
+    with mock.patch.object(sdss, "commitment_hash", lambda K, *_: hashed.append(K)):
+        verifier(MSG, sig, key, params, None)
+    return hashed
+
+
 class TestSplitFormula:
-    """Every verifier and recipient power, sdss.key_power under y or the one-time
-    key y * T and blind_signcrypt.shared_element, agrees with builtin pow for
-    every y and T in Z_p*, inside the order-q subgroup or not."""
+    """Every verifier and recipient power agrees with builtin pow for every y
+    and T in Z_p*, inside the order-q subgroup or not: the verifiers' product
+    y^s * g^(r * s mod q) under y or the one-time key y * T, sdss.key_power
+    under either, and blind_signcrypt.shared_element."""
 
     @settings(max_examples=300, deadline=None)
     @given(verifier_inputs())
     def test_recover_commitment_equals_two_step(self, inputs):
         params, r, s, _, y, T = inputs
-        assert key_power(y, r, s, params) == two_step_commitment(r, s, y, params)
-        assert key_power(y * T % params.p, r, s, params) == \
-            two_step_commitment(r, s, y * T % params.p, params)
+        expected = two_step_commitment(r, s, y, params)
+        one_time = two_step_commitment(r, s, y * T % params.p, params)
+        assert key_power(y, r, s, params) == expected
+        assert key_power(y * T % params.p, r, s, params) == one_time
+        assert hashed_commitments(verify, SdssSignature(r=r, s=s), y, params) == [expected]
+        assert hashed_commitments(blind_sdss.verify, blind_sdss.BlindSignature(r=r, s=s, T=T),
+                                  y, params) == [one_time]
 
     @settings(max_examples=300, deadline=None)
     @given(verifier_inputs())
