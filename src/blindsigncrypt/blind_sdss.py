@@ -19,9 +19,10 @@ Blindness is mechanically checkable: for ANY signer view (z, r_bar, s_bar)
 and ANY valid signature, `recover_blinding_factors` finds the unique
 (alpha, beta) that reconcile them, so the view pins down nothing.
 `pairing_grid` decides the same for every view against every signature. It
-splits g^alpha into a power per signature and a power per view, and keeps
-each view's powers of z for its row, so n views against n signatures cost
-O(n) powers, not O(n^2).
+splits g^alpha into a power per signature and a power per view, takes each
+view's powers of z with that view's power of g in one two-base call, and
+inverts every signature's s with one inversion, so n views against n
+signatures cost O(n) powers, not O(n^2).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .group_math import (
     GroupParams,
     Scalar,
     modexp,
+    modexp2,
     modinv,
     rand_scalar,
     rand_scalar_nonzero,
@@ -224,17 +226,38 @@ def verify(m: bytes, sig: BlindSignature, signer_pub: GroupElement,
     return key is not None and sdss_verify(m, sig, key, params, suite)
 
 
-def one_time_exponent(sig: BlindSignature, u: Scalar, q: int) -> Scalar | None:
-    """a = s^-1 * u - r mod q, or None when the s-equation fails for every view.
+def one_time_exponents(columns: Sequence[tuple[BlindSignature, Scalar]],
+                       q: int) -> list[Scalar | None]:
+    """a = s^-1 * u - r mod q for each column (sig, u), or None where the
+    s-equation fails for every view. Every s is inverted with one modinv
+    (Montgomery's simultaneous inversion, Math. Comp. 48, 1987).
 
     Unblinding fixes s_bar + alpha = a (mod q), so an honest signature's
     one-time key y * T = g^(s_bar + alpha) is g^a mod p. With
     alpha = a - s_bar, s_from_nonce(u, r, s_bar + alpha, q) returns s exactly
     when r != 0, u != 0 (mod q) and 0 < s < q; s = 0 (mod q) has no inverse.
     """
-    if sig.r == 0 or u % q == 0 or not 0 < sig.s < q:
-        return None
-    return (modinv(sig.s, q) * u - sig.r) % q
+    live = [j for j, (sig, u) in enumerate(columns)
+            if sig.r != 0 and u % q != 0 and 0 < sig.s < q]
+    exponents: list[Scalar | None] = [None] * len(columns)
+    if not live:
+        return exponents
+    prefixes = []  # prefixes[i]: the product of the s before live[i]
+    product = 1
+    for j in live:
+        prefixes.append(product)
+        product = product * columns[j][0].s % q
+    inverse = modinv(product, q)  # at live[i] below: 1 / (the s up to live[i])
+    for j, prefix in zip(reversed(live), reversed(prefixes)):
+        sig, u = columns[j]
+        exponents[j] = (inverse * prefix * u - sig.r) % q
+        inverse = inverse * sig.s % q
+    return exponents
+
+
+def one_time_exponent(sig: BlindSignature, u: Scalar, q: int) -> Scalar | None:
+    """`one_time_exponents` for the one column (sig, u)."""
+    return one_time_exponents([(sig, u)], q)[0]
 
 
 def recover_blinding_factors(view: View, sig: BlindSignature, u: Scalar,
@@ -267,40 +290,50 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
     succeeds for columns[j] = (sig, u), from O(n) powers instead of two per cell.
 
     With g of order q, g^alpha = g^a_j * R_i mod p for a_j from
-    `one_time_exponent` and R_i = g^(-s_bar_i) per row, so the T equation
+    `one_time_exponents` and R_i = g^(-s_bar_i) per row, so the T equation
     z^(r + beta) * R_i * g^a_j = T (mod p) reads z^(r + beta) * R_i = D_j with
     the column's target D_j = T_j * g^(-a_j) mod p. A column whose
     s-equation fails, or whose T lies outside [0, p) where no reduced product
-    can equal it, is False in every row and costs no power. Each row keeps
-    z^(r + beta) * R_i keyed by the unreduced exponent r + beta, which for
-    0 <= r < q is r_bar mod q or r_bar mod q + q, so a cell is one
-    comparison: an n x n grid costs 2n + 1 powers of g (one checks
-    g^q = 1) and, for 0 <= r < q, at most 2n powers of the views' z.
-    Raises BadGenerator when g^q != 1 mod p, where the split would be wrong.
+    can equal it, is False in every row and costs no power. D_j takes a
+    constant-time power, as a_j is the discrete log of the one-time key
+    y * T_j. Each row keeps z^(r + beta) * R_i keyed by the unreduced
+    exponent r + beta (see `_row_powers`), so a cell is one comparison. For
+    0 <= r < q that exponent is r_bar mod q or r_bar mod q + q, and a row
+    with k of them costs 1 + k powers in k calls: an n x n grid costs n + 1
+    powers of g (one checks g^q = 1) and at most 3n in its rows, and one
+    inversion. Raises BadGenerator when g^q != 1 mod p, where the split
+    would be wrong.
     """
     p, q, g = params.p, params.q, params.g
     if modexp(g, q, p) != 1:
         raise BadGenerator(f"g = {int_text(g)} does not have order dividing q")
     cols = []
-    for sig, u in columns:
-        a = one_time_exponent(sig, u, q)
+    for (sig, _), a in zip(columns, one_time_exponents(columns, q)):
         ok = a is not None and 0 <= sig.T < p
         cols.append((sig.r, sig.T * modexp(g, -a % q, p) % p) if ok else None)
 
     cells = []
     for view in views:
-        row_power = modexp(g, -view.s_bar % q, p)
-        z_powers: dict[int, GroupElement] = {}
-        row = []
-        for col in cols:
-            if col is None:
-                row.append(False)
-                continue
-            r, target = col
-            exponent = r + (view.r_bar - r) % q
-            z_power = z_powers.get(exponent)
-            if z_power is None:
-                z_power = z_powers[exponent] = modexp(view.z, exponent, p) * row_power % p
-            row.append(z_power == target)
-        cells.append(row)
+        keys = [None if col is None else col[0] + (view.r_bar - col[0]) % q
+                for col in cols]
+        z_powers = _row_powers(view, set(keys) - {None}, params)
+        cells.append([key is not None and z_powers[key] == col[1]
+                      for key, col in zip(keys, cols)])
     return cells
+
+
+def _row_powers(view: View, exponents: set[int],
+                params: GroupParams) -> dict[int, GroupElement]:
+    """z^e * g^(-s_bar) mod p for each e in exponents, which are all
+    r_bar (mod q): the smallest e in one modexp2 call, and each other e as
+    that element times z^(e - smallest). z, r_bar and s_bar are the signer's
+    view, and public, so they may take the variable-time kernel."""
+    if not exponents:
+        return {}
+    p = params.p
+    low, *rest = sorted(exponents)
+    low_power = modexp2(view.z, low, params.g, -view.s_bar % params.q, p)
+    powers = {low: low_power}
+    for e in rest:
+        powers[e] = low_power * modexp(view.z, e - low, p) % p
+    return powers

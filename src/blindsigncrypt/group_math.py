@@ -7,7 +7,8 @@ reached through ctypes in the libcrypto that hashlib has loaded, or pow where
 that library is not available. `_power` takes one power in constant time,
 counted (`modexp`) or not (primality and parameter checks). `_power2` takes
 b1^e1 * b2^e2 in one call counted as two (`modexp2`); its time depends on its
-exponents, so it serves public ones only: the verifiers' s and r * s. The
+exponents, so it serves public ones only: the verifiers' s and r * s, and
+the blindness grid's r_bar and -s_bar from the signer's views. The
 only module state is fixed at import: that library handle, and each built-in
 set's modulus with its Montgomery context, which the kernels only read. The
 optional exponentiation counters are per thread.
@@ -18,9 +19,8 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import secrets
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import (
     BadGenerator,
@@ -68,28 +68,27 @@ def int_to_bytes(n: int) -> bytes:
 
 # -- instrumentation -----------------------------------------------------------
 
-class ExpCounter:
-    """Tally of group exponentiations, for the efficiency report."""
+class count_exponentiations:
+    """Count every modexp executed inside the block, in this thread:
+    `with count_exponentiations() as c:` leaves the tally in c.count. Leaving
+    the block, normally or by an exception, closes this counter alone, so
+    counters may close in any order."""
 
     def __init__(self):
         self.count = 0
 
+    def __enter__(self) -> count_exponentiations:
+        _active_counters.set(_active_counters.get() + (self,))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _active_counters.set(tuple(c for c in _active_counters.get() if c is not self))
+
 
 # The counters open in the current context: each thread starts with none, so a
 # counter counts only the powers of the thread (or task) that opened it.
-_active_counters: contextvars.ContextVar[tuple[ExpCounter, ...]] = \
+_active_counters: contextvars.ContextVar[tuple[count_exponentiations, ...]] = \
     contextvars.ContextVar("active_counters", default=())
-
-
-@contextmanager
-def count_exponentiations() -> Iterator[ExpCounter]:
-    """Count every modexp executed inside the block, in this thread."""
-    counter = ExpCounter()
-    _active_counters.set(_active_counters.get() + (counter,))
-    try:
-        yield counter
-    finally:
-        _active_counters.set(tuple(c for c in _active_counters.get() if c is not counter))
 
 
 # -- core operations -----------------------------------------------------------

@@ -19,9 +19,8 @@ SDSS) or 8 (blind signcryption), the protocol's 6 included.
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import blind_sdss, blind_signcrypt
 from .blind_sdss import BlindingSession, BlindSignature, View
@@ -99,12 +98,18 @@ def run_honest_sessions(n: int, scheme: str, params: GroupParams,
     return transcripts
 
 
-@contextmanager
-def _counted(counts: dict[str, int], party: str) -> Iterator[None]:
-    """Add the modexp calls made inside the block to counts[party]."""
-    with count_exponentiations() as c:
-        yield
-    counts[party] = counts.get(party, 0) + c.count
+class _counted(count_exponentiations):
+    """Add the modexp calls made inside the block to counts[party]; a block
+    left by an exception adds none."""
+
+    def __init__(self, counts: dict[str, int], party: str):
+        super().__init__()
+        self.counts, self.party = counts, party
+
+    def __exit__(self, exc_type, *rest) -> None:
+        super().__exit__(exc_type, *rest)
+        if exc_type is None:
+            self.counts[self.party] = self.counts.get(self.party, 0) + self.count
 
 
 def _session(ctx: HarnessContext, m: bytes, rng) -> FullTranscript:
@@ -244,9 +249,9 @@ def cross_pairing_check(transcripts: Sequence[FullTranscript]) -> CrossPairingRe
     consistent with each published signature, so the view carries no link to
     the message-signature pair. The cells come from one
     `blind_sdss.pairing_grid`, so an n x n grid of signatures with
-    0 <= r < q costs 2n + 1 powers of g plus at most 2n powers of the views'
-    z, and each cell is one comparison. The transcripts must share one
-    parameter set.
+    0 <= r < q costs n + 1 powers of g, one inversion, and per view one
+    two-base call for z and g plus at most one power of z, and each cell is
+    one comparison. The transcripts must share one parameter set.
     """
     if len(transcripts) < 2:
         raise ValueError("cross-pairing needs at least two transcripts")

@@ -46,7 +46,11 @@ from blindsigncrypt.group_math import (
     rand_scalar_nonzero,
     validate_params,
 )
-from blindsigncrypt.harness import measure_exponentiation_counts, run_honest_sessions
+from blindsigncrypt.harness import (
+    cross_pairing_check,
+    measure_exponentiation_counts,
+    run_honest_sessions,
+)
 from blindsigncrypt.sdss import KeyPair, keygen, sign, verify
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -98,6 +102,15 @@ class TestModexp:
         second.__exit__(None, None, None)
         modexp(2, 3, 23)
         assert (a.count, b.count) == (0, 1)
+
+    def test_counter_left_by_an_exception_stops_counting(self):
+        with pytest.raises(ZeroInverse):
+            with count_exponentiations() as c:
+                modexp(2, 3, 23)
+                modinv(0, 11)
+        modexp(2, 3, 23)
+        assert c.count == 1
+        assert group_math._active_counters.get() == ()
 
     def test_counter_ignores_other_threads(self):
         # each counter sees only the powers of the thread that opened it
@@ -337,6 +350,35 @@ class TestPower:
         # sdss, blind SDSS and the harness's blind SDSS verify, two each
         assert len(exponents) == 6 and not any(from_open)
         assert secrets.isdisjoint(e % q for e in exponents)
+
+    def test_grid_passes_only_view_values_to_the_two_base_kernel(self, desk, monkeypatch):
+        # the cross-pairing grid takes one _power2 call per view, z^e * g^(-s_bar)
+        # with e = r_bar or r_bar + q, so no scalar drawn from the rng, no
+        # column's a_j = s^-1 * u - r and no recipient's s * x_C reaches it
+        rng, suite = RecordingRng(27), std_suite()
+        transcripts = run_honest_sessions(8, "blind_signcrypt", desk, suite, rng)
+        calls = []
+        power2 = group_math._power2
+
+        def spy_power2(b1, e1, b2, e2, mod):
+            calls.append((b1, e1, b2, e2, mod))
+            return power2(b1, e1, b2, e2, mod)
+
+        monkeypatch.setattr(group_math, "_power2", spy_power2)
+        assert cross_pairing_check(transcripts).all_pass
+
+        p, q, g = desk.p, desk.q, desk.g
+        views = [t.view for t in transcripts]
+        assert len(calls) == len(views)
+        for view, (z, e1, base, e2, mod) in zip(views, calls):
+            assert (z, base, e2, mod) == (view.z, g, -view.s_bar % q, p)
+            assert e1 in (view.r_bar, view.r_bar + q)
+        columns = [(t.signature(), t.requester_secrets.u) for t in transcripts]
+        recipient_x = transcripts[0].context.recipient.x
+        secrets = ({draw % q for draw in rng.draws}
+                   | set(blind_sdss.one_time_exponents(columns, q))
+                   | {t.output.s * recipient_x % q for t in transcripts})
+        assert secrets.isdisjoint(e % q for _, e1, _, e2, _ in calls for e in (e1, e2))
 
     @needs_kernel
     def test_failed_context_build_keeps_nothing(self):

@@ -146,6 +146,16 @@ class TestSessionCost:
         with pytest.raises(HarnessCheckFailed, match="unsigncrypt recovers the message"):
             harness._check_consistent(forged)
 
+    def test_scope_left_by_an_exception_stops_counting(self):
+        counts = {"A": 1}
+        with pytest.raises(ZeroDivisionError):
+            with harness._counted(counts, "A") as scope:
+                group_math.modexp(2, 3, 23)
+                1 / 0
+        group_math.modexp(2, 3, 23)
+        assert (scope.count, counts) == (1, {"A": 1})
+        assert group_math._active_counters.get() == ()
+
     @pytest.mark.parametrize("scheme", harness.SCHEMES)
     def test_no_check_retakes_a_receiver_power(self, desk, suite, scheme, monkeypatch):
         # every (base, exponent, modulus) handed to either kernel, each of
@@ -297,23 +307,89 @@ class TestCrossPairingGrid:
                 even = (sig.r + (view.r_bar - sig.r) % desk.q) % 2 == 0
                 assert report.cells[n + i][j] is even
 
-    def test_honest_grid_cost(self, desk, suite, monkeypatch):
-        transcripts = run_honest_sessions(6, "blind_sdss", desk, suite, random.Random(42))
-        bases = []
-        modexp = blind_sdss.modexp
+    def spy_grid(self, monkeypatch):
+        """Record blind_sdss's modexp (base, exponent) pairs, modexp2 base
+        pairs and modinv calls."""
+        powers, pairs, inverses = [], [], []
+        modexp, modexp2, modinv = blind_sdss.modexp, blind_sdss.modexp2, blind_sdss.modinv
 
         def spy(base, exp, p):
-            bases.append(base)
+            powers.append((base, exp))
             return modexp(base, exp, p)
 
+        def spy2(b1, e1, b2, e2, p):
+            pairs.append((b1, b2))
+            return modexp2(b1, e1, b2, e2, p)
+
+        def spy_inv(a, q):
+            inverses.append(a)
+            return modinv(a, q)
+
         monkeypatch.setattr(blind_sdss, "modexp", spy)
+        monkeypatch.setattr(blind_sdss, "modexp2", spy2)
+        monkeypatch.setattr(blind_sdss, "modinv", spy_inv)
+        return powers, pairs, inverses
+
+    def test_honest_grid_cost(self, desk, suite, monkeypatch):
+        # n + 1 powers of g, one two-base call on (z_i, g) per row, a z_i^q
+        # for each row that needs both r_bar and r_bar + q, one inversion
+        transcripts = run_honest_sessions(6, "blind_sdss", desk, suite, random.Random(42))
+        powers, pairs, inverses = self.spy_grid(monkeypatch)
         with count_exponentiations() as counter:
             assert cross_pairing_check(transcripts).all_pass
-        n = len(transcripts)
-        assert counter.count == len(bases)
-        assert bases.count(desk.g) == 2 * n + 1
-        z_powers = len(bases) - (2 * n + 1)
-        assert n <= z_powers <= 2 * n
+        n, q, g = len(transcripts), desk.q, desk.g
+        views = [t.view for t in transcripts]
+        assert counter.count == len(powers) + 2 * len(pairs)
+        assert [base for base, _ in powers].count(g) == n + 1
+        assert pairs == [(view.z, g) for view in views]
+        both = [view.z for view in views
+                if len({t.signature().r + (view.r_bar - t.signature().r) % q
+                        for t in transcripts}) == 2]
+        assert [pw for pw in powers if pw[0] != g] == [(z, q) for z in both]
+        assert 3 * n + 1 <= counter.count <= 4 * n + 1
+        assert len(inverses) == 1
+
+    def test_one_time_exponents_match_each_column(self, desk, suite):
+        _, transcripts = self.grid(desk, suite)
+        q = desk.q
+        columns = [(t.signature(), t.requester_secrets.u) for t in transcripts]
+        exponents = blind_sdss.one_time_exponents(columns, q)
+        assert exponents == [blind_sdss.one_time_exponent(sig, u, q) for sig, u in columns]
+        assert None in exponents
+        for (sig, u), a in zip(columns, exponents):
+            assert a is None or a == (pow(sig.s, -1, q) * u - sig.r) % q
+
+    def test_failed_columns_take_no_inversion_and_no_power(self, desk, suite, monkeypatch):
+        transcripts = run_honest_sessions(2, "blind_sdss", desk, suite, random.Random(46))
+        sig, u = transcripts[0].signature(), transcripts[0].requester_secrets.u
+        columns = [(BlindSignature(r=0, s=sig.s, T=sig.T), u),
+                   (BlindSignature(r=sig.r, s=0, T=sig.T), u),
+                   (BlindSignature(r=sig.r, s=sig.s + desk.q, T=sig.T), u),
+                   (sig, desk.q)]
+        powers, pairs, inverses = self.spy_grid(monkeypatch)
+        cells = pairing_grid([t.view for t in transcripts], columns, desk)
+        assert cells == [[False] * len(columns)] * len(transcripts)
+        assert (powers, pairs, inverses) == ([(desk.g, desk.q)], [], [])
+
+    @pytest.mark.parametrize("low", [True, False], ids=["r_bar", "r_bar + q"])
+    def test_row_with_one_exponent_costs_two_powers(self, desk, suite, low):
+        # an honest view against the columns with r <= r_bar keys every cell
+        # by r_bar, and against those with r > r_bar by r_bar + q
+        transcripts = run_honest_sessions(8, "blind_sdss", desk, suite, random.Random(47))
+        q = desk.q
+        columns = [(t.signature(), t.requester_secrets.u) for t in transcripts]
+        rows = 0
+        for view in (t.view for t in transcripts):
+            side = [(sig, u) for sig, u in columns if (sig.r <= view.r_bar) is low]
+            if not side:
+                continue
+            assert {sig.r + (view.r_bar - sig.r) % q for sig, _ in side} == \
+                {view.r_bar if low else view.r_bar + q}
+            with count_exponentiations() as counter:
+                assert pairing_grid([view], side, desk) == [[True] * len(side)]
+            assert counter.count == 1 + len(side) + 2
+            rows += 1
+        assert rows >= 2
 
     def test_generator_of_wrong_order_rejected(self, toy, suite):
         # g = 5 has order 22 mod 23, so g^alpha does not split by columns and rows
