@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import group_math
 from .crypto_suite import CryptoSuite
 from .errors import (
     BadChallenge,
@@ -138,9 +139,11 @@ def blind_challenge(session_cls: type, z: GroupElement, derive_r,
                     params: GroupParams, rng):
     """The requester core both blind schemes share: validate z, draw u until
     derive_r(u) gives r != 0, beta until r_bar = r + beta != 0, then alpha,
-    and form T = z^r_bar * g^alpha mod p. The draw order is fixed so seeded
-    runs are reproducible. derive_r(u) returns r and every field of
-    session_cls that the scheme adds."""
+    and form T = z^r_bar * g^alpha mod p. z^r_bar takes the variable-time
+    kernel, as the signer sees r_bar; g^alpha stays constant-time, because
+    alpha is what hides T. The draw order is fixed so seeded runs are
+    reproducible. derive_r(u) returns r and every field of session_cls that
+    the scheme adds."""
     p, q = params.p, params.q
     if not 0 < z < p:
         raise BadCommit(f"commitment z = {int_text(z)} is outside [1, p-1]")
@@ -160,7 +163,7 @@ def blind_challenge(session_cls: type, z: GroupElement, derive_r,
     beta = retry(draw_beta, RngFailure("could not reach a nonzero challenge"))
     r_bar = (r + beta) % q
     alpha = rand_scalar(rng, q)
-    T = modexp(z, r_bar, p) * modexp(params.g, alpha, p) % p
+    T = group_math.modexp(z, r_bar, p, public=True) * modexp(params.g, alpha, p) % p
 
     session = session_cls(params=params, u=u, alpha=alpha, beta=beta, r=r, T=T,
                           spent=False, **derived)
@@ -296,8 +299,9 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
     s-equation fails, or whose T lies outside [0, p) where no reduced product
     can equal it, is False in every row and costs no power. D_j takes a
     constant-time power, as a_j is the discrete log of the one-time key
-    y * T_j. Each row keeps z^(r + beta) * R_i keyed by the unreduced
-    exponent r + beta (see `_row_powers`), so a cell is one comparison. For
+    y * T_j; g^q, whose exponent is public, takes the variable-time one.
+    Each row keeps z^(r + beta) * R_i keyed by the unreduced exponent
+    r + beta (see `_row_powers`), so a cell is one comparison. For
     0 <= r < q that exponent is r_bar mod q or r_bar mod q + q, and a row
     with k of them costs 1 + k powers in k calls: an n x n grid costs n + 1
     powers of g (one checks g^q = 1) and at most 3n in its rows, and one
@@ -305,7 +309,7 @@ def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, 
     would be wrong.
     """
     p, q, g = params.p, params.q, params.g
-    if modexp(g, q, p) != 1:
+    if group_math.modexp(g, q, p, public=True) != 1:
         raise BadGenerator(f"g = {int_text(g)} does not have order dividing q")
     cols = []
     for (sig, _), a in zip(columns, one_time_exponents(columns, q)):
@@ -327,7 +331,8 @@ def _row_powers(view: View, exponents: set[int],
     """z^e * g^(-s_bar) mod p for each e in exponents, which are all
     r_bar (mod q): the smallest e in one modexp2 call, and each other e as
     that element times z^(e - smallest). z, r_bar and s_bar are the signer's
-    view, and public, so they may take the variable-time kernel."""
+    view, and e - smallest is q, so all of them are public and take the
+    variable-time kernels."""
     if not exponents:
         return {}
     p = params.p
@@ -335,5 +340,5 @@ def _row_powers(view: View, exponents: set[int],
     low_power = modexp2(view.z, low, params.g, -view.s_bar % params.q, p)
     powers = {low: low_power}
     for e in rest:
-        powers[e] = low_power * modexp(view.z, e - low, p) % p
+        powers[e] = low_power * group_math.modexp(view.z, e - low, p, public=True) % p
     return powers

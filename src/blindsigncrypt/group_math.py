@@ -4,11 +4,17 @@ Scalars are plain ints kept reduced mod q; group elements are plain ints in
 [1, p-1]. Everything here is a pure function, so concurrent use is safe.
 Every power is one call of a kernel, OpenSSL's Montgomery exponentiation
 reached through ctypes in the libcrypto that hashlib has loaded, or pow where
-that library is not available. `_power` takes one power in constant time,
-counted (`modexp`) or not (primality and parameter checks). `_power2` takes
-b1^e1 * b2^e2 in one call counted as two (`modexp2`); its time depends on its
-exponents, so it serves public ones only: the verifiers' s and r * s, and
-the blindness grid's r_bar and -s_bar from the signer's views. The
+that library is not available. `_power` takes one power, counted (`modexp`)
+or not (primality and parameter checks), in constant time unless its caller
+passes public=True. `_power2` takes b1^e1 * b2^e2 in one call counted as two
+(`modexp2`). Two kernels take time that depends on their exponents:
+`_power(..., public=True)` (BN_mod_exp_mont) and `_power2`
+(BN_mod_exp2_mont). They serve exponents that are on the wire or in the
+signer's view, which timing cannot reveal (Brumley & Boneh, USENIX Security
+2003, is the attack on a secret one): the recipient's g^r, the requester's
+z^r_bar, the verifiers' s and r * s, and the blindness grid's g^q, z^q,
+r_bar and -s_bar. Secret exponents (keys, nonces, blinding factors, s * x_C)
+and the primality and validation powers take the constant-time kernel. The
 only module state is fixed at import: that library handle, and each built-in
 set's modulus with its Montgomery context, which the kernels only read. The
 optional exponentiation counters are per thread.
@@ -111,6 +117,7 @@ def _load_libcrypto():
                 ("BN_bin2bn", [ctypes.c_char_p, ctypes.c_int, ptr], ptr),
                 ("BN_bn2binpad", [ptr, ctypes.c_char_p, ctypes.c_int], ctypes.c_int),
                 ("BN_mod_exp_mont_consttime", [ptr] * 6, ctypes.c_int),
+                ("BN_mod_exp_mont", [ptr] * 6, ctypes.c_int),
                 ("BN_mod_exp2_mont", [ptr] * 8, ctypes.c_int),
                 ("BN_MONT_CTX_new", [], ptr),
                 ("BN_MONT_CTX_set", [ptr, ptr, ptr], ctypes.c_int),
@@ -163,14 +170,16 @@ def _openssl(lib, kernel, mod: int, numbers: tuple[int, ...]) -> int | None:
         lib.BN_CTX_free(ctx)
 
 
-def _power(base: int, exp: int, mod: int) -> int:
-    """base^exp mod mod, uncounted, in constant time: OpenSSL's
-    BN_mod_exp_mont_consttime for 0 <= base, 0 <= exp and an odd mod > 1
-    where libcrypto loaded; else, and after a failed call, pow."""
+def _power(base: int, exp: int, mod: int, *, public: bool = False) -> int:
+    """base^exp mod mod, uncounted: OpenSSL's BN_mod_exp_mont_consttime, or
+    with public=True BN_mod_exp_mont, whose time depends on exp, for
+    0 <= base, 0 <= exp and an odd mod > 1 where libcrypto loaded; else, and
+    after a failed call, pow."""
     lib = _libcrypto
     if lib is None or exp < 0 or base < 0 or mod <= 1 or not mod & 1:
         return pow(base, exp, mod)
-    result = _openssl(lib, lib.BN_mod_exp_mont_consttime, mod, (base, exp))
+    kernel = lib.BN_mod_exp_mont if public else lib.BN_mod_exp_mont_consttime
+    result = _openssl(lib, kernel, mod, (base, exp))
     return pow(base, exp, mod) if result is None else result
 
 
@@ -189,12 +198,17 @@ def _power2(b1: int, e1: int, b2: int, e2: int, mod: int) -> int:
     return _power(b1, e1, mod) * _power(b2, e2, mod) % mod
 
 
-def modexp(base: GroupElement, exp: Scalar, p: int) -> GroupElement:
+def modexp(base: GroupElement, exp: Scalar, p: int, *,
+           public: bool = False) -> GroupElement:
     """base^exp mod p. The exponentiation primitive all schemes share: it
-    counts one exponentiation, then computes it in constant time with _power."""
+    counts one exponentiation, then computes it with _power, in constant time
+    unless public=True says that exp is on the wire or in the signer's view.
+    perfbench's tracer wraps each protocol module's own `modexp` name in a
+    three-argument stand-in, so public powers are called as
+    `group_math.modexp(..., public=True)`."""
     for counter in _active_counters.get():
         counter.count += 1
-    return _power(base, exp, p)
+    return _power(base, exp, p, public=public)
 
 
 def modexp2(b1: GroupElement, e1: Scalar, b2: GroupElement, e2: Scalar,

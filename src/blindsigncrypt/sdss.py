@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import group_math
 from .crypto_suite import CryptoSuite, hash_to_scalar
 from .errors import RngFailure
 from .group_math import (
@@ -79,10 +80,11 @@ def sign(m: bytes, key: KeyPair, params: GroupParams, suite: CryptoSuite,
 def key_power(y: GroupElement, r: Scalar, e: Scalar, params: GroupParams) -> GroupElement:
     """(y * g^r)^e mod p, the power both signcryption opens take: e = s * x_B
     mod q in Zheng's, and y * T in place of y in blind signcryption's. It
-    counts two constant-time powers, g^r and the power e of the product,
-    because e is secret; `verify`, whose e = s is public, takes one modexp2."""
+    counts two powers: g^r in the variable-time kernel, as r is on the wire,
+    and the power e of the product in constant time, because e is secret;
+    `verify`, whose e = s is public, takes one modexp2."""
     p = params.p
-    return modexp(y * modexp(params.g, r, p) % p, e, p)
+    return modexp(y * group_math.modexp(params.g, r, p, public=True) % p, e, p)
 
 
 def verify(m: bytes, sig: SdssSignature, signer_pub: GroupElement,

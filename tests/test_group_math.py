@@ -177,8 +177,9 @@ def pow_calls(monkeypatch):
 
 
 class RecordingRng(random.Random):
-    """A seeded random.Random that keeps every randrange draw, which covers
-    every secret scalar the library draws."""
+    """A seeded random.Random that keeps every randrange draw from a range
+    wider than 2**64, which covers every secret scalar the library draws at
+    desk512 and leaves out the harness's message lengths."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -186,7 +187,8 @@ class RecordingRng(random.Random):
 
     def randrange(self, *args):
         draw = super().randrange(*args)
-        self.draws.append(draw)
+        if max(args) > 2**64:
+            self.draws.append(draw)
         return draw
 
 
@@ -237,7 +239,9 @@ class TestPower:
             bases = [0, 1, 2, p - 1, p, p + 1, 2 * p + 1] + [rng.randrange(2 * p) for _ in range(8)]
             for base in bases:
                 for e in exps:
-                    assert group_math._power(base, e, p) == pow(base, e, p), (base, e, p)
+                    for public in (False, True):
+                        assert group_math._power(base, e, p, public=public) == pow(base, e, p), \
+                            (base, e, p, public)
 
     def test_pow_semantics_outside_the_kernel(self, desk, pow_calls):
         # negative exponents (inverses), negative bases, and moduli that are
@@ -269,6 +273,24 @@ class TestPower:
         assert group_math._power(desk.g, desk.q - 1, desk.p) == pow(desk.g, desk.q - 1, desk.p)
         assert (cleared, pow_calls) == ([True], [(desk.g, desk.q - 1, desk.p)])
 
+    @needs_kernel
+    def test_failed_public_call_falls_back(self, desk, monkeypatch, pow_calls):
+        # to pow, as a failed constant-time call does, never to the
+        # constant-time kernel
+        cleared, consttime = [], []
+        lib = failing_libcrypto("BN_mod_exp_mont", cleared)
+        real = group_math._libcrypto.BN_mod_exp_mont_consttime
+
+        def spy_consttime(*args):
+            consttime.append(args)
+            return real(*args)
+
+        lib.BN_mod_exp_mont_consttime = spy_consttime
+        monkeypatch.setattr(group_math, "_libcrypto", lib)
+        g, p, e = desk.g, desk.p, desk.q - 1
+        assert group_math._power(g, e, p, public=True) == pow(g, e, p)
+        assert (cleared, pow_calls, consttime) == ([True], [(g, e, p)], [])
+
     def test_two_base_matches_pow_on_every_combination(self):
         # BN_mod_exp2_mont alone gives 0 for a base = 0 mod p even when that
         # base's exponent is 0, where the product of the powers is the other
@@ -293,19 +315,34 @@ class TestPower:
             pow(y, desk.q - 1, desk.p) * pow(desk.g, 2**160, desk.p) % desk.p
         assert (cleared, pow_calls) == ([True], [])
 
-    def test_no_secret_reaches_the_two_base_kernel(self, desk, monkeypatch):
-        # _power2's time depends on its exponents: over one session of each
-        # scheme and of each harness scheme, no exponent it takes is a
-        # scalar drawn from the rng (x, k, k_tilde, u, alpha, beta) or a
-        # recipient's s * x_C, and neither signcryption open calls it
+    def test_no_secret_reaches_a_variable_time_kernel(self, desk, monkeypatch):
+        # _power2 and _power(..., public=True) take time that depends on their
+        # exponents. Over one session of each scheme, one harness session of
+        # each scheme, and a cross-pairing grid of eight harness transcripts,
+        # no exponent they take is, or negates mod q, a scalar drawn from the
+        # rng (x, k, k_tilde, u, alpha, beta), a column's a_j, a recipient's
+        # s * x_C or the exponent of key_power's outer power. Neither
+        # signcryption open calls _power2, and each path takes a pinned
+        # number of public _power calls.
         rng, suite = RecordingRng(26), std_suite()
-        exponents, opens_entered, from_open = [], [0], []
-        power2 = group_math._power2
+        variable, public_calls, outer = [], {}, []
+        path, opens_entered, from_open = ["keys"], [0], []
+        power, power2, key_power = group_math._power, group_math._power2, zheng.key_power
+
+        def spy_power(base, exp, mod, *, public=False):
+            if public:
+                variable.append(exp)
+                public_calls[path[0]] = public_calls.get(path[0], 0) + 1
+            return power(base, exp, mod, public=public)
 
         def spy_power2(b1, e1, b2, e2, mod):
-            exponents.extend((e1, e2))
+            variable.extend((e1, e2))
             from_open.append(opens_entered[0] > 0)
             return power2(b1, e1, b2, e2, mod)
+
+        def spy_key_power(y, r, e, params):
+            outer.append(e)
+            return key_power(y, r, e, params)
 
         def flag(open_move):
             def flagged(*args):
@@ -316,15 +353,20 @@ class TestPower:
                     opens_entered[0] -= 1
             return flagged
 
+        monkeypatch.setattr(group_math, "_power", spy_power)
         monkeypatch.setattr(group_math, "_power2", spy_power2)
+        monkeypatch.setattr(zheng, "key_power", spy_key_power)
         monkeypatch.setattr(zheng, "open_sealed", flag(zheng.open_sealed))
         monkeypatch.setattr(blind_signcrypt, "open_sealed", flag(blind_signcrypt.open_sealed))
 
         signer, recipient = keygen(desk, rng), keygen(desk, rng)
+        path[0] = "sdss"
         assert verify(b"m", sign(b"m", signer, desk, suite, rng), signer.y, desk, suite)
+        path[0] = "zheng"
         zheng_text = zheng.signcrypt(b"m", signer, recipient.y, b"to", desk, suite, rng)
         assert zheng.unsigncrypt(zheng_text, recipient, signer.y, b"to", desk, suite) == b"m"
 
+        path[0] = "blind_sdss"
         session, commit = blind_sdss.signer_commit(signer, desk, rng)
         requester, challenge = blind_sdss.requester_challenge(
             b"m", commit.z, signer.y, desk, suite, rng)
@@ -332,6 +374,7 @@ class TestPower:
         sig = blind_sdss.requester_finalize(requester, response.s_bar, desk)
         assert blind_sdss.verify(b"m", sig, signer.y, desk, suite)
 
+        path[0] = "blind_signcrypt"
         session, commit = blind_signcrypt.bsc_signer_commit(signer, desk, rng)
         requester, challenge = blind_signcrypt.bsc_requester_challenge(
             b"m", commit.z, recipient.y, b"to", desk, suite, rng)
@@ -340,16 +383,33 @@ class TestPower:
         assert blind_signcrypt.unsigncrypt(bsc_text, recipient, signer.y, b"to",
                                            desk, suite) == b"m"
 
+        path[0] = "harness blind_sdss"
         run_honest_sessions(1, "blind_sdss", desk, suite, rng, signer=signer)
-        harness_text = run_honest_sessions(1, "blind_signcrypt", desk, suite, rng,
-                                           signer=signer, recipient=recipient)[0].output
+        path[0] = "harness blind_signcrypt"
+        transcripts = run_honest_sessions(8, "blind_signcrypt", desk, suite, rng,
+                                          signer=signer, recipient=recipient)
+        path[0] = "grid"
+        assert cross_pairing_check(transcripts).all_pass
 
         q = desk.q
-        secrets = {draw % q for draw in rng.draws} | \
-            {text.s * recipient.x % q for text in (zheng_text, bsc_text, harness_text)}
-        # sdss, blind SDSS and the harness's blind SDSS verify, two each
-        assert len(exponents) == 6 and not any(from_open)
-        assert secrets.isdisjoint(e % q for e in exponents)
+        columns = [(t.signature(), t.requester_secrets.u) for t in transcripts]
+        texts = [zheng_text, bsc_text] + [t.output for t in transcripts]
+        secrets = ({draw % q for draw in rng.draws}
+                   | set(blind_sdss.one_time_exponents(columns, q))
+                   | {text.s * recipient.x % q for text in texts} | set(outer))
+        secrets |= {-v % q for v in secrets}
+        assert secrets.isdisjoint(e % q for e in variable)
+        # sdss, blind SDSS and the harness's blind SDSS verify, and one call per grid row
+        assert len(from_open) == 3 + 8 and not any(from_open)
+        assert len(outer) == 2 + 8
+        rows_with_two_exponents = sum(
+            len({sig.r + (t.view.r_bar - sig.r) % q for sig, _ in columns}) == 2
+            for t in transcripts)
+        # one public power g^r per open, z^r_bar per blind session, and the
+        # grid's g^q with a z^q per row that needs both r_bar and r_bar + q
+        assert public_calls == {"zheng": 1, "blind_sdss": 1, "blind_signcrypt": 2,
+                                "harness blind_sdss": 1, "harness blind_signcrypt": 2 * 8,
+                                "grid": 1 + rows_with_two_exponents}
 
     def test_grid_passes_only_view_values_to_the_two_base_kernel(self, desk, monkeypatch):
         # the cross-pairing grid takes one _power2 call per view, z^e * g^(-s_bar)

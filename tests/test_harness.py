@@ -167,9 +167,9 @@ class TestSessionCost:
         receiver, elsewhere = set(), set()
         taken = [elsewhere]
 
-        def spy_power(*args):
+        def spy_power(*args, **kwargs):
             taken[0].add(args)
-            return power(*args)
+            return power(*args, **kwargs)
 
         def spy_power2(b1, e1, b2, e2, mod):
             taken[0].update({(b1, e1, mod), (b2, e2, mod)})
@@ -308,14 +308,15 @@ class TestCrossPairingGrid:
                 assert report.cells[n + i][j] is even
 
     def spy_grid(self, monkeypatch):
-        """Record blind_sdss's modexp (base, exponent) pairs, modexp2 base
-        pairs and modinv calls."""
+        """Record blind_sdss's modexp (base, exponent, public) triples, those
+        it calls as group_math.modexp included, modexp2 base pairs and modinv
+        calls."""
         powers, pairs, inverses = [], [], []
         modexp, modexp2, modinv = blind_sdss.modexp, blind_sdss.modexp2, blind_sdss.modinv
 
-        def spy(base, exp, p):
-            powers.append((base, exp))
-            return modexp(base, exp, p)
+        def spy(base, exp, p, *, public=False):
+            powers.append((base, exp, public))
+            return modexp(base, exp, p, public=public)
 
         def spy2(b1, e1, b2, e2, p):
             pairs.append((b1, b2))
@@ -326,26 +327,31 @@ class TestCrossPairingGrid:
             return modinv(a, q)
 
         monkeypatch.setattr(blind_sdss, "modexp", spy)
+        monkeypatch.setattr(group_math, "modexp", spy)
         monkeypatch.setattr(blind_sdss, "modexp2", spy2)
         monkeypatch.setattr(blind_sdss, "modinv", spy_inv)
         return powers, pairs, inverses
 
     def test_honest_grid_cost(self, desk, suite, monkeypatch):
         # n + 1 powers of g, one two-base call on (z_i, g) per row, a z_i^q
-        # for each row that needs both r_bar and r_bar + q, one inversion
+        # for each row that needs both r_bar and r_bar + q, one inversion;
+        # g^q and every z_i^q take the variable-time kernel, and every
+        # g^(-a_j), whose a_j is secret, the constant-time one
         transcripts = run_honest_sessions(6, "blind_sdss", desk, suite, random.Random(42))
+        n, q, g = len(transcripts), desk.q, desk.g
+        exponents = blind_sdss.one_time_exponents(
+            [(t.signature(), t.requester_secrets.u) for t in transcripts], q)
         powers, pairs, inverses = self.spy_grid(monkeypatch)
         with count_exponentiations() as counter:
             assert cross_pairing_check(transcripts).all_pass
-        n, q, g = len(transcripts), desk.q, desk.g
         views = [t.view for t in transcripts]
         assert counter.count == len(powers) + 2 * len(pairs)
-        assert [base for base, _ in powers].count(g) == n + 1
+        assert powers[:n + 1] == [(g, q, True)] + [(g, -a % q, False) for a in exponents]
         assert pairs == [(view.z, g) for view in views]
         both = [view.z for view in views
                 if len({t.signature().r + (view.r_bar - t.signature().r) % q
                         for t in transcripts}) == 2]
-        assert [pw for pw in powers if pw[0] != g] == [(z, q) for z in both]
+        assert powers[n + 1:] == [(z, q, True) for z in both]
         assert 3 * n + 1 <= counter.count <= 4 * n + 1
         assert len(inverses) == 1
 
@@ -369,7 +375,7 @@ class TestCrossPairingGrid:
         powers, pairs, inverses = self.spy_grid(monkeypatch)
         cells = pairing_grid([t.view for t in transcripts], columns, desk)
         assert cells == [[False] * len(columns)] * len(transcripts)
-        assert (powers, pairs, inverses) == ([(desk.g, desk.q)], [], [])
+        assert (powers, pairs, inverses) == ([(desk.g, desk.q, True)], [], [])
 
     @pytest.mark.parametrize("low", [True, False], ids=["r_bar", "r_bar + q"])
     def test_row_with_one_exponent_costs_two_powers(self, desk, suite, low):
