@@ -85,10 +85,20 @@ def bsc_requester_finalize(session: BscRequesterSession, s_bar: Scalar,
     return BlindSigncryptedText(c=session.c, r=session.r, s=s, T=session.T)
 
 
+def _signer_part(signer_pub: GroupElement, T: GroupElement,
+                 params: GroupParams) -> GroupElement:
+    """`one_time_key`'s y_A * T, or TagMismatch for a T outside [1, p-1]."""
+    key = one_time_key(signer_pub, T, params)
+    if key is None:
+        raise TagMismatch("T out of range")
+    return key
+
+
 def shared_element(ct: BlindSigncryptedText, recipient: KeyPair,
                    signer_pub: GroupElement, params: GroupParams) -> GroupElement:
     """(y_A * T * g^r)^(s * x_C) mod p; equals y_C^u mod p for honest texts."""
-    return key_power(signer_pub * ct.T % params.p, ct.r, ct.s * recipient.x % params.q, params)
+    return key_power(_signer_part(signer_pub, ct.T, params), ct.r,
+                     ct.s * recipient.x % params.q, params)
 
 
 def open_sealed(ct: BlindSigncryptedText, recipient: KeyPair,
@@ -97,10 +107,8 @@ def open_sealed(ct: BlindSigncryptedText, recipient: KeyPair,
     """The recipient's move: Zheng's open under `one_time_key`'s y_A * T.
     Returns the message and the shared element (y_C^u mod p for an honest
     text), or raises TagMismatch and exposes neither."""
-    key = one_time_key(signer_pub, ct.T, params)
-    if key is None:
-        raise TagMismatch("T out of range")
-    return zheng.open_sealed(ct, recipient, key, bind_info, params, suite)
+    return zheng.open_sealed(ct, recipient, _signer_part(signer_pub, ct.T, params),
+                             bind_info, params, suite)
 
 
 def unsigncrypt(ct: BlindSigncryptedText, recipient: KeyPair,

@@ -2,7 +2,8 @@
 
 All cryptographic logic lives in the library modules; this module only moves
 bytes between files and library calls. Exit codes: 0 success, 1 verification
-or tag failure, 2 usage/input error.
+or tag failure, 2 usage/input error. Run it as `python -m blindsigncrypt` or
+as the `blindsigncrypt` console script; both call `main`.
 
 Multi-invocation blind sessions need the one-shot nonces (k_tilde, u) to
 survive between processes. They are persisted only under --test-mode, as the
@@ -38,11 +39,6 @@ from .errors import (
 from .group_math import NAMED_PARAMS, GroupParams, generate_params, int_to_bytes, validate_params
 
 _STATE_LABEL = b"blindsigncrypt-state-v1:"
-
-# The suite of every message the CLI reads or writes. The only other suite,
-# toy-v1, exists for pinning hash outputs in library tests, which a CLI run
-# cannot do.
-SUITE_ID = CryptoSuite.suite_id
 
 _SCHEME_NAMES = {"blind": "blind_sdss", "bsc": "blind_signcrypt"}
 
@@ -195,7 +191,7 @@ def _read_wire(path: str, expect: type):
 
 def _decode(blob: bytes, path: str, expect: type):
     """The message that blob, read from path, encodes; a message that does not
-    decode, is not an `expect` or names a suite other than SUITE_ID exits 2
+    decode, is not an `expect` or names a suite other than std-v1 exits 2
     naming path."""
     try:
         obj, suite_id = wire_codec.decode(blob)
@@ -203,13 +199,15 @@ def _decode(blob: bytes, path: str, expect: type):
         raise UsageFailure(f"{path}: {exc}") from None
     if not isinstance(obj, expect):
         raise UsageFailure(f"{path} holds {type(obj).__name__}, expected {expect.__name__}")
-    if suite_id != SUITE_ID:
+    # The only other suite, toy-v1, exists for pinning hash outputs in library
+    # tests, which a CLI run cannot do.
+    if suite_id != CryptoSuite.suite_id:
         raise UsageFailure(f"{path}: unknown suite {suite_id!r}")
     return obj
 
 
 def _write_wire(path: str, obj) -> None:
-    _write_output(path, wire_codec.armor(wire_codec.encode(obj, SUITE_ID)).encode())
+    _write_output(path, wire_codec.armor(wire_codec.encode(obj)).encode())
 
 
 # -- encrypted session state (test mode only) -------------------------------------
@@ -225,7 +223,7 @@ def _save_state(path: str, session, args) -> None:
             "run the whole session in one process")
     key = _state_key(args.seed)
     suite = std_suite()
-    ct = suite.cipher_encrypt(key, wire_codec.encode(session, SUITE_ID))
+    ct = suite.cipher_encrypt(key, wire_codec.encode(session))
     tag = suite.keyed_hash(key, ct)
     _write_output(path, wire_codec.armor(tag + ct).encode(), _SECRET_MODE)
 
@@ -244,6 +242,14 @@ def _load_state(path: str, args, session_cls: type, params: GroupParams):
     if session.params != params:
         raise UsageFailure(f"{path} was made under other group parameters")
     return session
+
+
+def _send(args, state_path: str, session, msg) -> None:
+    """Save session to state_path, then write msg to --out: a signer that has
+    responded is stored as spent before its response leaves, because two
+    responses to one k_tilde give away x. A state not saved sends nothing."""
+    _save_state(state_path, session, args)
+    _write_wire(args.out, msg)
 
 
 def _bind_info(args, recipient_pub: int) -> bytes:
@@ -265,8 +271,8 @@ def cmd_params_gen(args) -> int:
 
 def cmd_params_validate(args) -> int:
     try:
-        params = _read_params(args.params)
-        if args.params in NAMED_PARAMS:  # a file was validated as it was read
+        params = _read_params(args.to_validate)
+        if args.to_validate in NAMED_PARAMS:  # a file was validated as it was read
             validate_params((params.p, params.q, params.g))
     except (NotPrime, OrderMismatch, BadGenerator) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
@@ -276,8 +282,7 @@ def cmd_params_validate(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    params = _read_params(args.params)
-    key = sdss.keygen(params, args.rng)
+    key = sdss.keygen(args.params, args.rng)
     _write_output(args.out, (json.dumps({"x": key.x, "y": key.y}) + "\n").encode(),
                   _SECRET_MODE)
     if args.pub_out:
@@ -287,122 +292,98 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_sdss_sign(args) -> int:
-    params = _read_params(args.params)
-    key = _read_key(args.key, params)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    sig = sdss.sign(m, key, params, std_suite(), args.rng)
-    _write_wire(args.out, sig)
+    _write_wire(args.out, sdss.sign(m, args.key, args.params, std_suite(), args.rng))
     return 0
 
 
 def cmd_verify(args) -> int:
     """sdss verify and blind verify. The parser sets args.lib (the scheme's
     module) and args.wire (its signature class)."""
-    params = _read_params(args.params)
     sig = _read_wire(args.sig, args.wire)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    signer_pub = _read_pub(args.signer_pub, params)
-    if not args.lib.verify(m, sig, signer_pub, params, std_suite()):
+    signer_pub = _read_pub(args.signer_pub, args.params)
+    if not args.lib.verify(m, sig, signer_pub, args.params, std_suite()):
         raise VerifyFailure("signature rejected")
     print("signature ok")
     return 0
 
 
 def cmd_zheng_seal(args) -> int:
-    params = _read_params(args.params)
-    key = _read_key(args.key, params)
-    recipient_pub = _read_pub(args.recipient_pub, params)
+    recipient_pub = _read_pub(args.recipient_pub, args.params)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    ct = zheng.signcrypt(m, key, recipient_pub, _bind_info(args, recipient_pub),
-                         params, std_suite(), args.rng)
+    ct = zheng.signcrypt(m, args.key, recipient_pub, _bind_info(args, recipient_pub),
+                         args.params, std_suite(), args.rng)
     _write_wire(args.out, ct)
     return 0
 
 
 def cmd_open(args) -> int:
     """zheng open and bsc open, set up by the parser as for cmd_verify."""
-    params = _read_params(args.params)
-    key = _read_key(args.key, params)
     ct = _read_wire(args.infile, args.wire)
-    m = args.lib.unsigncrypt(ct, key, _read_pub(args.signer_pub, params),
-                             _bind_info(args, key.y), params, std_suite())
+    m = args.lib.unsigncrypt(ct, args.key, _read_pub(args.signer_pub, args.params),
+                             _bind_info(args, args.key.y), args.params, std_suite())
     _write_output(args.out, m)
     print(f"recovered {len(m)} bytes", file=sys.stderr)  # --out may be /dev/stdout
     return 0
 
 
 def cmd_session_commit(args) -> int:
-    params = _read_params(args.params)
-    key = _read_key(args.key, params)
-    session, commit = blind_sdss.signer_commit(key, params, args.rng)
-    _save_state(args.state_out, session, args)
-    _write_wire(args.out, commit)
+    _send(args, args.state_out, *blind_sdss.signer_commit(args.key, args.params, args.rng))
     return 0
 
 
 def cmd_blind_challenge(args) -> int:
-    params = _read_params(args.params)
     commit = _read_wire(args.commit, blind_sdss.CommitMsg)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    session, challenge = blind_sdss.requester_challenge(
-        m, commit.z, _read_pub(args.signer_pub, params), params, std_suite(), args.rng)
-    _save_state(args.state_out, session, args)
-    _write_wire(args.out, challenge)
+    _send(args, args.state_out, *blind_sdss.requester_challenge(
+        m, commit.z, _read_pub(args.signer_pub, args.params), args.params, std_suite(),
+        args.rng))
     return 0
 
 
 def cmd_session_respond(args) -> int:
-    params = _read_params(args.params)
-    key = _read_key(args.key, params)
-    session = _load_state(args.state, args, blind_sdss.SignerSession, params)
+    session = _load_state(args.state, args, blind_sdss.SignerSession, args.params)
     challenge = _read_wire(args.challenge, blind_sdss.ChallengeMsg)
-    response = blind_sdss.signer_respond(session, challenge.r_bar, key)
-    _save_state(args.state, session, args)
-    _write_wire(args.out, response)
+    _send(args, args.state, session,
+          blind_sdss.signer_respond(session, challenge.r_bar, args.key))
     return 0
 
 
 def cmd_blind_finalize(args) -> int:
-    params = _read_params(args.params)
-    session = _load_state(args.state, args, blind_sdss.RequesterSession, params)
+    session = _load_state(args.state, args, blind_sdss.RequesterSession, args.params)
     response = _read_wire(args.response, blind_sdss.ResponseMsg)
-    sig = blind_sdss.requester_finalize(session, response.s_bar, params)
+    sig = blind_sdss.requester_finalize(session, response.s_bar, args.params)
     m, session.m = session.m, b""  # a spent session's m is never read again
     _save_state(args.state, session, args)
-    if not blind_sdss.verify(m, sig, session.signer_pub, params, std_suite()):
+    if not blind_sdss.verify(m, sig, session.signer_pub, args.params, std_suite()):
         raise VerifyFailure("unblinded signature failed verification")
     _write_wire(args.out, sig)
     return 0
 
 
 def cmd_bsc_challenge(args) -> int:
-    params = _read_params(args.params)
     commit = _read_wire(args.commit, blind_sdss.CommitMsg)
-    recipient_pub = _read_pub(args.recipient_pub, params)
+    recipient_pub = _read_pub(args.recipient_pub, args.params)
     m = _read_input(args.infile, MAX_MESSAGE_BYTES)
-    session, challenge = blind_signcrypt.bsc_requester_challenge(
-        m, commit.z, recipient_pub, _bind_info(args, recipient_pub), params,
-        std_suite(), args.rng)
-    _save_state(args.state_out, session, args)
-    _write_wire(args.out, challenge)
+    _send(args, args.state_out, *blind_signcrypt.bsc_requester_challenge(
+        m, commit.z, recipient_pub, _bind_info(args, recipient_pub), args.params,
+        std_suite(), args.rng))
     return 0
 
 
 def cmd_bsc_finalize(args) -> int:
-    params = _read_params(args.params)
-    session = _load_state(args.state, args, blind_signcrypt.BscRequesterSession, params)
+    session = _load_state(args.state, args, blind_signcrypt.BscRequesterSession, args.params)
     response = _read_wire(args.response, blind_sdss.ResponseMsg)
-    ct = blind_signcrypt.bsc_requester_finalize(session, response.s_bar, params)
+    ct = blind_signcrypt.bsc_requester_finalize(session, response.s_bar, args.params)
     session.c = b""  # a spent session's c is never read again
-    _save_state(args.state, session, args)
-    _write_wire(args.out, ct)
+    _send(args, args.state, session, ct)
     return 0
 
 
 def cmd_bench(args) -> int:
-    params = _read_params(args.params)
     report = harness.measure_exponentiation_counts(
-        _SCHEME_NAMES[args.scheme], params, std_suite(), args.rng)
+        _SCHEME_NAMES[args.scheme], args.params, std_suite(), args.rng)
     if args.party:
         if args.party not in report.counts:
             raise UsageFailure(f"scheme {args.scheme} has no party {args.party}; "
@@ -433,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--bits-p", type=int, default=512)
     gen.add_argument("--bits-q", type=int, default=160)
     gen.add_argument("--out", required=True)
-    _command(psub, "validate", cmd_params_validate, "--params")
+    _command(psub, "validate", cmd_params_validate).add_argument(
+        "--params", dest="to_validate", metavar="PARAMS", required=True)
 
     _command(sub, "keygen", cmd_keygen, "--params", "--out", optional=("--pub-out",),
              help="generate a key pair")
@@ -486,7 +468,8 @@ def _group(sub, name: str, title: str):
 def _command(sub, name: str, func, *flags: str, optional: tuple[str, ...] = (), **kwargs):
     """Add subcommand `name` running func, with required flags, then optional ones.
     --in stores args.infile ("in" is a keyword), and the signer's key is
-    args.signer_pub whatever the command calls its flag."""
+    args.signer_pub whatever the command calls its flag. `main` loads --params
+    and --key into args.params and args.key before func runs."""
     cmd = sub.add_parser(name, **kwargs)
     dests = {"--in": "infile", "--pub": "signer_pub", "--sender-pub": "signer_pub"}
     for flag in flags:
@@ -512,6 +495,10 @@ def main(argv=None) -> int:
     args.rng = random.Random(args.seed) if args.test_mode else secrets.SystemRandom()
 
     try:
+        if "params" in args:
+            args.params = _read_params(args.params)
+        if "key" in args:
+            args.key = _read_key(args.key, args.params)
         return args.func(args)
     except (TagMismatch, VerifyFailure) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
@@ -519,7 +506,3 @@ def main(argv=None) -> int:
     except (UsageFailure, ProtocolError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -223,6 +223,30 @@ class TestRejection:
             with pytest.raises(TagMismatch):
                 unsigncrypt(bad, recipient, signer.y, BIND, desk, suite)
 
+    def test_zero_r_refused_though_its_tag_matches(self, toy, stub_suite):
+        # c is sealed under (y_A * T * g^0)^(s * x_C) with the keyed hash
+        # pinned to 0, so only the range check on r refuses the text
+        s, T = 8, 13
+        shared = modexp(ALICE.y * T % toy.p, s * CAROL.x % toy.q, toy.p)
+        stub_suite.stub_keyed_hash(derive_keys(shared, stub_suite).k2, kh_preimage(MSG, BIND), 0)
+        r, c = seal(shared, MSG, BIND, toy, stub_suite)
+        assert r == 0
+        with pytest.raises(TagMismatch, match="scalar out of range"):
+            unsigncrypt(BlindSigncryptedText(c=c, r=r, s=s, T=T), CAROL, ALICE.y, BIND,
+                        toy, stub_suite)
+
+    def test_T_out_of_range_refused(self, toy, stub_suite):
+        # T = 0 and T = p give y_A * T = 0 mod p; the shared element is
+        # refused like the open, not computed as 0
+        suite = pin_keyed_hash(stub_suite)
+        _, _, _, ct = run_toy_pipeline(toy, suite)
+        for T in (0, toy.p):
+            bad = dataclasses.replace(ct, T=T)
+            with pytest.raises(TagMismatch, match="T out of range"):
+                shared_element(bad, CAROL, ALICE.y, toy)
+            with pytest.raises(TagMismatch, match="T out of range"):
+                unsigncrypt(bad, CAROL, ALICE.y, BIND, toy, suite)
+
 
 class TestChosenTagForgery:
     """The blind SDSS chosen-T forgery carried over: with T = y_A^-1 * g^t mod p,

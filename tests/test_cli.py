@@ -236,6 +236,28 @@ class TestBlindSession:
         assert "already unblinded" in capsys.readouterr().err
         assert not (d / "again.sig").exists()
 
+    def test_unsent_response_still_spends_the_state(self, setup, capsys):
+        # the state is saved before the response is written, so a response
+        # that cannot be written leaves k_tilde spent all the same
+        d = setup["dir"]
+        msg = d / "m"
+        msg.write_bytes(b"x")
+        run("--test-mode", "--seed", 11, "blind", "commit", "--params", setup["params"],
+            "--key", setup["key_a"], "--state-out", d / "a.state",
+            "--out", d / "commit.wire")
+        run("--test-mode", "--seed", 12, "blind", "challenge", "--params", setup["params"],
+            "--signer-pub", setup["pub_a"], "--in", msg, "--commit", d / "commit.wire",
+            "--state-out", d / "b.state", "--out", d / "challenge.wire")
+        respond = ("--test-mode", "--seed", 11, "blind", "respond", "--params", setup["params"],
+                   "--key", setup["key_a"], "--state", d / "a.state",
+                   "--challenge", d / "challenge.wire", "--out")
+        (d / "out-dir").mkdir()
+        assert run(*respond, d / "out-dir") == 2
+        capsys.readouterr()
+        assert run(*respond, d / "r.wire") == 2
+        assert "already responded" in capsys.readouterr().err
+        assert not (d / "r.wire").exists()
+
 
 class TestWrongResponse:
     """desk512: at the fixture's 8-bit q a wrong s verifies about once in q tries."""

@@ -141,6 +141,17 @@ class TestRejection:
             with pytest.raises(TagMismatch):
                 unsigncrypt(bad, recipient, sender.y, BIND, desk, suite)
 
+    def test_zero_r_refused_though_its_tag_matches(self, toy, stub_suite):
+        # c is sealed under (y_A * g^0)^(s * x_B) with the keyed hash pinned to
+        # 0, so only the range check on r refuses the text
+        s = 5
+        shared = modexp(ALICE.y, s * BOB.x % toy.q, toy.p)
+        stub_suite.stub_keyed_hash(derive_keys(shared, stub_suite).k2, kh_preimage(MSG, BIND), 0)
+        r, c = seal(shared, MSG, BIND, toy, stub_suite)
+        assert r == 0
+        with pytest.raises(TagMismatch, match="scalar out of range"):
+            unsigncrypt(SigncryptedText(c=c, r=r, s=s), BOB, ALICE.y, BIND, toy, stub_suite)
+
 
 class TestSubgroupAttacks:
     """A sender key g^x * (p - 1), with p - 1 of order 2, multiplies C's
