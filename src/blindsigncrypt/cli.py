@@ -5,6 +5,10 @@ bytes between files and library calls. Exit codes: 0 success, 1 verification
 or tag failure, 2 usage/input error. Run it as `python -m blindsigncrypt` or
 as the `blindsigncrypt` console script; both call `main`.
 
+`main` reads a well-formed argv with the command's own parser alone, and any
+other with argparse's full parse, the only source of top-level help, usage
+and errors (see `_parse`).
+
 Multi-invocation blind sessions need the one-shot nonces (k_tilde, u) to
 survive between processes. They are persisted only under --test-mode, as the
 session's wire message in a state file, encrypted and MAC'd under a key
@@ -18,6 +22,7 @@ import argparse
 import functools
 import hashlib
 import hmac
+import io
 import json
 import os
 import random
@@ -51,6 +56,9 @@ MAX_MESSAGE_BYTES = 8 << 20
 # the message's bytes once inside its armor, ~2.04 bytes per message byte with
 # its fixed fields, until finalize drops them.
 _MAX_FILE_BYTES = 3 * MAX_MESSAGE_BYTES
+# The most bytes one read of an unsized input asks for: each read allocates
+# what it asks for on top of what is held. A pipe hands over 64 KiB at most.
+_READ_CHUNK = 64 << 10
 
 # The widest p a parameter file may hold or `params gen` may make. A primality
 # round costs about 8x more per doubling of p: 0.14 s at 8192 bits, 9.6 s at 32,768.
@@ -78,23 +86,27 @@ def _read_input(path: str, limit: int = _MAX_FILE_BYTES) -> bytes:
     The read asks for the size fstat reports plus one probe byte, so what it
     allocates is bounded by the file, not by the limit. Only when the probe
     byte arrives (a pipe or a device, which report no size, or a file that
-    grew since fstat) does it read on, up to one byte past the limit. Each
-    further read asks for at most as many bytes as are already held, so
-    what it allocates stays bounded by the input, and the reads are joined
-    once."""
+    grew since fstat) does it read on, up to one byte past the limit, into
+    one growing buffer whose bytes are returned without a copy. Each further
+    read asks for at most as many bytes as are already held, so what it
+    allocates stays bounded by the input, and at most _READ_CHUNK, so the
+    input is held about once."""
     too_large = UsageFailure(f"{path} is larger than the limit of {limit} bytes")
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size > limit:
             raise too_large
-        chunks = [f.read(size + 1)]
-        total = len(chunks[0])
-        while size < total <= limit and (chunk := f.read1(min(total, limit + 1 - total))):
-            chunks.append(chunk)
-            total += len(chunk)
+        data = f.read(size + 1)
+        if len(data) <= size:
+            return data
+        buf = io.BytesIO(data)
+        buf.seek(0, io.SEEK_END)
+        while (total := buf.tell()) <= limit and (
+                chunk := f.read1(min(total, _READ_CHUNK, limit + 1 - total))):
+            buf.write(chunk)
     if total > limit:
         raise too_large
-    return b"".join(chunks)  # one chunk is returned as it is, not copied
+    return buf.getvalue()  # the buffer itself, not a copy, while nothing else holds it
 
 
 def _write_output(path: str, data: bytes, mode: int = 0o666) -> None:
@@ -399,7 +411,10 @@ def cmd_bench(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no state
-    between calls, so every main() call can share it."""
+    between calls, so every main() call can share it.
+
+    Its `leaves` maps each command's words, ("bsc", "commit") or ("keygen",),
+    to that command's own parser, which `_parse` calls directly."""
     parser = argparse.ArgumentParser(
         prog="blindsigncrypt",
         description="Blind signcryption toolkit: SDSS / Zheng / blind sessions")
@@ -408,52 +423,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (requires --test-mode; default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.leaves = {}
+    top = functools.partial(_command, parser.leaves, sub, ())
 
-    psub = _group(sub, "params", "group parameter handling")
-    gen = _command(psub, "gen", cmd_params_gen)
+    in_params = _group(parser.leaves, sub, "params", "group parameter handling")
+    gen = in_params("gen", cmd_params_gen)
     gen.add_argument("--bits-p", type=int, default=512)
     gen.add_argument("--bits-q", type=int, default=160)
     gen.add_argument("--out", required=True)
-    _command(psub, "validate", cmd_params_validate).add_argument(
+    in_params("validate", cmd_params_validate).add_argument(
         "--params", dest="to_validate", metavar="PARAMS", required=True)
 
-    _command(sub, "keygen", cmd_keygen, "--params", "--out", optional=("--pub-out",),
-             help="generate a key pair")
+    top("keygen", cmd_keygen, "--params", "--out", optional=("--pub-out",),
+        help="generate a key pair")
 
-    ssub = _group(sub, "sdss", "shortened DSS signatures")
-    _command(ssub, "sign", cmd_sdss_sign, "--params", "--key", "--in", "--out")
-    _command(ssub, "verify", cmd_verify, "--params", "--pub", "--in", "--sig").set_defaults(
+    in_sdss = _group(parser.leaves, sub, "sdss", "shortened DSS signatures")
+    in_sdss("sign", cmd_sdss_sign, "--params", "--key", "--in", "--out")
+    in_sdss("verify", cmd_verify, "--params", "--pub", "--in", "--sig").set_defaults(
         lib=sdss, wire=sdss.SdssSignature)
 
-    zsub = _group(sub, "zheng", "signcryption")
-    _command(zsub, "seal", cmd_zheng_seal, "--params", "--key", "--recipient-pub", "--in",
+    in_zheng = _group(parser.leaves, sub, "zheng", "signcryption")
+    in_zheng("seal", cmd_zheng_seal, "--params", "--key", "--recipient-pub", "--in",
              "--out", optional=("--bind-info",))
-    _command(zsub, "open", cmd_open, "--params", "--key", "--sender-pub", "--in",
+    in_zheng("open", cmd_open, "--params", "--key", "--sender-pub", "--in",
              "--out", optional=("--bind-info",)).set_defaults(
         lib=zheng, wire=zheng.SigncryptedText)
 
-    bsub = _group(sub, "blind", "blind signature session")
-    _command(bsub, "commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
-    _command(bsub, "challenge", cmd_blind_challenge, "--params", "--signer-pub", "--in",
+    in_blind = _group(parser.leaves, sub, "blind", "blind signature session")
+    in_blind("commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
+    in_blind("challenge", cmd_blind_challenge, "--params", "--signer-pub", "--in",
              "--commit", "--state-out", "--out")
-    _command(bsub, "respond", cmd_session_respond, "--params", "--key", "--state",
+    in_blind("respond", cmd_session_respond, "--params", "--key", "--state",
              "--challenge", "--out")
-    _command(bsub, "finalize", cmd_blind_finalize, "--params", "--state", "--response", "--out")
-    _command(bsub, "verify", cmd_verify, "--params", "--signer-pub", "--in", "--sig").set_defaults(
+    in_blind("finalize", cmd_blind_finalize, "--params", "--state", "--response", "--out")
+    in_blind("verify", cmd_verify, "--params", "--signer-pub", "--in", "--sig").set_defaults(
         lib=blind_sdss, wire=blind_sdss.BlindSignature)
 
-    csub = _group(sub, "bsc", "blind signcryption session")
-    _command(csub, "commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
-    _command(csub, "challenge", cmd_bsc_challenge, "--params", "--recipient-pub", "--in",
-             "--commit", "--state-out", "--out", optional=("--bind-info",))
-    _command(csub, "respond", cmd_session_respond, "--params", "--key", "--state",
-             "--challenge", "--out")
-    _command(csub, "finalize", cmd_bsc_finalize, "--params", "--state", "--response", "--out")
-    _command(csub, "open", cmd_open, "--params", "--key", "--signer-pub", "--in", "--out",
-             optional=("--bind-info",)).set_defaults(
+    in_bsc = _group(parser.leaves, sub, "bsc", "blind signcryption session")
+    in_bsc("commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
+    in_bsc("challenge", cmd_bsc_challenge, "--params", "--recipient-pub", "--in",
+           "--commit", "--state-out", "--out", optional=("--bind-info",))
+    in_bsc("respond", cmd_session_respond, "--params", "--key", "--state",
+           "--challenge", "--out")
+    in_bsc("finalize", cmd_bsc_finalize, "--params", "--state", "--response", "--out")
+    in_bsc("open", cmd_open, "--params", "--key", "--signer-pub", "--in", "--out",
+           optional=("--bind-info",)).set_defaults(
         lib=blind_signcrypt, wire=blind_signcrypt.BlindSigncryptedText)
 
-    bench = _command(sub, "bench", cmd_bench, help="per-party modular-exponentiation counts")
+    bench = top("bench", cmd_bench, help="per-party modular-exponentiation counts")
     bench.add_argument("--scheme", required=True, choices=sorted(_SCHEME_NAMES))
     bench.add_argument("--params", required=True)
     bench.add_argument("--party", choices=["A", "B", "C", "verify"])
@@ -461,16 +478,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _group(sub, name: str, title: str):
-    return sub.add_parser(name, help=title).add_subparsers(dest="subcommand", required=True)
+def _group(leaves: dict, sub, name: str, title: str):
+    """Add the command group `name`; return a function that adds a command to
+    it as _command does, given the command's name and what follows."""
+    group = sub.add_parser(name, help=title).add_subparsers(dest="subcommand", required=True)
+    return functools.partial(_command, leaves, group, (name,))
 
 
-def _command(sub, name: str, func, *flags: str, optional: tuple[str, ...] = (), **kwargs):
-    """Add subcommand `name` running func, with required flags, then optional ones.
+def _command(leaves: dict, sub, group: tuple[str, ...], name: str, func, *flags: str,
+             optional: tuple[str, ...] = (), **kwargs):
+    """Add subcommand `name` running func, with required flags, then optional ones,
+    and record its parser in leaves under its words: group + (name,).
     --in stores args.infile ("in" is a keyword), and the signer's key is
     args.signer_pub whatever the command calls its flag. `main` loads --params
     and --key into args.params and args.key before func runs."""
-    cmd = sub.add_parser(name, **kwargs)
+    cmd = leaves[group + (name,)] = sub.add_parser(name, **kwargs)
     dests = {"--in": "infile", "--pub": "signer_pub", "--sender-pub": "signer_pub"}
     for flag in flags:
         cmd.add_argument(flag, dest=dests.get(flag), required=True)
@@ -480,10 +502,46 @@ def _command(sub, name: str, func, *flags: str, optional: tuple[str, ...] = (), 
     return cmd
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), skipping the scans of argv at the top
+    level and in the command's group when argv is well formed: the exact
+    global tokens --test-mode and --seed N (N not starting with "-", read by
+    int as type=int does), a command's words, then flags its parser takes in
+    full. That parser alone reads them, into the namespace the upper levels
+    would have filled. Anything else, such as `--seed=N`, an abbreviated
+    global flag, `-h` or `--` before the command, no command or leftover
+    words, gets the full parse. A command's own errors and -h read the same
+    either way, because the full parse hands its parser the same strings."""
     parser = build_parser()
+    words = sys.argv[1:] if argv is None else list(argv)
+    test_mode, seed, i = False, None, 0
     try:
-        args = parser.parse_args(argv)
+        while words[i] in ("--test-mode", "--seed"):
+            if words[i] == "--test-mode":
+                test_mode, i = True, i + 1
+            elif words[i + 1].startswith("-"):  # argparse reads it as a flag, not a value
+                break  # and "--seed" names no command
+            else:
+                seed, i = int(words[i + 1]), i + 2
+        names = next(n for n in (tuple(words[i:i + 2]), tuple(words[i:i + 1]))
+                     if n in parser.leaves)
+    except (IndexError, ValueError, StopIteration):
+        return parser.parse_args(words)
+    rest = words[i + len(names):]
+    # the top level reads "--=x" as an ambiguous abbreviation of its own flags
+    # and fails before the command's parser sees it
+    if not any(w.startswith("--=") for w in rest):
+        ns = argparse.Namespace(test_mode=test_mode, seed=seed,
+                                **dict(zip(("command", "subcommand"), names)))
+        args, extra = parser.leaves[names].parse_known_args(rest, ns)
+        if not extra:
+            return args
+    return parser.parse_args(words)
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

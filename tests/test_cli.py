@@ -1,14 +1,19 @@
 import builtins
+import contextlib
 import io
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsigncrypt import cli, group_math, sdss, zheng
 from blindsigncrypt.blind_sdss import BlindSignature, CommitMsg, RequesterSession, ResponseMsg
@@ -1036,6 +1041,30 @@ class TestInputLimit:
             tracemalloc.stop()
         assert peak < 1 << 20, f"{peak} bytes allocated to read 300 from a pipe"
 
+    def test_large_pipe_is_held_once(self):
+        # 8 MB is more than a pipe buffers, so a writer thread feeds it
+        data = random.Random(9).randbytes(8_000_000)
+        r, w = os.pipe()
+
+        def feed():
+            view = memoryview(data)
+            while view:
+                view = view[os.write(w, view):]
+            os.close(w)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        tracemalloc.start()
+        try:
+            assert cli._read_input(f"/dev/fd/{r}", cli.MAX_MESSAGE_BYTES) == data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=30)
+            os.close(r)
+        assert not writer.is_alive()
+        assert peak <= 1.25 * len(data), f"{peak} bytes allocated to read {len(data)} from a pipe"
+
     def test_pipe_over_limit_is_refused(self, pipe):
         limit = 10_000
         with pytest.raises(cli.UsageFailure, match=f"larger than the limit of {limit} bytes"):
@@ -1296,6 +1325,100 @@ class TestParserCache:
         assert run("params") == 2
         assert run("keygen", "--params", "toy23") == 2
         assert run("params", "validate", "--params", "toy23") == 0
+
+
+def outcome(parse, argv):
+    """The namespace parse gives, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+LEAVES = build_parser().leaves
+VALUES = ["toy23", "7", "-1", "bsc", "A", "x", ""]
+# global flags, spaced, in the = form, abbreviated, and malformed
+# ("-1_0" is a flag to argparse but a number to int)
+GLOBALS = [["--test-mode"], ["--seed", "7"], ["--seed", "-1"], ["--seed", "-1_0"],
+           ["--seed", "1_0"], ["--seed", "x"], ["--seed=7"], ["--seed"], ["--test"],
+           ["--se", "3"], ["--se=3"], ["-h"], ["--help"], ["--"], ["--=x"]]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv around one command: global flags, the command's words (or a
+    group's alone, an unknown word or none), then its flags in any order,
+    repeated, spaced, in the = form, abbreviated, unknown or missing."""
+    words = draw(st.sampled_from(sorted(LEAVES) + [("bsc",), ("nope",), ()]))
+    flags = re.findall(r"--[a-z-]+", LEAVES[words].format_usage()) if words in LEAVES else []
+    flag = st.sampled_from(flags or ["--params"])
+    value = st.sampled_from(VALUES)
+    part = st.one_of(
+        st.tuples(flag, value).map(list),
+        st.builds(lambda f, v: [f"{f}={v}"], flag, value),
+        st.builds(lambda f, n: [f[:n]], flag, st.integers(3, 6)),  # abbreviated
+        st.sampled_from([["--bogus"], ["-x"], ["-h"], ["--help"], ["--", "x"], ["--=x"]]),
+        st.sampled_from(GLOBALS),
+    )
+    required = [[f, draw(value)] for f in flags] if draw(st.booleans()) else []
+    body = draw(st.permutations(required + draw(st.lists(part, max_size=3))))
+    before = draw(st.lists(st.sampled_from(GLOBALS), max_size=3))
+    return [w for p in before for w in p] + list(words) + [w for p in body for w in p]
+
+
+class TestDispatch:
+    """cli._parse hands a well-formed argv to the command's own parser and
+    everything else to the full parse, with the same result either way."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(command_lines())
+    def test_same_result_as_the_full_parse(self, argv):
+        assert outcome(cli._parse, argv) == outcome(build_parser().parse_args, argv)
+
+    def test_session_commands_skip_the_full_parse(self, tmp_path, monkeypatch):
+        # keygen and the five commands of a file-based bsc session, shaped as
+        # perfbench's cli_session workload runs them; a silent fallback to the
+        # full parse would cost that workload its parse time and fail no other test
+        f = {name: str(tmp_path / name) for name in (
+            "signer.json", "signer.pub", "recipient.json", "recipient.pub", "msg.bin",
+            "commit.arm", "challenge.arm", "response.arm", "sealed.arm", "opened.bin",
+            "signer.state", "requester.state")}
+        parser = build_parser()
+        full = []
+        real = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda *a: full.append(a) or real(*a))
+        for seed, role in ((11, "signer"), (12, "recipient")):
+            assert main(["--test-mode", "--seed", str(seed), "keygen", "--params", "desk512",
+                         "--out", f[f"{role}.json"], "--pub-out", f[f"{role}.pub"]]) == 0
+        m = b"through the command parsers alone"
+        (tmp_path / "msg.bin").write_bytes(m)
+        seeded = lambda seed, command: ["--test-mode", "--seed", str(seed), "bsc", command,
+                                        "--params", "desk512"]
+        for argv in (
+                seeded(21, "commit") + ["--key", f["signer.json"], "--state-out",
+                                        f["signer.state"], "--out", f["commit.arm"]],
+                seeded(22, "challenge") + [
+                    "--recipient-pub", f["recipient.pub"], "--in", f["msg.bin"],
+                    "--commit", f["commit.arm"], "--state-out", f["requester.state"],
+                    "--out", f["challenge.arm"]],
+                seeded(21, "respond") + ["--key", f["signer.json"], "--state", f["signer.state"],
+                                         "--challenge", f["challenge.arm"],
+                                         "--out", f["response.arm"]],
+                seeded(22, "finalize") + ["--state", f["requester.state"],
+                                          "--response", f["response.arm"],
+                                          "--out", f["sealed.arm"]],
+                ["bsc", "open", "--params", "desk512", "--key", f["recipient.json"],
+                 "--signer-pub", f["signer.pub"], "--in", f["sealed.arm"],
+                 "--out", f["opened.bin"]]):
+            assert main(argv) == 0, argv
+        assert (tmp_path / "opened.bin").read_bytes() == m
+        assert full == []
+        # the spy sees the argvs that do take the full parse
+        assert main(["--test-mode", "--seed=11", "keygen", "--params", "desk512",
+                     "--out", f["signer.json"]]) == 0
+        assert len(full) == 1
 
 
 def test_module_entry_point():
