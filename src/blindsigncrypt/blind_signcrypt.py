@@ -14,7 +14,7 @@ Both halves of the session are the blind-SDSS ones: the signer half is
 shared outright (`bsc_signer_commit` / `bsc_signer_respond` are aliases), and
 the requester runs the same core (`blind_sdss.blind_challenge` and
 `blind_sdss.unblind`) with Zheng's seal in place of the plain hash. The
-recipient's open path is Zheng's, with y_A * T in place of y_A.
+recipient's open is `zheng.unsigncrypt`, with y_A * T in place of y_A.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .crypto_suite import CryptoSuite
 from .errors import TagMismatch
 from .group_math import GroupElement, GroupParams, Scalar, modexp
 from .sdss import KeyPair, key_power
+from .zheng import unsigncrypt as zheng_unsigncrypt
 
 __all__ = [
     "BlindSigncryptedText",
@@ -43,7 +44,6 @@ __all__ = [
     "bsc_signer_respond",
     "bsc_requester_challenge",
     "bsc_requester_finalize",
-    "open_sealed",
     "unsigncrypt",
 ]
 
@@ -101,18 +101,10 @@ def shared_element(ct: BlindSigncryptedText, recipient: KeyPair,
                      ct.s * recipient.x % params.q, params)
 
 
-def open_sealed(ct: BlindSigncryptedText, recipient: KeyPair,
-                signer_pub: GroupElement, bind_info: bytes, params: GroupParams,
-                suite: CryptoSuite) -> tuple[bytes, GroupElement]:
-    """The recipient's move: Zheng's open under `one_time_key`'s y_A * T.
-    Returns the message and the shared element (y_C^u mod p for an honest
-    text), or raises TagMismatch and exposes neither."""
-    return zheng.open_sealed(ct, recipient, _signer_part(signer_pub, ct.T, params),
-                             bind_info, params, suite)
-
-
 def unsigncrypt(ct: BlindSigncryptedText, recipient: KeyPair,
                 signer_pub: GroupElement, bind_info: bytes,
                 params: GroupParams, suite: CryptoSuite) -> bytes:
-    """Decrypt-and-verify; returns the message or raises TagMismatch."""
-    return open_sealed(ct, recipient, signer_pub, bind_info, params, suite)[0]
+    """The recipient's move, Zheng's open under `one_time_key`'s y_A * T;
+    returns the message or raises TagMismatch."""
+    return zheng_unsigncrypt(ct, recipient, _signer_part(signer_pub, ct.T, params),
+                             bind_info, params, suite)

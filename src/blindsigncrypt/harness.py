@@ -9,11 +9,10 @@ The blindness check is structural, not statistical: every (view, output)
 pairing across independent sessions must admit consistent blinding factors,
 which makes any view compatible with any signature. The consistency checks
 raise HarnessCheckFailed, so they hold under `python -O` too. Both schemes
-check the one-time key y_A * T against g^a, the power the secrets predict;
-then blind SDSS asserts that the verifier accepts, and blind signcryption
-compares y_C^u with the recipient's shared element. No check retakes a power
-of the receiving party's move, so a session costs 7 counted powers (blind
-SDSS) or 8 (blind signcryption), the protocol's 6 included.
+check the one-time key y_A * T against g^a, the power the secrets predict,
+then run the receiving party's move, which must accept. No check retakes a
+power of that move, so a session costs 7 counted powers for either scheme,
+the protocol's 6 included.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .blind_sdss import BlindingSession, BlindSignature, View
 from .blind_signcrypt import BlindSigncryptedText
 from .crypto_suite import CryptoSuite
 from .errors import DegenerateDenominator, HarnessCheckFailed, RngFailure, TagMismatch
-from .group_math import GroupElement, GroupParams, count_exponentiations, modexp, retry
+from .group_math import GroupParams, count_exponentiations, modexp, retry
 from .sdss import KeyPair, keygen
 
 SCHEMES = ("blind_sdss", "blind_signcrypt")
@@ -163,25 +162,23 @@ def _check(ok: bool, what: str) -> None:
         raise HarnessCheckFailed(f"harness check failed: {what}")
 
 
-def _open(t: FullTranscript) -> GroupElement | None:
+def _open(t: FullTranscript) -> None:
     """The receiving party's move: verify the signature or unsigncrypt the
-    text, counted in t.modexp_counts under "verify" or "C". The verifier
-    returns None; the recipient returns the element its move computed,
-    y_C^u for an honest transcript. A rejection raises HarnessCheckFailed."""
+    text, counted in t.modexp_counts under "verify" or "C". A rejection
+    raises HarnessCheckFailed."""
     ctx = t.context
     with _counted(t.modexp_counts, "verify" if ctx.scheme == "blind_sdss" else "C"):
         if ctx.scheme == "blind_sdss":
             _check(blind_sdss.verify(t.message, t.signature(), ctx.signer.y,
                                      ctx.params, ctx.suite),
                    "blind signature verifies")
-            return None
+            return
         try:
-            recovered, shared = blind_signcrypt.open_sealed(
+            recovered = blind_signcrypt.unsigncrypt(
                 t.output, ctx.recipient, ctx.signer.y, ctx.bind_info, ctx.params, ctx.suite)
         except TagMismatch:
-            recovered = shared = None
+            recovered = None
         _check(recovered == t.message, "unsigncrypt recovers the message")
-        return shared
 
 
 def _check_consistent(t: FullTranscript) -> None:
@@ -189,26 +186,25 @@ def _check_consistent(t: FullTranscript) -> None:
 
     The scalar equations come first. Then, for both schemes, one power of g
     checks the one-time key y_A * T against g^a (`blind_sdss.one_time_exponent`),
-    which implies that the signature recovers K = g^u. Last the receiving
-    party's move runs: the verifier must accept (blind_sdss, 7 counted powers
-    with the protocol's 6), or y_C^u must equal the recipient's shared
-    element (blind_signcrypt, 8 counted powers).
+    which implies that the signature recovers K = g^u. T's range rule is left
+    to the receiving party's move, which runs last and must accept: 7 counted
+    powers with the protocol's 6. That move's key agreement needs no check of
+    its own: with y_A * T = g^a and a = s^-1 * u - r, the recipient's
+    (y_A * T * g^r)^(s * x_C) is g^(u * x_C), and a recipient entry whose y_C
+    is not g^x_C already fails the open, because the requester sealed under
+    y_C^u.
     """
     ctx = t.context
-    p, q, g = ctx.params.p, ctx.params.q, ctx.params.g
+    p, q = ctx.params.p, ctx.params.q
     sec = t.requester_secrets
 
     _check(t.view.s_bar == (ctx.signer.x + t.view.r_bar * t.view.k_tilde) % q,
            "s_bar = x + r_bar * k_tilde")
     _check(t.view.r_bar == (sec.r + sec.beta) % q, "r_bar = r + beta")
     a = blind_sdss.one_time_exponent(t.signature(), sec.u, q)
-    _check(a is not None and
-           blind_sdss.one_time_key(ctx.signer.y, t.output.T, ctx.params) == modexp(g, a, p),
+    _check(a is not None and ctx.signer.y * t.output.T % p == modexp(ctx.params.g, a, p),
            "y_A * T = g^(s^-1 * u - r), so the signature recovers the commitment g^u")
-    shared = _open(t)
-    if ctx.scheme == "blind_signcrypt":
-        _check(shared == modexp(ctx.recipient.y, sec.u, p),
-               "key agreement y_C^u = (y_A * T * g^r)^(s * x_C)")
+    _open(t)
 
 
 # -- cross-pairing blindness check ----------------------------------------------

@@ -53,15 +53,14 @@ def signcrypt(m: bytes, sender: KeyPair, recipient_pub: GroupElement,
                  RngFailure("signcrypt kept hitting degenerate r; suspect rng or hash stub"))
 
 
-def open_sealed(ct, recipient: KeyPair, signer_part: GroupElement, bind_info: bytes,
-                params: GroupParams, suite: CryptoSuite) -> tuple[bytes, GroupElement]:
-    """The recipient path both signcryption schemes share: range-check r and
-    s, rebuild the shared element with `key_power` (signer_part is y_A here
-    and y_A * T in blind signcryption), decrypt (the stream cipher is its own
-    inverse), and accept only if the keyed hash reduces back to r.
-
-    Returns the message and the shared element, the one place the recipient
-    computes it; a rejected text raises TagMismatch and exposes neither."""
+def unsigncrypt(ct, recipient: KeyPair, signer_part: GroupElement, bind_info: bytes,
+                params: GroupParams, suite: CryptoSuite) -> bytes:
+    """Decrypt-and-verify, the recipient path of both signcryption schemes:
+    range-check r and s, rebuild the shared element with `key_power`
+    (signer_part is y_A here and y_A * T in blind signcryption), decrypt (the
+    stream cipher is its own inverse), and accept only if the keyed hash
+    reduces back to r. Returns the message or raises TagMismatch; nothing of
+    the plaintext is exposed on failure."""
     if not (0 < ct.r < params.q and 0 < ct.s < params.q):
         raise TagMismatch("scalar out of range")  # rejects s+q style re-encodings
     shared = key_power(signer_part, ct.r, ct.s * recipient.x % params.q, params)
@@ -69,12 +68,4 @@ def open_sealed(ct, recipient: KeyPair, signer_part: GroupElement, bind_info: by
     m = suite.cipher_encrypt(keys.k1, ct.c)
     if keyed_hash_to_scalar(keys.k2, m, bind_info, params.q, suite) != ct.r:
         raise TagMismatch("keyed-hash check failed")
-    return m, shared
-
-
-def unsigncrypt(ct: SigncryptedText, recipient: KeyPair,
-                sender_pub: GroupElement, bind_info: bytes,
-                params: GroupParams, suite: CryptoSuite) -> bytes:
-    """Decrypt-and-verify. Returns the message or raises TagMismatch;
-    nothing of the plaintext is exposed on failure."""
-    return open_sealed(ct, recipient, sender_pub, bind_info, params, suite)[0]
+    return m

@@ -138,17 +138,20 @@ class TestZhengCli:
                                  std_suite(), random.Random(5))
         assert dearmor(ct.read_text()) == encode(sealed)
 
-    def test_tampered_ciphertext_exits_1(self, setup):
+    def test_tampered_ciphertext_exits_1(self, setup, capsys):
         msg, ct, out = (setup["dir"] / n for n in ("z.msg", "z.ct", "z.out"))
         msg.write_bytes(b"sealed orders")
         run("--test-mode", "--seed", 5, "zheng", "seal", "--params", setup["params"],
             "--key", setup["key_a"], "--recipient-pub", setup["pub_c"],
             "--in", msg, "--out", ct)
+        capsys.readouterr()
         # bind_info defaults to the recipient identity, so a different
-        # bind_info on open must fail
+        # bind_info on open must fail, and write no plaintext
         assert run("zheng", "open", "--params", setup["params"], "--key", setup["key_c"],
                    "--sender-pub", setup["pub_a"], "--in", ct, "--out", out,
                    "--bind-info", "someone-else") == 1
+        assert "rejected: keyed-hash check failed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBlindSession:
@@ -358,16 +361,19 @@ class TestBscSession:
             "--key", setup["key_a"], "--state-out", d / "s2", "--out", d / "w2")
         assert (d / "w1").read_bytes() == (d / "w2").read_bytes()
 
-    def test_wrong_bind_info_exits_1(self, setup):
+    def test_wrong_bind_info_exits_1(self, setup, capsys):
         for attempt in range(6):
             codes, _ = self.full_round(setup, b"bound", seed_a=31 + attempt * 100,
                                        seed_b=32 + attempt * 100)
             if codes[3] == 0:
                 d = setup["dir"]
+                capsys.readouterr()
                 assert run("bsc", "open", "--params", setup["params"],
                            "--key", setup["key_c"], "--signer-pub", setup["pub_a"],
                            "--in", d / "sealed.wire", "--out", d / "no.txt",
                            "--bind-info", "not-carol") == 1
+                assert "rejected: keyed-hash check failed" in capsys.readouterr().err
+                assert not (d / "no.txt").exists()
                 return
         pytest.fail("every attempt hit a degenerate denominator")
 

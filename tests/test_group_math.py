@@ -356,8 +356,8 @@ class TestPower:
         monkeypatch.setattr(group_math, "_power", spy_power)
         monkeypatch.setattr(group_math, "_power2", spy_power2)
         monkeypatch.setattr(zheng, "key_power", spy_key_power)
-        monkeypatch.setattr(zheng, "open_sealed", flag(zheng.open_sealed))
-        monkeypatch.setattr(blind_signcrypt, "open_sealed", flag(blind_signcrypt.open_sealed))
+        monkeypatch.setattr(zheng, "unsigncrypt", flag(zheng.unsigncrypt))
+        monkeypatch.setattr(blind_signcrypt, "unsigncrypt", flag(blind_signcrypt.unsigncrypt))
 
         signer, recipient = keygen(desk, rng), keygen(desk, rng)
         path[0] = "sdss"
