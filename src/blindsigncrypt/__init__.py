@@ -5,7 +5,11 @@ Building blocks: shortened-DSS signatures (`sdss`), Zheng-style signcryption
 blind signcryption protocol (`blind_signcrypt`), with a canonical wire format
 (`wire_codec`), a full-knowledge test harness (`harness`), and a CLI (`cli`).
 
-Desk-scale parameters only; nothing here is hardened against side channels.
+Desk-scale parameters only, and not hardened against side channels. Powers
+with a secret exponent take OpenSSL's constant-time kernel and public ones its
+variable-time kernels (see `group_math`), but the secret inversions in
+`group_math.modinv` are not constant time (ROADMAP item 16), nor are the
+conversions and Python code around either.
 """
 
 from .group_math import GroupParams, TOY23, desk512, generate_params, validate_params

@@ -5,9 +5,9 @@ bytes between files and library calls. Exit codes: 0 success, 1 verification
 or tag failure, 2 usage/input error. Run it as `python -m blindsigncrypt` or
 as the `blindsigncrypt` console script; both call `main`.
 
-`main` reads a well-formed argv with the command's own parser alone, and any
-other with argparse's full parse, the only source of top-level help, usage
-and errors (see `_parse`).
+`main` reads a well-formed argv from its command's flag table, without
+argparse, and any other with argparse's full parse, the only source of help,
+usage and errors (see `_parse`).
 
 Multi-invocation blind sessions need the one-shot nonces (k_tilde, u) to
 survive between processes. They are persisted only under --test-mode, as the
@@ -413,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no state
     between calls, so every main() call can share it.
 
-    Its `leaves` maps each command's words, ("bsc", "commit") or ("keygen",),
-    to that command's own parser, which `_parse` calls directly."""
+    Its `leaves` and `tables` map each command's words, ("bsc", "commit") or
+    ("keygen",), to its own parser and to its flag table (see `_command`)."""
     parser = argparse.ArgumentParser(
         prog="blindsigncrypt",
         description="Blind signcryption toolkit: SDSS / Zheng / blind sessions")
@@ -423,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (requires --test-mode; default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.leaves = {}
-    top = functools.partial(_command, parser.leaves, sub, ())
+    parser.leaves, parser.tables = {}, {}
+    top = functools.partial(_command, parser, sub, ())
 
-    in_params = _group(parser.leaves, sub, "params", "group parameter handling")
+    in_params = _group(parser, sub, "params", "group parameter handling")
     gen = in_params("gen", cmd_params_gen)
     gen.add_argument("--bits-p", type=int, default=512)
     gen.add_argument("--bits-q", type=int, default=160)
@@ -437,29 +437,28 @@ def build_parser() -> argparse.ArgumentParser:
     top("keygen", cmd_keygen, "--params", "--out", optional=("--pub-out",),
         help="generate a key pair")
 
-    in_sdss = _group(parser.leaves, sub, "sdss", "shortened DSS signatures")
+    in_sdss = _group(parser, sub, "sdss", "shortened DSS signatures")
     in_sdss("sign", cmd_sdss_sign, "--params", "--key", "--in", "--out")
-    in_sdss("verify", cmd_verify, "--params", "--pub", "--in", "--sig").set_defaults(
-        lib=sdss, wire=sdss.SdssSignature)
+    in_sdss("verify", cmd_verify, "--params", "--pub", "--in", "--sig",
+            lib=sdss, wire=sdss.SdssSignature)
 
-    in_zheng = _group(parser.leaves, sub, "zheng", "signcryption")
+    in_zheng = _group(parser, sub, "zheng", "signcryption")
     in_zheng("seal", cmd_zheng_seal, "--params", "--key", "--recipient-pub", "--in",
              "--out", optional=("--bind-info",))
-    in_zheng("open", cmd_open, "--params", "--key", "--sender-pub", "--in",
-             "--out", optional=("--bind-info",)).set_defaults(
-        lib=zheng, wire=zheng.SigncryptedText)
+    in_zheng("open", cmd_open, "--params", "--key", "--sender-pub", "--in", "--out",
+             optional=("--bind-info",), lib=zheng, wire=zheng.SigncryptedText)
 
-    in_blind = _group(parser.leaves, sub, "blind", "blind signature session")
+    in_blind = _group(parser, sub, "blind", "blind signature session")
     in_blind("commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
     in_blind("challenge", cmd_blind_challenge, "--params", "--signer-pub", "--in",
              "--commit", "--state-out", "--out")
     in_blind("respond", cmd_session_respond, "--params", "--key", "--state",
              "--challenge", "--out")
     in_blind("finalize", cmd_blind_finalize, "--params", "--state", "--response", "--out")
-    in_blind("verify", cmd_verify, "--params", "--signer-pub", "--in", "--sig").set_defaults(
-        lib=blind_sdss, wire=blind_sdss.BlindSignature)
+    in_blind("verify", cmd_verify, "--params", "--signer-pub", "--in", "--sig",
+             lib=blind_sdss, wire=blind_sdss.BlindSignature)
 
-    in_bsc = _group(parser.leaves, sub, "bsc", "blind signcryption session")
+    in_bsc = _group(parser, sub, "bsc", "blind signcryption session")
     in_bsc("commit", cmd_session_commit, "--params", "--key", "--state-out", "--out")
     in_bsc("challenge", cmd_bsc_challenge, "--params", "--recipient-pub", "--in",
            "--commit", "--state-out", "--out", optional=("--bind-info",))
@@ -467,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
            "--challenge", "--out")
     in_bsc("finalize", cmd_bsc_finalize, "--params", "--state", "--response", "--out")
     in_bsc("open", cmd_open, "--params", "--key", "--signer-pub", "--in", "--out",
-           optional=("--bind-info",)).set_defaults(
-        lib=blind_signcrypt, wire=blind_signcrypt.BlindSigncryptedText)
+           optional=("--bind-info",), lib=blind_signcrypt,
+           wire=blind_signcrypt.BlindSigncryptedText)
 
     bench = top("bench", cmd_bench, help="per-party modular-exponentiation counts")
     bench.add_argument("--scheme", required=True, choices=sorted(_SCHEME_NAMES))
@@ -478,40 +477,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _group(leaves: dict, sub, name: str, title: str):
+def _group(parser, sub, name: str, title: str):
     """Add the command group `name`; return a function that adds a command to
     it as _command does, given the command's name and what follows."""
     group = sub.add_parser(name, help=title).add_subparsers(dest="subcommand", required=True)
-    return functools.partial(_command, leaves, group, (name,))
+    return functools.partial(_command, parser, group, (name,))
 
 
-def _command(leaves: dict, sub, group: tuple[str, ...], name: str, func, *flags: str,
-             optional: tuple[str, ...] = (), **kwargs):
-    """Add subcommand `name` running func, with required flags, then optional ones,
-    and record its parser in leaves under its words: group + (name,).
-    --in stores args.infile ("in" is a keyword), and the signer's key is
-    args.signer_pub whatever the command calls its flag. `main` loads --params
-    and --key into args.params and args.key before func runs."""
-    cmd = leaves[group + (name,)] = sub.add_parser(name, **kwargs)
-    dests = {"--in": "infile", "--pub": "signer_pub", "--sender-pub": "signer_pub"}
-    for flag in flags:
-        cmd.add_argument(flag, dest=dests.get(flag), required=True)
-    for flag in optional:
-        cmd.add_argument(flag)
-    cmd.set_defaults(func=func)
+def _command(parser, sub, group: tuple[str, ...], name: str, func, *flags: str,
+             optional: tuple[str, ...] = (), help: str | None = None, **defaults):
+    """Add subcommand `name` running func, with required flags, optional
+    flags and namespace defaults such as lib and wire. parser.leaves records
+    its parser under its words, group + (name,), and parser.tables, if it
+    declares flags here, the table `_parse` reads: each flag's dest, the
+    required flags and the namespace before the flags' values; a command
+    that adds its own arguments has none. --in stores args.infile ("in" is a
+    keyword), and the signer's key is args.signer_pub whatever the command
+    calls its flag. `main` loads --params and --key before func runs."""
+    words = group + (name,)
+    cmd = parser.leaves[words] = sub.add_parser(name, **({"help": help} if help else {}))
+    renamed = {"--in": "infile", "--pub": "signer_pub", "--sender-pub": "signer_pub"}
+    dests = {f: renamed.get(f, f[2:].replace("-", "_")) for f in flags + optional}
+    for flag in flags + optional:
+        cmd.add_argument(flag, dest=dests[flag], required=flag in flags)
+    cmd.set_defaults(func=func, **defaults)
+    if flags:  # every dest is None until its flag's value arrives
+        parser.tables[words] = (dests, frozenset(flags), dict.fromkeys(dests.values()) | dict(
+            zip(("command", "subcommand"), words), func=func, **defaults))
     return cmd
 
 
 def _parse(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), skipping the scans of argv at the top
-    level and in the command's group when argv is well formed: the exact
-    global tokens --test-mode and --seed N (N not starting with "-", read by
-    int as type=int does), a command's words, then flags its parser takes in
-    full. That parser alone reads them, into the namespace the upper levels
-    would have filled. Anything else, such as `--seed=N`, an abbreviated
-    global flag, `-h` or `--` before the command, no command or leftover
-    words, gets the full parse. A command's own errors and -h read the same
-    either way, because the full parse hands its parser the same strings."""
+    """build_parser().parse_args(argv), without argparse when argv is well
+    formed: the exact global tokens --test-mode and --seed N (N not starting
+    with "-", read by int as type=int does), a command's words, then exact
+    `--flag value` pairs from its table, no value starting with "-" and every
+    required flag present (a repeated flag keeps its last value, as in
+    argparse). Any other argv, such as `--seed=N`, an abbreviated flag, `-h`,
+    `--` or a leftover word, and every command without a table, gets the
+    full parse, the only source of help, usage and errors."""
     parser = build_parser()
     words = sys.argv[1:] if argv is None else list(argv)
     test_mode, seed, i = False, None, 0
@@ -523,19 +527,15 @@ def _parse(argv) -> argparse.Namespace:
                 break  # and "--seed" names no command
             else:
                 seed, i = int(words[i + 1]), i + 2
-        names = next(n for n in (tuple(words[i:i + 2]), tuple(words[i:i + 1]))
-                     if n in parser.leaves)
-    except (IndexError, ValueError, StopIteration):
+        n = 2 if tuple(words[i:i + 2]) in parser.tables else 1  # a group's command
+        dests, required, defaults = parser.tables[tuple(words[i:i + n])]
+    except (IndexError, ValueError, KeyError):
         return parser.parse_args(words)
-    rest = words[i + len(names):]
-    # the top level reads "--=x" as an ambiguous abbreviation of its own flags
-    # and fails before the command's parser sees it
-    if not any(w.startswith("--=") for w in rest):
-        ns = argparse.Namespace(test_mode=test_mode, seed=seed,
-                                **dict(zip(("command", "subcommand"), names)))
-        args, extra = parser.leaves[names].parse_known_args(rest, ns)
-        if not extra:
-            return args
+    flags, values = words[i + n::2], words[i + n + 1::2]
+    if (len(flags) == len(values) and required <= set(flags) <= dests.keys()
+            and not any(v.startswith("-") for v in values)):
+        return argparse.Namespace(test_mode=test_mode, seed=seed, **defaults | {
+            dests[f]: v for f, v in zip(flags, values)})
     return parser.parse_args(words)
 
 

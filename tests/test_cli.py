@@ -1375,8 +1375,8 @@ def command_lines(draw):
 
 
 class TestDispatch:
-    """cli._parse hands a well-formed argv to the command's own parser and
-    everything else to the full parse, with the same result either way."""
+    """cli._parse reads a well-formed argv from the command's flag table and
+    hands everything else to the full parse, with the same result either way."""
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(command_lines())
@@ -1425,6 +1425,27 @@ class TestDispatch:
         assert main(["--test-mode", "--seed=11", "keygen", "--params", "desk512",
                      "--out", f["signer.json"]]) == 0
         assert len(full) == 1
+
+    def test_every_command_on_both_routes(self, monkeypatch):
+        # per command: its words with every flag of its usage, its words alone
+        # (a table that missed params gen's defaulted int flags would accept
+        # a bare `params gen`), and every flag with "-v" as the last value
+        parser = build_parser()
+        full = []
+        real = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda *a: full.append(a) or real(*a))
+        took_full = set()
+        for words, leaf in LEAVES.items():
+            flags = re.findall(r"(--[a-z-]+)(?: \{(\w+))?", leaf.format_usage())
+            complete = list(words) + [w for flag, choice in flags for w in (flag, choice or "7")]
+            full.clear()
+            assert outcome(cli._parse, complete) == outcome(real, complete), complete
+            if full:
+                took_full.add(words)
+            for argv in (list(words), complete[:-1] + ["-v"]):
+                assert outcome(cli._parse, argv) == outcome(real, argv), argv
+        assert took_full == {("params", "gen"), ("params", "validate"), ("bench",)}
+        assert took_full == LEAVES.keys() - parser.tables.keys()
 
 
 def test_module_entry_point():
