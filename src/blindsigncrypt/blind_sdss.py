@@ -16,13 +16,12 @@ h(K || m) = r; for honest runs K = g^u mod p. `sdss.verify` under y * T takes
 K as (y * T)^s * g^(r * s mod q), exact for y * T outside the subgroup too.
 
 Blindness is mechanically checkable: for ANY signer view (z, r_bar, s_bar)
-and ANY valid signature, `recover_blinding_factors` finds the unique
-(alpha, beta) that reconcile them, so the view pins down nothing.
-`pairing_grid` decides the same for every view against every signature. It
-splits g^alpha into a power per signature and a power per view, takes each
-view's powers of z with that view's power of g in one two-base call, and
-inverts every signature's s with one inversion, so n views against n
-signatures cost O(n) powers, not O(n^2).
+and ANY valid signature, a unique (alpha, beta) reconciles them, so the view
+pins down nothing. `pairing_grid` decides this for every view against every
+signature. It splits g^alpha into a power per signature and a power per
+view, takes each view's powers of z with that view's power of g in one
+two-base call, and inverts every signature's s with one inversion, so n
+views against n signatures cost O(n) powers, not O(n^2).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .errors import (
     BadCommit,
     BadGenerator,
     DegenerateDenominator,
-    InconsistentPair,
     InvalidState,
     RngFailure,
     int_text,
@@ -217,7 +215,7 @@ def requester_finalize(session: RequesterSession, s_bar: Scalar,
 def one_time_key(signer_pub: GroupElement, T: GroupElement,
                  params: GroupParams) -> GroupElement | None:
     """y * T mod p, the key (r, s, T) is checked under; None for T outside
-    [1, p-1]. The verifier, the recipient and the harness call it."""
+    [1, p-1]. The verifier and the recipient call it."""
     return signer_pub * T % params.p if 0 < T < params.p else None
 
 
@@ -258,39 +256,12 @@ def one_time_exponents(columns: Sequence[tuple[BlindSignature, Scalar]],
     return exponents
 
 
-def one_time_exponent(sig: BlindSignature, u: Scalar, q: int) -> Scalar | None:
-    """`one_time_exponents` for the one column (sig, u)."""
-    return one_time_exponents([(sig, u)], q)[0]
-
-
-def recover_blinding_factors(view: View, sig: BlindSignature, u: Scalar,
-                             params: GroupParams) -> tuple[Scalar, Scalar]:
-    """Find the unique (alpha, beta) reconciling a signer view with a signature:
-
-      beta  = r_bar - r mod q
-      alpha = s^-1 * u - (r + s_bar) mod q
-
-    and re-assert both defining equations, s = u / (r + s_bar + alpha) mod q
-    (see `one_time_exponent`) and T = z^r * z^beta * g^alpha mod p. The T check
-    takes two powers: z^(r + beta) with the unreduced integer exponent, which
-    equals z^r * z^beta for every z in Z_p*, and g^alpha.
-    Raises InconsistentPair for a dishonest view or an invalid signature.
-    """
-    p, q = params.p, params.q
-    a = one_time_exponent(sig, u, q)
-    if a is None:
-        raise InconsistentPair("s does not match u / (r + s_bar + alpha)")
-    beta = (view.r_bar - sig.r) % q
-    alpha = (a - view.s_bar) % q
-    if modexp(view.z, sig.r + beta, p) * modexp(params.g, alpha, p) % p != sig.T:
-        raise InconsistentPair("T does not match z^r * z^beta * g^alpha")
-    return alpha, beta
-
-
 def pairing_grid(views: Sequence[View], columns: Sequence[tuple[BlindSignature, Scalar]],
                  params: GroupParams) -> list[list[bool]]:
-    """cells[i][j]: whether `recover_blinding_factors(views[i], sig, u, params)`
-    succeeds for columns[j] = (sig, u), from O(n) powers instead of two per cell.
+    """cells[i][j]: whether some (alpha, beta) reconciles views[i] with
+    columns[j] = (sig, u) under beta = r_bar - r mod q,
+    s = u / (r + s_bar + alpha) mod q and T = z^(r + beta) * g^alpha mod p,
+    from O(n) powers instead of two per cell.
 
     With g of order q, g^alpha = g^a_j * R_i mod p for a_j from
     `one_time_exponents` and R_i = g^(-s_bar_i) per row, so the T equation

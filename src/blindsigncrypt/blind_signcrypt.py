@@ -96,7 +96,8 @@ def _signer_part(signer_pub: GroupElement, T: GroupElement,
 
 def shared_element(ct: BlindSigncryptedText, recipient: KeyPair,
                    signer_pub: GroupElement, params: GroupParams) -> GroupElement:
-    """(y_A * T * g^r)^(s * x_C) mod p; equals y_C^u mod p for honest texts."""
+    """(y_A * T * g^r)^(s * x_C) mod p; equals y_C^u mod p for honest texts.
+    No library code calls it; tests/test_acceptance.py checks criterion 1 with it."""
     return key_power(_signer_part(signer_pub, ct.T, params), ct.r,
                      ct.s * recipient.x % params.q, params)
 

@@ -52,7 +52,7 @@ class TagMismatch(ProtocolError):
 
 
 class BadCommit(ProtocolError):
-    """Commitment z is divisible by q and must be rejected."""
+    """Commitment z is outside [1, p-1] or divisible by q and must be rejected."""
 
 
 class BadChallenge(ProtocolError):
@@ -65,10 +65,6 @@ class InvalidState(ProtocolError):
 
 class DegenerateDenominator(ProtocolError):
     """r + s_bar + alpha = 0 mod q; the whole session must be restarted."""
-
-
-class InconsistentPair(ProtocolError):
-    """No blinding factors reconcile the given view with the signature."""
 
 
 class HarnessCheckFailed(ProtocolError):

@@ -185,7 +185,7 @@ def _check_consistent(t: FullTranscript) -> None:
     """Check an honest transcript against the secrets that produced it.
 
     The scalar equations come first. Then, for both schemes, one power of g
-    checks the one-time key y_A * T against g^a (`blind_sdss.one_time_exponent`),
+    checks the one-time key y_A * T against g^a (`blind_sdss.one_time_exponents`),
     which implies that the signature recovers K = g^u. T's range rule is left
     to the receiving party's move, which runs last and must accept: 7 counted
     powers with the protocol's 6. That move's key agreement needs no check of
@@ -201,7 +201,7 @@ def _check_consistent(t: FullTranscript) -> None:
     _check(t.view.s_bar == (ctx.signer.x + t.view.r_bar * t.view.k_tilde) % q,
            "s_bar = x + r_bar * k_tilde")
     _check(t.view.r_bar == (sec.r + sec.beta) % q, "r_bar = r + beta")
-    a = blind_sdss.one_time_exponent(t.signature(), sec.u, q)
+    a = blind_sdss.one_time_exponents([(t.signature(), sec.u)], q)[0]
     _check(a is not None and ctx.signer.y * t.output.T % p == modexp(ctx.params.g, a, p),
            "y_A * T = g^(s^-1 * u - r), so the signature recovers the commitment g^u")
     _open(t)

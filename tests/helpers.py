@@ -121,18 +121,12 @@ def marginals_smoke_test(transcripts, alpha=0.01):
     return ok
 
 
-def three_power_t_check(view, sig, beta, alpha, params):
-    """T as recover_blinding_factors once recomputed it: z^r * z^beta * g^alpha
-    mod p, three separate powers (oracle for the two-power form)."""
-    p = params.p
-    return pow(view.z, sig.r, p) * pow(view.z, beta, p) * pow(params.g, alpha, p) % p
-
-
 def three_power_outcome(view, sig, u, params):
     """The cell's outcome from the defining equations, with T recomputed as
-    three separate powers: None when s or r + s_bar + alpha has no inverse, r
-    is 0, or either equation fails."""
-    q = params.q
+    three separate powers z^r * z^beta * g^alpha mod p (oracle for the grid's
+    z^(r + beta)): None when s or r + s_bar + alpha has no inverse, r is 0,
+    or either equation fails."""
+    p, q = params.p, params.q
     if sig.s % q == 0:
         return None
     beta = (view.r_bar - sig.r) % q
@@ -140,7 +134,7 @@ def three_power_outcome(view, sig, u, params):
     denom = (sig.r + view.s_bar + alpha) % q
     if sig.r == 0 or denom == 0 or u * pow(denom, -1, q) % q != sig.s:
         return None
-    if three_power_t_check(view, sig, beta, alpha, params) != sig.T:
+    if pow(view.z, sig.r, p) * pow(view.z, beta, p) * pow(params.g, alpha, p) % p != sig.T:
         return None
     return alpha, beta
 

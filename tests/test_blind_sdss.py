@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptRng, three_power_outcome, three_power_t_check
+from helpers import ScriptRng, three_power_outcome
 from blindsigncrypt import blind_signcrypt, sdss, zheng
 from blindsigncrypt.blind_sdss import (
     BlindSignature,
     View,
     pairing_grid,
-    recover_blinding_factors,
     requester_challenge,
     requester_finalize,
     signer_commit,
@@ -24,11 +23,10 @@ from blindsigncrypt.errors import (
     BadChallenge,
     BadCommit,
     DegenerateDenominator,
-    InconsistentPair,
     InvalidState,
     TagMismatch,
 )
-from blindsigncrypt.group_math import GroupParams, count_exponentiations, int_to_bytes, modexp
+from blindsigncrypt.group_math import GroupParams, int_to_bytes, modexp
 from blindsigncrypt.sdss import KeyPair, SdssSignature, commitment_hash, key_power, keygen, sign
 
 MSG = b"unlinkable payment order"
@@ -92,9 +90,9 @@ class TestWorkedVectors:
         view = View(z=modexp(toy.g, signer_session.k_tilde, toy.p),
                     r_bar=(requester.r + requester.beta) % toy.q, s_bar=4,
                     k_tilde=signer_session.k_tilde)
-        alpha, beta = recover_blinding_factors(view, sig, requester.u, toy)
-        assert (alpha, beta) == (6, 2)
-        assert (alpha, beta) == (requester.alpha, requester.beta)
+        assert three_power_outcome(view, sig, requester.u, toy) == (6, 2)
+        assert (requester.alpha, requester.beta) == (6, 2)
+        assert pairing_grid([view], [(sig, requester.u)], toy) == [[True]]
 
 
 class TestGuards:
@@ -228,56 +226,51 @@ class TestBlindness:
     def test_cross_session_recovery(self, desk, suite):
         # every view must reconcile with every signature, not just its own
         sessions = self.sessions(8, desk, suite, seed=31)
-        for view, _, _ in sessions:
-            for _, requester, sig in sessions:
-                alpha, beta = recover_blinding_factors(view, sig, requester.u, desk)
-                assert 0 <= alpha < desk.q
-                assert 0 <= beta < desk.q
+        views = [view for view, _, _ in sessions]
+        columns = [(sig, requester.u) for _, requester, sig in sessions]
+        assert pairing_grid(views, columns, desk) == [[True] * 8] * 8
+        for view in views:
+            for sig, u in columns:
+                assert three_power_outcome(view, sig, u, desk) is not None
 
     def test_diagonal_recovers_actual_draws(self, toy, suite):
-        for view, requester, sig in self.sessions(6, toy, suite, seed=32):
-            alpha, beta = recover_blinding_factors(view, sig, requester.u, toy)
-            assert (alpha, beta) == (requester.alpha, requester.beta)
+        sessions = self.sessions(6, toy, suite, seed=32)
+        cells = pairing_grid([view for view, _, _ in sessions],
+                             [(sig, requester.u) for _, requester, sig in sessions], toy)
+        for i, (view, requester, sig) in enumerate(sessions):
+            assert cells[i][i]
+            assert (three_power_outcome(view, sig, requester.u, toy)
+                    == (requester.alpha, requester.beta))
 
     def test_two_powers_match_three_power_formula(self, desk, suite):
-        # z^(r + beta) with the unreduced exponent equals z^r * z^beta for every
-        # z in Z_p*, including z * (p - 1), which is outside the order-q subgroup
+        # the grid's z^(r + beta) with the unreduced exponent equals
+        # z^r * z^beta for every z in Z_p*, including z * (p - 1), which is
+        # outside the order-q subgroup
         sessions = self.sessions(4, desk, suite, seed=35)
         views = [view for view, _, _ in sessions]
         views += [dataclasses.replace(view, z=view.z * (desk.p - 1) % desk.p)
                   for view in views]
-        outcomes = set()
-        for view in views:
-            for _, requester, sig in sessions:
-                beta = (view.r_bar - sig.r) % desk.q
-                alpha = ((pow(sig.s, -1, desk.q) * requester.u - (sig.r + view.s_bar))
-                         % desk.q)
-                expected = three_power_t_check(view, sig, beta, alpha, desk) == sig.T
-                try:
-                    with count_exponentiations() as counter:
-                        got = recover_blinding_factors(view, sig, requester.u, desk)
-                    accepted = True
-                    assert got == (alpha, beta)
-                except InconsistentPair:
-                    accepted = False
-                assert accepted == expected
-                assert counter.count == 2
-                outcomes.add(accepted)
-        assert outcomes == {True, False}
+        columns = [(sig, requester.u) for _, requester, sig in sessions]
+        cells = pairing_grid(views, columns, desk)
+        assert cells == [[three_power_outcome(view, sig, u, desk) is not None
+                          for sig, u in columns] for view in views]
+        assert {cell for row in cells for cell in row} == {True, False}
 
     def test_forged_signature_detected(self, desk, suite):
         sessions = self.sessions(2, desk, suite, seed=33)
         view, requester, sig = sessions[0]
         forged = BlindSignature(r=sig.r, s=(sig.s + 1) % desk.q or 1, T=sig.T)
-        with pytest.raises(InconsistentPair):
-            recover_blinding_factors(view, forged, requester.u, desk)
+        assert pairing_grid([view], [(sig, requester.u), (forged, requester.u)],
+                            desk) == [[True, False]]
+        assert three_power_outcome(view, forged, requester.u, desk) is None
 
     def test_zero_s_is_inconsistent(self, toy, suite):
         sessions = self.sessions(2, toy, suite, seed=34)
         view, requester, sig = sessions[0]
-        with pytest.raises(InconsistentPair):
-            recover_blinding_factors(view, BlindSignature(r=sig.r, s=0, T=sig.T),
-                                     requester.u, toy)
+        zero_s = BlindSignature(r=sig.r, s=0, T=sig.T)
+        assert pairing_grid([view], [(sig, requester.u), (zero_s, requester.u)],
+                            toy) == [[True, False]]
+        assert three_power_outcome(view, zero_s, requester.u, toy) is None
 
 
 # toy groups with g of order q, for the grid's differential test
@@ -310,22 +303,12 @@ def toy_grids(draw):
     return params, views, columns
 
 
-def recovers(view, sig, u, params):
-    try:
-        recover_blinding_factors(view, sig, u, params)
-        return True
-    except InconsistentPair:
-        return False
-
-
 class TestPairingGrid:
     @settings(max_examples=400, deadline=None)
     @given(toy_grids())
     def test_every_cell_equals_per_cell_recovery(self, grid):
         params, views, columns = grid
         cells = pairing_grid(views, columns, params)
-        assert cells == [[recovers(view, sig, u, params) for sig, u in columns]
-                         for view in views]
         assert cells == [[three_power_outcome(view, sig, u, params) is not None
                           for sig, u in columns] for view in views]
 
@@ -342,8 +325,8 @@ class TestPairingGrid:
         T = pow(fit.z, r + (fit.r_bar - r) % q, p) * pow(g, alpha, p) % p
         columns = [(BlindSignature(r=r, s=s, T=t), u) for t in (0, p, T, T + p)]
         cells = pairing_grid(views, columns, toy)
-        assert cells == [[recovers(view, sig, u, toy) for sig, u in columns]
-                         for view in views]
+        assert cells == [[three_power_outcome(view, sig, u, toy) is not None
+                          for sig, u in columns] for view in views]
         assert cells == [[True, False, False, False],
                          [True, False, False, False],
                          [False, False, True, False]]
@@ -500,7 +483,7 @@ class TestExhaustiveBlindness:
                              ids=["p23", "p67"])
     def test_exactly_one_blinding_pair(self, params):
         # counted from the three defining equations, not through pairing_grid
-        # or recover_blinding_factors. beta appears only in r_bar = r + beta and
+        # or three_power_outcome. beta appears only in r_bar = r + beta and
         # alpha only in s = u / (r + s_bar + alpha), so each is enumerated over
         # Z_q on its own and T = z^(r + beta) * g^alpha is tried on every pair
         p, q, g = params.p, params.q, params.g

@@ -651,6 +651,19 @@ class TestFallback:
         assert kernel[2] == [{"A": 1, "B": 3, "C": 2}, {"A": 1, "B": 3, "verify": 2}]
 
 
+class TestLoadLibcrypto:
+    def test_none_without_hashlib(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+        assert group_math._load_libcrypto() is None
+
+    def test_none_when_the_library_does_not_load(self, monkeypatch):
+        def refuse(name):
+            raise OSError(f"cannot load {name}")
+
+        monkeypatch.setattr(group_math.ctypes, "CDLL", refuse)
+        assert group_math._load_libcrypto() is None
+
+
 class TestModinv:
     def test_worked_examples(self):
         assert modinv(10, 11) == 10
@@ -797,6 +810,44 @@ class TestGenerateParams:
         # no candidate is prime, so q's 200 * bits_p tries run out
         monkeypatch.setattr(group_math, "is_probable_prime", lambda n, rng=None: False)
         with pytest.raises(GenerationTimeout, match="no 8-bit prime found in 3200 tries"):
+            generate_params(16, 8, random.Random(1))
+
+    def test_default_rng_is_system_random(self, monkeypatch):
+        monkeypatch.setattr(group_math.secrets, "SystemRandom", lambda: random.Random(1))
+        assert generate_params(16, 8) == generate_params(16, 8, random.Random(1))
+
+    def test_odd_lower_bound_redrawn(self, monkeypatch):
+        # with q = 251, m runs from lo = 131; the draw lo rounds down to the
+        # even 130, which would give a 15-bit p, so it is drawn again
+        monkeypatch.setattr(group_math, "_random_prime", lambda bits, rng, tries: 251)
+        candidates = []
+        prime = group_math.is_probable_prime
+
+        def spy(n, rng=None):
+            candidates.append(n)
+            return prime(n, rng=rng)
+
+        class LowFirst(random.Random):
+            lows = 0
+
+            def randrange(self, start, stop=None, step=1):
+                if start == 131 and not self.lows:
+                    self.lows += 1
+                    return 131
+                return super().randrange(start, stop, step)
+
+        monkeypatch.setattr(group_math, "is_probable_prime", spy)
+        rng = LowFirst(3)
+        params = generate_params(16, 8, rng)
+        assert rng.lows == 1
+        assert params.q == 251 and params.p.bit_length() == 16
+        assert 251 * 130 + 1 not in candidates
+        assert len(candidates) > 2  # p's candidates, then validate_params' p and q
+
+    def test_timeout_when_no_p_is_prime(self, monkeypatch):
+        # every 8-bit candidate passes, so q is found and only p's tries run out
+        monkeypatch.setattr(group_math, "is_probable_prime", lambda n, rng=None: n < 256)
+        with pytest.raises(GenerationTimeout, match="^no prime p found in 3200 tries$"):
             generate_params(16, 8, random.Random(1))
 
     def test_desk_scale_within_budget(self):

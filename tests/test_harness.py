@@ -7,13 +7,8 @@ import pytest
 
 from helpers import ConstantRng, ScriptRng, flip_bit, marginals_smoke_test, three_power_outcome
 from blindsigncrypt import blind_sdss, group_math, harness
-from blindsigncrypt.blind_sdss import (
-    BlindSignature,
-    pairing_grid,
-    recover_blinding_factors,
-    verify,
-)
-from blindsigncrypt.errors import BadGenerator, HarnessCheckFailed, InconsistentPair, RngFailure
+from blindsigncrypt.blind_sdss import BlindSignature, pairing_grid, verify
+from blindsigncrypt.errors import BadGenerator, HarnessCheckFailed, RngFailure
 from blindsigncrypt.group_math import GroupParams, count_exponentiations
 from blindsigncrypt.blind_signcrypt import BlindSigncryptedText
 from blindsigncrypt.crypto_suite import derive_keys, kh_preimage
@@ -224,13 +219,11 @@ class TestCrossPairing:
     def test_diagonal_recovers_actual_draws(self, toy, suite):
         transcripts = run_honest_sessions(2, "blind_sdss", toy, suite,
                                           random.Random(8))
-        from blindsigncrypt.blind_sdss import recover_blinding_factors
-
-        for t in transcripts:
-            alpha, beta = recover_blinding_factors(
-                t.view, t.signature(), t.requester_secrets.u, toy)
-            assert (alpha, beta) == (t.requester_secrets.alpha,
-                                     t.requester_secrets.beta)
+        report = cross_pairing_check(transcripts)
+        for i, t in enumerate(transcripts):
+            sec = t.requester_secrets
+            assert report.cells[i][i]
+            assert three_power_outcome(t.view, t.signature(), sec.u, toy) == (sec.alpha, sec.beta)
 
     def test_needs_two_transcripts(self, toy, suite, rng):
         transcripts = run_honest_sessions(1, "blind_sdss", toy, suite, rng)
@@ -247,19 +240,11 @@ class TestCrossPairing:
         assert all(line.endswith(",1") for line in lines[1:])
 
 
-def outcome(recover, *args):
-    """(alpha, beta) from a recovery, or None when it raises InconsistentPair."""
-    try:
-        return recover(*args)
-    except InconsistentPair:
-        return None
-
-
 class TestCrossPairingGrid:
     """The grid splits g^alpha into a power per column and a power per row and
-    shares one view's z-powers along its row; every cell must still equal a
-    fresh per-cell recovery and the three-power formula, for views outside
-    the order-q subgroup and for malformed signatures too."""
+    shares one view's z-powers along its row; every cell must still equal the
+    three-power formula, for views outside the order-q subgroup and for
+    malformed signatures too."""
 
     def grid(self, desk, suite):
         q, p, g = desk.q, desk.p, desk.g
@@ -289,8 +274,7 @@ class TestCrossPairingGrid:
         outcomes, branches = set(), set()
         for i, t in enumerate(transcripts):
             for j, (sig, u) in enumerate(columns):
-                expected = outcome(recover_blinding_factors, t.view, sig, u, desk)
-                assert expected == three_power_outcome(t.view, sig, u, desk)
+                expected = three_power_outcome(t.view, sig, u, desk)
                 assert report.cells[i][j] is (expected is not None)
                 outcomes.add(expected is not None)
                 if 0 <= sig.r < desk.q:
@@ -359,10 +343,15 @@ class TestCrossPairingGrid:
         q = desk.q
         columns = [(t.signature(), t.requester_secrets.u) for t in transcripts]
         exponents = blind_sdss.one_time_exponents(columns, q)
-        assert exponents == [blind_sdss.one_time_exponent(sig, u, q) for sig, u in columns]
+        assert exponents == [blind_sdss.one_time_exponents([column], q)[0] for column in columns]
         assert None in exponents
         for (sig, u), a in zip(columns, exponents):
             assert a is None or a == (pow(sig.s, -1, q) * u - sig.r) % q
+            # a column without an exponent fails in every row; with one,
+            # every passing row's alpha is a - s_bar
+            for t in transcripts:
+                cell = three_power_outcome(t.view, sig, u, desk)
+                assert cell is None or (a is not None and cell[0] == (a - t.view.s_bar) % q)
 
     def test_failed_columns_take_no_inversion_and_no_power(self, desk, suite, monkeypatch):
         transcripts = run_honest_sessions(2, "blind_sdss", desk, suite, random.Random(46))
