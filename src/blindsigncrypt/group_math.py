@@ -16,8 +16,8 @@ z^r_bar, the verifiers' s and r * s, and the blindness grid's g^q, z^q,
 r_bar and -s_bar. Secret exponents (keys, nonces, blinding factors, s * x_C)
 and the primality and validation powers take the constant-time kernel. The
 only module state is fixed at import: that library handle, and each built-in
-set's modulus with its Montgomery context, which the kernels only read. The
-optional exponentiation counters are per thread.
+set's modulus with its Montgomery context, which the kernels only read. A
+counter counts its thread's powers and those of tasks started in its block.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ def int_to_bytes(n: int) -> bytes:
 # -- instrumentation -----------------------------------------------------------
 
 class count_exponentiations:
-    """Count every modexp executed inside the block, in this thread:
-    `with count_exponentiations() as c:` leaves the tally in c.count. Leaving
-    the block, normally or by an exception, closes this counter alone, so
-    counters may close in any order."""
+    """Count every modexp executed inside the block, in this thread or in an
+    asyncio task started there: `with count_exponentiations() as c:` leaves
+    the tally in c.count. Leaving the block, normally or by an exception,
+    closes this counter alone, so counters may close in any order."""
 
     def __init__(self):
         self.count = 0
@@ -91,8 +91,8 @@ class count_exponentiations:
         _active_counters.set(tuple(c for c in _active_counters.get() if c is not self))
 
 
-# The counters open in the current context: each thread starts with none, so a
-# counter counts only the powers of the thread (or task) that opened it.
+# Each thread starts with no counter open, but an asyncio task copies the
+# context it starts in, so a block's counter also counts its tasks' powers.
 _active_counters: contextvars.ContextVar[tuple[count_exponentiations, ...]] = \
     contextvars.ContextVar("active_counters", default=())
 
@@ -231,11 +231,14 @@ def modinv(a: Scalar, q: int) -> Scalar:
 RETRY_BUDGET = 1000
 
 
-def retry(attempt: Callable[[], object], error: ProtocolError):
-    """The first result of attempt() that is not None, within RETRY_BUDGET
-    tries; else raise error. Every retried step in the package fails with
-    probability about 1/q, so running out means a broken rng or hash stub."""
-    for _ in range(RETRY_BUDGET):
+def retry(attempt: Callable[[], object], error: ProtocolError,
+          tries: int = RETRY_BUDGET):
+    """The first result of attempt() that is not None, within tries calls;
+    else raise error. A protocol step fails with probability about 1/q, so it
+    keeps RETRY_BUDGET and running out means a broken rng or hash stub. A
+    prime search hits a prime about once in ln(n)/2 candidates, so it passes
+    its own budget."""
+    for _ in range(tries):
         result = attempt()
         if result is not None:
             return result
@@ -318,21 +321,21 @@ def generate_params(bits_p: int, bits_q: int, rng=None) -> GroupParams:
         rng = secrets.SystemRandom()
     tries = 200 * bits_p
 
-    q = _random_prime(bits_q, rng, tries)
+    def draw_q():
+        n = rng.randrange(1 << (bits_q - 1), 1 << bits_q) | 1
+        return n if is_probable_prime(n, rng=rng) else None
+
+    q = retry(draw_q, GenerationTimeout(f"no {bits_q}-bit prime found in {tries} tries"), tries)
 
     # p = q*m + 1 with m even; lo <= m <= hi puts p on exactly bits_p bits
     lo = ((1 << (bits_p - 1)) - 1) // q + 1
     hi = ((1 << bits_p) - 1 - 1) // q
-    for _ in range(tries):
-        m = rng.randrange(lo, hi + 1) & ~1
-        if m < lo:
-            continue
-        p = q * m + 1
-        if is_probable_prime(p, rng=rng):
-            break
-    else:
-        raise GenerationTimeout(f"no prime p found in {tries} tries")
 
+    def draw_p():
+        m = rng.randrange(lo, hi + 1) & ~1
+        return q * m + 1 if m >= lo and is_probable_prime(q * m + 1, rng=rng) else None
+
+    p = retry(draw_p, GenerationTimeout(f"no prime p found in {tries} tries"), tries)
     cofactor = (p - 1) // q
 
     def draw_generator():
@@ -341,14 +344,6 @@ def generate_params(bits_p: int, bits_q: int, rng=None) -> GroupParams:
 
     g = retry(draw_generator, GenerationTimeout("no generator found"))
     return validate_params((p, q, g))
-
-
-def _random_prime(bits: int, rng, tries: int) -> int:
-    for _ in range(tries):
-        n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
-        if is_probable_prime(n, rng=rng):
-            return n
-    raise GenerationTimeout(f"no {bits}-bit prime found in {tries} tries")
 
 
 # -- named parameter sets --------------------------------------------------------

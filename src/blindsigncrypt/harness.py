@@ -61,8 +61,8 @@ class FullTranscript:
         return BlindSignature(r=out.r, s=out.s, T=out.T)
 
 
-def _random_message(rng, max_len: int = 64) -> bytes:
-    n = rng.randrange(max_len + 1)
+def _random_message(rng) -> bytes:
+    n = rng.randrange(64 + 1)
     return bytes(rng.getrandbits(8) for _ in range(n))
 
 
@@ -211,7 +211,6 @@ def _check_consistent(t: FullTranscript) -> None:
 
 @dataclass
 class CrossPairingReport:
-    n: int
     cells: list[list[bool]]
 
     @property
@@ -220,7 +219,7 @@ class CrossPairingReport:
 
     @property
     def total(self) -> int:
-        return self.n * self.n
+        return len(self.cells) ** 2
 
     @property
     def all_pass(self) -> bool:
@@ -257,7 +256,7 @@ def cross_pairing_check(transcripts: Sequence[FullTranscript]) -> CrossPairingRe
     cells = blind_sdss.pairing_grid(
         [t.view for t in transcripts],
         [(t.signature(), t.requester_secrets.u) for t in transcripts], params)
-    return CrossPairingReport(n=len(transcripts), cells=cells)
+    return CrossPairingReport(cells=cells)
 
 
 # -- tamper suite ----------------------------------------------------------------

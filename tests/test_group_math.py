@@ -1,5 +1,7 @@
+import asyncio
 import builtins
 import copy
+import hashlib
 import random
 import sys
 import threading
@@ -32,6 +34,7 @@ from blindsigncrypt.crypto_suite import derive_keys, kh_preimage, std_suite, toy
 from blindsigncrypt.group_math import (
     DESK512,
     NAMED_PARAMS,
+    RETRY_BUDGET,
     TOY23,
     GroupParams,
     count_exponentiations,
@@ -44,6 +47,7 @@ from blindsigncrypt.group_math import (
     modinv,
     rand_scalar,
     rand_scalar_nonzero,
+    retry,
     validate_params,
 )
 from blindsigncrypt.harness import (
@@ -130,6 +134,19 @@ class TestModexp:
             modexp(2, 3, 23)
         assert not t.is_alive()
         assert (mine.count, seen["other"]) == (2, 50)
+
+    def test_counter_counts_a_task_started_inside_it(self):
+        # a task copies the context it starts in, counters included
+        async def child():
+            modexp(2, 3, 23)
+            modexp(3, 4, 23)
+
+        async def parent():
+            with count_exponentiations() as c:
+                await asyncio.create_task(child())
+            return c.count
+
+        assert asyncio.run(parent()) == 2
 
     def test_counters_in_racing_threads(self):
         counts = {}
@@ -720,6 +737,35 @@ class TestRandScalar:
             rand_scalar_nonzero(BrokenRng(), 11)
 
 
+class TestRetry:
+    def test_default_budget(self):
+        calls = []
+        error = RngFailure("out of tries")
+        with pytest.raises(RngFailure) as exc:
+            retry(lambda: calls.append(1), error)
+        assert len(calls) == RETRY_BUDGET
+        assert exc.value is error
+
+    def test_own_budget(self):
+        calls = []
+        error = GenerationTimeout("out of tries")
+        with pytest.raises(GenerationTimeout) as exc:
+            retry(lambda: calls.append(1), error, tries=3)
+        assert len(calls) == 3
+        assert exc.value is error
+
+    def test_first_result_ends_the_draws(self):
+        results = iter([None, None, "first", "second"])
+        assert retry(lambda: next(results), RngFailure("unused")) == "first"
+        assert next(results) == "second"
+
+    def test_falsy_result_is_kept(self):
+        # blind_challenge's draw_beta relies on this: beta = 0 is a valid draw
+        calls = []
+        assert retry(lambda: calls.append(1) or 0, RngFailure("unused")) == 0
+        assert len(calls) == 1
+
+
 class TestValidateParams:
     def test_toy_ok(self):
         params = validate_params((23, 11, 2))
@@ -819,7 +865,6 @@ class TestGenerateParams:
     def test_odd_lower_bound_redrawn(self, monkeypatch):
         # with q = 251, m runs from lo = 131; the draw lo rounds down to the
         # even 130, which would give a 15-bit p, so it is drawn again
-        monkeypatch.setattr(group_math, "_random_prime", lambda bits, rng, tries: 251)
         candidates = []
         prime = group_math.is_probable_prime
 
@@ -831,6 +876,8 @@ class TestGenerateParams:
             lows = 0
 
             def randrange(self, start, stop=None, step=1):
+                if (start, stop) == (128, 256):  # q's draw
+                    return 251
                 if start == 131 and not self.lows:
                     self.lows += 1
                     return 131
@@ -857,6 +904,17 @@ class TestGenerateParams:
         params = generate_params(512, 160, random.Random(2))
         assert time.monotonic() - start < 10.0
         validate_params((params.p, params.q, params.g))
+
+    def test_small_sizes_draw_pinned_params(self):
+        # one digest of every (p, q, g) these seeds draw below desk512's
+        # size, which the next test pins
+        digest = hashlib.sha256()
+        for bits_p, bits_q in ((16, 8), (24, 8), (64, 16)):
+            for seed in range(5):
+                params = generate_params(bits_p, bits_q, random.Random(seed))
+                digest.update(wire_codec.encode(params))
+        assert digest.hexdigest() == (
+            "8cb1d7c6fbd90d2a47d4006eb8bff94cdeb61103eea4856e0b7b4d475a0f5e2c")
 
     def test_desk512_constant_matches_its_seed(self):
         regenerated = generate_params(512, 160, random.Random("desk512-v1"))
